@@ -18,7 +18,10 @@
 //!   preserving ops of [`crate::unify`], and rebuild only the fragments
 //!   whose variables were dethroned or newly bound (tracked by
 //!   [`DeltaLog`]). On a chain, a component touches O(Δ) atoms instead
-//!   of O(|closure|).
+//!   of O(|closure|). A memo costs O(|closure|) to keep and to clone —
+//!   fragments are shared by `Arc`, and the MGU stores only variables
+//!   its closure has merged or bound — so a sweep spends O(|closure| + Δ)
+//!   per component and Σ|closure|, the size of its output, in total.
 //! * **Cross-run verdicts** ([`ClosureCache`]): a content-addressed map
 //!   from the closure's member digests to its evaluation verdict. The
 //!   online engine re-evaluates a component every time a query arrives;
@@ -104,7 +107,8 @@ impl GroundWork {
 /// components within the same sweep.
 #[derive(Clone, Debug)]
 pub struct ClosureMemo {
-    /// The closure's MGU over the batch's global variable space.
+    /// The closure's MGU: addressed by the batch's global variables,
+    /// storing only those of the closure's members.
     pub subst: Substitution,
     /// Per-member body atoms rewritten under `subst`. `BTreeMap`
     /// iteration order is [`QueryId`] order — exactly the member-sorted
@@ -628,5 +632,59 @@ mod tests {
                 assert_eq!(g.get(v), back.get(v));
             }
         }
+    }
+
+    /// Scaling pin for the sweep's memory: along a BA(500, 2) batch every
+    /// memo's MGU stores variables of its own closure's members only —
+    /// O(|closure|) to keep, clone and absorb — and the identity over the
+    /// whole batch stores nothing.
+    #[test]
+    fn memo_substitutions_are_confined_to_their_closure() {
+        // Query i names up to two earlier partners drawn by degree (an LCG
+        // stands in for a generator): ids ascend in reverse topological
+        // order and every query is its own component.
+        let (mut state, mut ends) = (7u64, Vec::<usize>::new());
+        let (mut partners, mut queries) = (Vec::new(), Vec::new());
+        for i in 0..500 {
+            let mut ps: Vec<usize> = Vec::new();
+            for _ in 0..ends.len().min(2) {
+                state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                ps.push(ends[(state >> 33) as usize % ends.len()]);
+            }
+            ps.sort_unstable();
+            ps.dedup();
+            let posts: Vec<String> = ps.iter().map(|p| format!("R(\"u{p}\", y{p})")).collect();
+            let posts = posts.join(", ");
+            let text = format!("q{i}: {{{posts}}} R(\"u{i}\", x) :- S(x, \"t{i}\")");
+            queries.push(crate::parse::parse_query(&text).unwrap());
+            ends.extend(ps.iter().copied().chain([i]));
+            partners.push(ps);
+        }
+        let qs = QuerySet::new(queries);
+        let index = HeadIndex::build(&qs);
+        assert_eq!(Substitution::identity(qs.total_vars()).touched().count(), 0);
+
+        let mut memos: Vec<ClosureMemo> = Vec::new();
+        for (i, succs) in partners.iter().enumerate() {
+            let succ_memos: Vec<&ClosureMemo> = succs.iter().map(|&p| &memos[p]).collect();
+            let mut closure = vec![QueryId(i)];
+            for m in &succ_memos {
+                closure.extend(m.fragments.keys());
+            }
+            closure.sort_unstable();
+            closure.dedup();
+            let work = &mut GroundWork::default();
+            let memo = if succ_memos.is_empty() {
+                scratch_closure(&qs, &index, &closure, work)
+            } else {
+                delta_unify(&qs, &index, &closure, &[QueryId(i)], &succ_memos, work)
+            };
+            let memo = memo.expect("partner queries always unify");
+            let member = |v: Var| memo.fragments.contains_key(&qs.owner_of(v).0);
+            assert!(memo.subst.touched().all(member), "memo {i}");
+            memos.push(memo);
+        }
+        let widest = memos.iter().map(|m| m.fragments.len()).max().unwrap();
+        assert!((10..250).contains(&widest), "closures are deep but partial");
     }
 }

@@ -18,6 +18,17 @@
 //!
 //! At most `|Q|` database queries are issued; the graph work is at most
 //! quadratic in `|Q|` (Section 4, "Running Time").
+//!
+//! **Cost model of the sweep.** Every component reports its closure as a
+//! candidate set, so Σ|closure| is the size of the output and the floor
+//! for the sweep. Each per-component step stays within O(|closure| + Δ),
+//! Δ being the component's own queries: merging successor closures,
+//! cloning the largest successor memo (its MGU stores only variables the
+//! closure has merged or bound — see [`crate::unify::Substitution`]),
+//! unifying the Δ new postconditions, assembling the combined body, the
+//! database's compiled join over it, and the grounding. Nothing a
+//! component does is proportional to the batch (`qs.total_vars()`) or
+//! quadratic in its closure.
 
 use crate::bruteforce;
 use crate::combined::ground_assembled;

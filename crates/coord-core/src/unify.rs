@@ -8,6 +8,7 @@
 //! unification fail.
 
 use coord_db::{Atom, Term, Value, Var};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why unification failed.
@@ -48,59 +49,104 @@ impl fmt::Display for UnifyError {
 
 impl std::error::Error for UnifyError {}
 
+/// One variable's departure from the identity substitution.
+#[derive(Clone, Debug)]
+struct Node {
+    parent: u32,
+    rank: u8,
+    binding: Option<Value>,
+}
+
 /// A substitution over `n` global variables: union-find with per-class
-/// constant bindings.
+/// constant bindings. The identity is implied — only variables that have
+/// been merged or bound are stored — so creating, cloning and absorbing
+/// one costs O(variables it has touched), never O(`n`): a closure's MGU
+/// is as large as the closure, whatever the batch around it.
 #[derive(Clone, Debug)]
 pub struct Substitution {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    binding: Vec<Option<Value>>,
+    n_vars: u32,
+    nodes: HashMap<u32, Node>,
 }
 
 impl Substitution {
     /// The identity substitution over `n_vars` variables.
     pub fn identity(n_vars: u32) -> Self {
         Substitution {
-            parent: (0..n_vars).collect(),
-            rank: vec![0; n_vars as usize],
-            binding: vec![None; n_vars as usize],
+            n_vars,
+            nodes: HashMap::new(),
         }
     }
 
     /// Number of variables covered.
     pub fn n_vars(&self) -> u32 {
-        self.parent.len() as u32
+        self.n_vars
+    }
+
+    /// The variables stored explicitly, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn touched(&self) -> impl Iterator<Item = Var> + '_ {
+        self.nodes.keys().map(|&v| Var(v))
+    }
+
+    fn parent(&self, x: u32) -> u32 {
+        debug_assert!(x < self.n_vars, "variable outside the substitution");
+        self.nodes.get(&x).map_or(x, |n| n.parent)
+    }
+
+    fn rank(&self, root: u32) -> u8 {
+        self.nodes.get(&root).map_or(0, |n| n.rank)
+    }
+
+    fn binding(&self, root: u32) -> Option<&Value> {
+        self.nodes.get(&root).and_then(|n| n.binding.as_ref())
+    }
+
+    fn node(&mut self, x: u32) -> &mut Node {
+        self.nodes.entry(x).or_insert(Node {
+            parent: x,
+            rank: 0,
+            binding: None,
+        })
     }
 
     /// Representative of `v`'s class (with path halving).
     pub fn find(&mut self, v: Var) -> Var {
-        let mut x = v.0 as usize;
-        while self.parent[x] as usize != x {
-            self.parent[x] = self.parent[self.parent[x] as usize];
-            x = self.parent[x] as usize;
+        let mut x = v.0;
+        loop {
+            let p = self.parent(x);
+            if p == x {
+                return Var(x);
+            }
+            let grandparent = self.parent(p);
+            if grandparent != p {
+                self.node(x).parent = grandparent;
+            }
+            x = grandparent;
         }
-        Var(x as u32)
     }
 
     /// Representative without mutation (no path compression).
     pub fn find_immutable(&self, v: Var) -> Var {
-        let mut x = v.0 as usize;
-        while self.parent[x] as usize != x {
-            x = self.parent[x] as usize;
+        let mut x = v.0;
+        loop {
+            let p = self.parent(x);
+            if p == x {
+                return Var(x);
+            }
+            x = p;
         }
-        Var(x as u32)
     }
 
     /// Whether `v`'s class is bound to a constant (immutable lookup, no
     /// path compression — safe on shared substitutions).
     pub fn is_bound(&self, v: Var) -> bool {
-        self.binding[self.find_immutable(v).0 as usize].is_some()
+        self.binding(self.find_immutable(v).0).is_some()
     }
 
     /// The constant bound to `v`'s class, if any.
     pub fn value_of(&mut self, v: Var) -> Option<Value> {
         let r = self.find(v);
-        self.binding[r.0 as usize].clone()
+        self.binding(r.0).cloned()
     }
 
     /// Resolve a term: constants stay; variables become their class
@@ -110,7 +156,7 @@ impl Substitution {
             Term::Const(c) => Term::Const(c.clone()),
             Term::Var(v) => {
                 let r = self.find(*v);
-                match &self.binding[r.0 as usize] {
+                match self.binding(r.0) {
                     Some(c) => Term::Const(c.clone()),
                     None => Term::Var(r),
                 }
@@ -129,16 +175,42 @@ impl Substitution {
     /// Bind variable `v` to constant `c`.
     pub fn bind(&mut self, v: Var, c: Value) -> Result<(), UnifyError> {
         let r = self.find(v);
-        match &self.binding[r.0 as usize] {
+        match self.binding(r.0) {
             Some(existing) if existing != &c => Err(UnifyError::ConstantConflict {
                 left: existing.clone(),
                 right: c,
             }),
             Some(_) => Ok(()),
             None => {
-                self.binding[r.0 as usize] = Some(c);
+                self.node(r.0).binding = Some(c);
                 Ok(())
             }
+        }
+    }
+
+    /// The binding of the class that merging roots `a` and `b` forms;
+    /// two distinct constants conflict (and nothing has been changed).
+    fn merged_binding(&self, a: Var, b: Var) -> Result<Option<Value>, UnifyError> {
+        match (self.binding(a.0), self.binding(b.0)) {
+            (Some(x), Some(y)) if x != y => Err(UnifyError::ConstantConflict {
+                left: x.clone(),
+                right: y.clone(),
+            }),
+            (Some(x), _) => Ok(Some(x.clone())),
+            (_, y) => Ok(y.cloned()),
+        }
+    }
+
+    /// Hang root `lo` under root `hi`, whose class takes `binding`.
+    fn link(&mut self, lo: Var, hi: Var, binding: Option<Value>) {
+        let bump = self.rank(hi.0) == self.rank(lo.0);
+        let below = self.node(lo.0);
+        below.parent = hi.0;
+        below.binding = None;
+        if bump || binding.is_some() {
+            let above = self.node(hi.0);
+            above.rank += u8::from(bump);
+            above.binding = binding;
         }
     }
 
@@ -149,52 +221,19 @@ impl Substitution {
         if ra == rb {
             return Ok(());
         }
-        // Check binding compatibility before merging.
-        let merged = match (
-            self.binding[ra.0 as usize].take(),
-            self.binding[rb.0 as usize].take(),
-        ) {
-            (Some(x), Some(y)) if x != y => {
-                // Restore and fail.
-                self.binding[ra.0 as usize] = Some(x.clone());
-                self.binding[rb.0 as usize] = Some(y.clone());
-                return Err(UnifyError::ConstantConflict { left: x, right: y });
-            }
-            (Some(x), _) => Some(x),
-            (_, y) => y,
-        };
+        let merged = self.merged_binding(ra, rb)?;
         // Union by rank.
-        let (hi, lo) = if self.rank[ra.0 as usize] >= self.rank[rb.0 as usize] {
-            (ra, rb)
+        if self.rank(ra.0) >= self.rank(rb.0) {
+            self.link(rb, ra, merged);
         } else {
-            (rb, ra)
-        };
-        self.parent[lo.0 as usize] = hi.0;
-        if self.rank[hi.0 as usize] == self.rank[lo.0 as usize] {
-            self.rank[hi.0 as usize] += 1;
+            self.link(ra, rb, merged);
         }
-        self.binding[hi.0 as usize] = merged;
         Ok(())
     }
 
     /// Unify two terms.
     pub fn unify_terms(&mut self, a: &Term, b: &Term) -> Result<(), UnifyError> {
-        match (a, b) {
-            (Term::Const(x), Term::Const(y)) => {
-                if x == y {
-                    Ok(())
-                } else {
-                    Err(UnifyError::ConstantConflict {
-                        left: x.clone(),
-                        right: y.clone(),
-                    })
-                }
-            }
-            (Term::Var(v), Term::Const(c)) | (Term::Const(c), Term::Var(v)) => {
-                self.bind(*v, c.clone())
-            }
-            (Term::Var(v), Term::Var(w)) => self.union(*v, *w),
-        }
+        self.unify_terms_logged(a, b, None)
     }
 
     /// Unify two atoms positionally (the MGU step of the paper's
@@ -205,6 +244,66 @@ impl Substitution {
     /// that need transactional behaviour clone first (component-level
     /// unification in the SCC algorithm does exactly that).
     pub fn unify_atoms(&mut self, a: &Atom, b: &Atom) -> Result<(), UnifyError> {
+        self.unify_atoms_logged(a, b, None)
+    }
+
+    /// Unify a postcondition term against a head term, preferring the
+    /// head side's representative on variable–variable merges (the head
+    /// belongs to an already-memoized closure whose cached fragments
+    /// were rewritten under its representative; the postcondition side
+    /// is fresh). Mutations that can invalidate cached fragments are
+    /// logged.
+    pub fn unify_terms_directed(
+        &mut self,
+        post: &Term,
+        head: &Term,
+        log: &mut DeltaLog,
+    ) -> Result<(), UnifyError> {
+        self.unify_terms_logged(post, head, Some(log))
+    }
+
+    /// [`Substitution::unify_atoms`] with the head-preferring,
+    /// fragment-dirt-logging term unification of
+    /// [`Substitution::unify_terms_directed`].
+    pub fn unify_atoms_directed(
+        &mut self,
+        post: &Atom,
+        head: &Atom,
+        log: &mut DeltaLog,
+    ) -> Result<(), UnifyError> {
+        self.unify_atoms_logged(post, head, Some(log))
+    }
+
+    /// Term unification, plain (`log` absent) or directed and logged.
+    fn unify_terms_logged(
+        &mut self,
+        a: &Term,
+        b: &Term,
+        log: Option<&mut DeltaLog>,
+    ) -> Result<(), UnifyError> {
+        match (a, b, log) {
+            (Term::Const(x), Term::Const(y), _) if x == y => Ok(()),
+            (Term::Const(x), Term::Const(y), _) => Err(UnifyError::ConstantConflict {
+                left: x.clone(),
+                right: y.clone(),
+            }),
+            (Term::Var(v), Term::Const(c), None) | (Term::Const(c), Term::Var(v), None) => {
+                self.bind(*v, c.clone())
+            }
+            (Term::Var(v), Term::Const(c), Some(log))
+            | (Term::Const(c), Term::Var(v), Some(log)) => self.bind_logged(*v, c.clone(), log),
+            (Term::Var(v), Term::Var(w), None) => self.union(*v, *w),
+            (Term::Var(post), Term::Var(head), Some(log)) => self.union_keeping(*head, *post, log),
+        }
+    }
+
+    /// Positional atom unification over [`Substitution::unify_terms_logged`].
+    fn unify_atoms_logged(
+        &mut self,
+        a: &Atom,
+        b: &Atom,
+        mut log: Option<&mut DeltaLog>,
+    ) -> Result<(), UnifyError> {
         if a.relation != b.relation {
             return Err(UnifyError::RelationMismatch {
                 left: a.relation.to_string(),
@@ -219,7 +318,7 @@ impl Substitution {
             });
         }
         for (ta, tb) in a.terms.iter().zip(&b.terms) {
-            self.unify_terms(ta, tb)?;
+            self.unify_terms_logged(ta, tb, log.as_deref_mut())?;
         }
         Ok(())
     }
@@ -229,7 +328,7 @@ impl Substitution {
     /// now stale).
     pub fn bind_logged(&mut self, v: Var, c: Value, log: &mut DeltaLog) -> Result<(), UnifyError> {
         let r = self.find(v);
-        let was_unbound = self.binding[r.0 as usize].is_none();
+        let was_unbound = self.binding(r.0).is_none();
         self.bind(r, c)?;
         if was_unbound {
             log.dirty.push(r);
@@ -255,89 +354,14 @@ impl Substitution {
         if rk == ro {
             return Ok(());
         }
-        let merged = match (
-            self.binding[rk.0 as usize].take(),
-            self.binding[ro.0 as usize].take(),
-        ) {
-            (Some(x), Some(y)) if x != y => {
-                self.binding[rk.0 as usize] = Some(x.clone());
-                self.binding[ro.0 as usize] = Some(y.clone());
-                return Err(UnifyError::ConstantConflict { left: x, right: y });
-            }
-            (Some(x), _) => Some(x),
-            (None, y) => {
-                if y.is_some() {
-                    // The winner was unbound and inherits a constant:
-                    // fragments still showing `rk` as a variable are stale.
-                    log.dirty.push(rk);
-                }
-                y
-            }
-        };
-        self.parent[ro.0 as usize] = rk.0;
-        if self.rank[rk.0 as usize] == self.rank[ro.0 as usize] {
-            self.rank[rk.0 as usize] += 1;
+        let merged = self.merged_binding(rk, ro)?;
+        if merged.is_some() && self.binding(rk.0).is_none() {
+            // The winner was unbound and inherits a constant:
+            // fragments still showing `rk` as a variable are stale.
+            log.dirty.push(rk);
         }
-        self.binding[rk.0 as usize] = merged;
+        self.link(ro, rk, merged);
         log.dirty.push(ro);
-        Ok(())
-    }
-
-    /// Unify a postcondition term against a head term, preferring the
-    /// head side's representative on variable–variable merges (the head
-    /// belongs to an already-memoized closure whose cached fragments
-    /// were rewritten under its representative; the postcondition side
-    /// is fresh). Mutations that can invalidate cached fragments are
-    /// logged.
-    pub fn unify_terms_directed(
-        &mut self,
-        post: &Term,
-        head: &Term,
-        log: &mut DeltaLog,
-    ) -> Result<(), UnifyError> {
-        match (post, head) {
-            (Term::Const(x), Term::Const(y)) => {
-                if x == y {
-                    Ok(())
-                } else {
-                    Err(UnifyError::ConstantConflict {
-                        left: x.clone(),
-                        right: y.clone(),
-                    })
-                }
-            }
-            (Term::Var(v), Term::Const(c)) | (Term::Const(c), Term::Var(v)) => {
-                self.bind_logged(*v, c.clone(), log)
-            }
-            (Term::Var(p), Term::Var(h)) => self.union_keeping(*h, *p, log),
-        }
-    }
-
-    /// [`Substitution::unify_atoms`] with the head-preferring,
-    /// fragment-dirt-logging term unification of
-    /// [`Substitution::unify_terms_directed`].
-    pub fn unify_atoms_directed(
-        &mut self,
-        post: &Atom,
-        head: &Atom,
-        log: &mut DeltaLog,
-    ) -> Result<(), UnifyError> {
-        if post.relation != head.relation {
-            return Err(UnifyError::RelationMismatch {
-                left: post.relation.to_string(),
-                right: head.relation.to_string(),
-            });
-        }
-        if post.arity() != head.arity() {
-            return Err(UnifyError::ArityMismatch {
-                relation: post.relation.to_string(),
-                left: post.arity(),
-                right: head.arity(),
-            });
-        }
-        for (tp, th) in post.terms.iter().zip(&head.terms) {
-            self.unify_terms_directed(tp, th, log)?;
-        }
         Ok(())
     }
 
@@ -347,18 +371,20 @@ impl Substitution {
     /// when that union is inconsistent — the same verdict a from-scratch
     /// unification of the combined constraints would reach. Used when a
     /// closure has several memoized successors: one memo is cloned as
-    /// the base, the others absorbed. O(|vars|) bookkeeping.
+    /// the base, the others absorbed. O(variables `other` has touched).
     pub fn absorb(&mut self, other: &Substitution) -> Result<(), UnifyError> {
         debug_assert_eq!(self.n_vars(), other.n_vars());
-        for v in 0..other.parent.len() as u32 {
-            let r = other.find_immutable(Var(v));
-            if r.0 != v {
-                self.union(Var(v), r)?;
+        // Ascending variable order, so representatives are reproducible.
+        let mut nodes: Vec<(u32, &Node)> = other.nodes.iter().map(|(&v, n)| (v, n)).collect();
+        nodes.sort_unstable_by_key(|&(v, _)| v);
+        for &(v, node) in &nodes {
+            if node.parent != v {
+                self.union(Var(v), other.find_immutable(Var(v)))?;
             }
         }
-        for (v, b) in other.binding.iter().enumerate() {
-            if let Some(c) = b {
-                self.bind(Var(v as u32), c.clone())?;
+        for &(v, node) in &nodes {
+            if let Some(c) = &node.binding {
+                self.bind(Var(v), c.clone())?;
             }
         }
         Ok(())

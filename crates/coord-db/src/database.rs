@@ -260,6 +260,9 @@ impl Database {
 mod tests {
     use super::*;
     use crate::query::{Atom, Term, Var};
+    use crate::storage::{RowStore, Scan, Storage};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -343,5 +346,94 @@ mod tests {
             .map(std::string::ToString::to_string)
             .collect();
         assert_eq!(names, vec!["Flights", "Hotels"]);
+    }
+
+    /// A row store that counts `estimate()` calls, installed through
+    /// `Backend::Custom`.
+    #[derive(Clone, Debug)]
+    struct CountingStore {
+        inner: RowStore,
+        estimates: Arc<AtomicUsize>,
+    }
+
+    impl Storage for CountingStore {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn arity(&self) -> usize {
+            self.inner.arity()
+        }
+        fn insert(&mut self, tuple: Tuple) -> bool {
+            self.inner.insert(tuple)
+        }
+        fn contains(&self, values: &[Value]) -> bool {
+            self.inner.contains(values)
+        }
+        fn cell(&self, row: usize, col: usize) -> &Value {
+            self.inner.cell(row, col)
+        }
+        fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
+            self.inner.scan(bound)
+        }
+        fn estimate(&self, bound: &[(usize, Value)]) -> usize {
+            self.estimates.fetch_add(1, Ordering::Relaxed);
+            self.inner.estimate(bound)
+        }
+        fn distinct_count(&self, col: usize) -> usize {
+            self.inner.distinct_count(col)
+        }
+        fn boxed_clone(&self) -> Box<dyn Storage> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// `estimate()` calls one `find_one` makes on `E(a, b)` holding
+    /// `(i, 100 + i)` and `(0, 200 + i)` for `i < 40`.
+    fn estimate_calls(atoms: Vec<Atom>) -> usize {
+        let estimates = Arc::new(AtomicUsize::new(0));
+        let mut store = CountingStore {
+            inner: RowStore::new(2),
+            estimates: estimates.clone(),
+        };
+        for i in 0..40 {
+            store.insert(vec![Value::int(i), Value::int(100 + i)].into());
+            store.insert(vec![Value::int(0), Value::int(200 + i)].into());
+        }
+        let schema = RelationSchema::new("E", ["a", "b"]).unwrap();
+        let mut db = Database::new();
+        db.add_table(Table::with_storage(schema, Box::new(store)).unwrap())
+            .unwrap();
+        assert!(db
+            .find_one(&ConjunctiveQuery::new(atoms))
+            .unwrap()
+            .is_some());
+        estimates.load(Ordering::Relaxed)
+    }
+
+    /// Scaling pins for the compiled join, in `estimate()` calls rather
+    /// than wall clock: re-estimating every unjoined atom at every step
+    /// costs k(k+1)/2 on both shapes.
+    #[test]
+    fn join_estimates_grow_linearly_with_atoms() {
+        for k in [4u32, 16, 32] {
+            // k independent selective atoms E(x_i, 100 + i): nothing a
+            // row binds is mentioned elsewhere, so only the k initial
+            // estimates are ever taken.
+            let independent = (0..k).map(|i| {
+                let b = Term::constant(100 + i64::from(i));
+                Atom::new("E", vec![Term::var(i), b])
+            });
+            let calls = estimate_calls(independent.collect());
+            assert!(calls <= 2 * k as usize, "independent k={k}: {calls}");
+
+            // A k-atom star on one shared variable: E(x, 100) binds x,
+            // and each E(x, y_i) is re-estimated exactly once for it.
+            let star = (0..k).map(|i| match i {
+                0 => Atom::new("E", vec![Term::var(0), Term::constant(100i64)]),
+                _ => Atom::new("E", vec![Term::var(0), Term::var(i)]),
+            });
+            let calls = estimate_calls(star.collect());
+            assert!(calls <= 3 * k as usize, "star k={k}: {calls}");
+        }
     }
 }

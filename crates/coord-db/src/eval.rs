@@ -3,33 +3,44 @@
 //! The evaluator performs a depth-first join over the query's atoms with
 //! *greedy dynamic atom ordering*: at each step it picks the
 //! not-yet-joined atom with the smallest candidate-row estimate under
-//! the current bindings. Fully ground atoms estimate 0 and are
-//! short-circuited through an O(1) membership test — no rows are walked.
-//! Everything else is served through [`crate::Table::scan`], which lets
-//! the selected [`crate::storage::Storage`] backend pick its best access
-//! path (single-column bucket, composite index, or sorted range).
+//! the current bindings (ties to the lowest atom index). Fully ground
+//! atoms estimate 0 and are short-circuited through an O(1) membership
+//! test — no rows are walked. Everything else is served through
+//! [`crate::Table::scan`], which lets the selected
+//! [`crate::storage::Storage`] backend pick its best access path
+//! (single-column bucket, composite index, or sorted range).
 //!
-//! Atom selection resolves each atom's bound columns exactly once; the
-//! winning plan's bound set is reused to drive the scan, and the scan
-//! iterator is consumed without materializing row-id vectors. Estimates
-//! are backend-independent by the [`crate::storage`] determinism
-//! contract, so `find_one`/`find_all` answers are byte-identical across
-//! backends.
+//! The join is *compiled once per query* (`Join::compile`): one pass
+//! validates each atom and resolves its `&Table`, variables are numbered
+//! into dense slots, and every atom gets a cached estimate plus, per
+//! variable, the list of atoms mentioning it — flat vectors, nothing
+//! hashed. Picking the next atom scans the cached estimates; when a row
+//! binds new variables only the unjoined atoms mentioning them are
+//! re-estimated, and a trail restores the old estimates on backtrack. A
+//! k-atom query costs k `estimate` calls up front and, along one answer
+//! path, one more per occurrence of each variable it binds — O(k + Σ
+//! occurrences of bound variables) — where re-estimating every unjoined
+//! atom at every step costs k²/2: the combined body of a list-shaped
+//! closure has one atom per query of the chain. Bindings borrow table
+//! cells; values are cloned only into probes and reported answers.
 //!
-//! This is a classic left-deep index-nested-loop strategy — entirely
-//! adequate for the paper's workloads, whose combined queries have few
-//! atoms per relation and highly selective constants.
+//! Estimates are backend-independent by the [`crate::storage`]
+//! determinism contract, so `find_one`/`find_all` answers are
+//! byte-identical across backends.
 
 use crate::database::Database;
 use crate::error::DbError;
 use crate::query::{ConjunctiveQuery, Term, Var};
+use crate::stats::QueryStats;
+use crate::table::Table;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// A (partial) mapping from query variables to database values.
+/// A mapping from query variables to database values — one answer of
+/// the join — stored sorted by variable: O(variables) to build and clone.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Assignment {
-    map: HashMap<Var, Value>,
+    entries: Vec<(Var, Value)>,
 }
 
 impl Assignment {
@@ -40,32 +51,23 @@ impl Assignment {
 
     /// The value bound to `v`, if any.
     pub fn get(&self, v: Var) -> Option<&Value> {
-        self.map.get(&v)
-    }
-
-    /// Bind `v` to `value`, returning the previous binding if one existed.
-    pub fn bind(&mut self, v: Var, value: Value) -> Option<Value> {
-        self.map.insert(v, value)
-    }
-
-    /// Remove the binding of `v`.
-    pub fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
+        let i = self.entries.binary_search_by_key(&v, |e| e.0).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Iterate over (variable, value) bindings in unspecified order.
+    /// Iterate over (variable, value) bindings in ascending variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, &Value)> {
-        self.map.iter().map(|(v, val)| (*v, val))
+        self.entries.iter().map(|(v, val)| (*v, val))
     }
 
     /// Resolve a term to a value under this assignment.
@@ -77,22 +79,13 @@ impl Assignment {
     }
 }
 
-impl FromIterator<(Var, Value)> for Assignment {
-    fn from_iter<T: IntoIterator<Item = (Var, Value)>>(iter: T) -> Self {
-        Assignment {
-            map: iter.into_iter().collect(),
-        }
-    }
-}
-
 /// Find one satisfying assignment for `query`, if any.
 pub fn find_one(db: &Database, query: &ConjunctiveQuery) -> Result<Option<Assignment>, DbError> {
-    query.validate(db)?;
     let mut result = None;
-    search(db, query, &mut |a| {
-        result = Some(a.clone());
+    Join::compile(db, query)?.step(&mut |a| {
+        result = Some(a);
         true // stop at first answer: choose-1 semantics
-    })?;
+    });
     Ok(result)
 }
 
@@ -102,191 +95,250 @@ pub fn find_all(
     query: &ConjunctiveQuery,
     limit: Option<usize>,
 ) -> Result<Vec<Assignment>, DbError> {
-    query.validate(db)?;
     let mut out = Vec::new();
-    search(db, query, &mut |a| {
-        out.push(a.clone());
+    Join::compile(db, query)?.step(&mut |a| {
+        out.push(a);
         limit.is_some_and(|l| out.len() >= l)
-    })?;
+    });
     Ok(out)
 }
 
-/// Depth-first join driver. Calls `on_answer` for every satisfying
-/// assignment; stops early when the callback returns `true`.
-fn search(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    on_answer: &mut dyn FnMut(&Assignment) -> bool,
-) -> Result<(), DbError> {
-    let mut used = vec![false; query.atoms.len()];
-    let mut binding = Assignment::new();
-    step(db, query, &mut used, &mut binding, on_answer)?;
-    Ok(())
+/// Cached estimate of an atom already joined on the current path: never
+/// the minimum, so selection skips it without a second flag.
+const JOINED: usize = usize::MAX;
+
+/// An atom argument with its variable numbered into a dense slot.
+#[derive(Clone, Copy)]
+enum JoinTerm<'a> {
+    Const(&'a Value),
+    Slot(usize),
 }
 
-/// One level of the join: pick the best remaining atom, enumerate its
-/// matches, recurse. Returns `true` if the search should stop.
-fn step(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    used: &mut [bool],
-    binding: &mut Assignment,
-    on_answer: &mut dyn FnMut(&Assignment) -> bool,
-) -> Result<bool, DbError> {
-    let Some(plan) = pick_next_atom(db, query, used, binding)? else {
-        // All atoms joined: report the answer.
-        return Ok(on_answer(binding));
-    };
-    let next = plan.atom;
-    used[next] = true;
-    let stop = enumerate_matches(db, query, &plan, used, binding, on_answer)?;
-    used[next] = false;
-    Ok(stop)
+struct JoinAtom<'a> {
+    table: &'a Table,
+    /// This atom's arguments in [`Join::terms`], in column order.
+    terms: Range<usize>,
+    /// Candidate-row estimate under the current bindings, or [`JOINED`].
+    estimate: usize,
 }
 
-/// The selected atom plus the bound columns its selection already
-/// resolved — reused as-is to drive the scan, so bucket sizes are never
-/// recomputed between selection and enumeration.
-struct AtomPlan {
-    /// Index into `query.atoms`.
-    atom: usize,
-    /// `(column, value)` for every term resolvable under the current
-    /// binding, in ascending column order.
+struct Slot<'a> {
+    var: Var,
+    /// The atoms mentioning this variable, in [`Join::mentions`].
+    mentions: Range<usize>,
+    /// Current binding: a cell of the table row that bound it.
+    value: Option<&'a Value>,
+}
+
+/// A conjunctive query compiled against a database, plus the state of
+/// the depth-first join over it.
+struct Join<'a> {
+    atoms: Vec<JoinAtom<'a>>,
+    terms: Vec<JoinTerm<'a>>,
+    /// One per distinct variable, ascending by [`Var`].
+    slots: Vec<Slot<'a>>,
+    mentions: Vec<usize>,
+    stats: &'a QueryStats,
+    /// Slots bound on the current path, innermost last.
+    bound_slots: Vec<usize>,
+    /// `(atom, previous estimate)` of every re-estimate on the current path.
+    trail: Vec<(usize, usize)>,
+    /// Scratch: `(column, value)` of the bound arguments of the atom
+    /// being estimated or probed, ascending by column.
     bound: Vec<(usize, Value)>,
-    /// Whether every term resolved (the atom is fully ground).
-    ground: bool,
 }
 
-/// Greedy ordering: among unused atoms, prefer ground atoms (estimate
-/// 0 — they cost one membership probe), then atoms with the smallest
-/// candidate-row estimate given current bindings. Estimates come from
-/// [`crate::Table::estimate`], which is backend-independent.
-fn pick_next_atom(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    used: &[bool],
-    binding: &Assignment,
-) -> Result<Option<AtomPlan>, DbError> {
-    let mut best: Option<(usize, AtomPlan)> = None; // (estimate, plan)
-    for (i, atom) in query.atoms.iter().enumerate() {
-        if used[i] {
-            continue;
+impl<'a> Join<'a> {
+    /// One pass validates each atom and resolves its table (so the first
+    /// failing atom's error is reported, as [`ConjunctiveQuery::validate`]
+    /// would); then variables are numbered and initial estimates taken.
+    fn compile(db: &'a Database, query: &'a ConjunctiveQuery) -> Result<Self, DbError> {
+        let mut atoms = Vec::with_capacity(query.atoms.len());
+        let mut terms = Vec::new();
+        // (variable, atom, index into `terms`) of every variable occurrence.
+        let mut occurrences: Vec<(Var, usize, usize)> = Vec::new();
+        for (a, atom) in query.atoms.iter().enumerate() {
+            let start = terms.len();
+            for term in &atom.terms {
+                if let Term::Var(v) = term {
+                    occurrences.push((*v, a, terms.len()));
+                }
+                // Variables are numbered below, once all are known.
+                terms.push(term.as_const().map_or(JoinTerm::Slot(0), JoinTerm::Const));
+            }
+            atoms.push(JoinAtom {
+                table: atom.table_in(db)?,
+                terms: start..terms.len(),
+                estimate: JOINED,
+            });
         }
-        let table = db.table(&atom.relation)?;
-        let mut bound: Vec<(usize, Value)> = Vec::with_capacity(atom.terms.len());
-        for (c, term) in atom.terms.iter().enumerate() {
-            if let Some(v) = binding.resolve(term) {
-                bound.push((c, v));
+        occurrences.sort_unstable();
+        let mut slots: Vec<Slot<'a>> = Vec::new();
+        for (o, &(var, _, t)) in occurrences.iter().enumerate() {
+            if slots.last().is_none_or(|s| s.var != var) {
+                slots.push(Slot {
+                    var,
+                    mentions: o..o,
+                    value: None,
+                });
+            }
+            terms[t] = JoinTerm::Slot(slots.len() - 1);
+            slots.last_mut().expect("pushed above").mentions.end = o + 1;
+        }
+        let mut join = Join {
+            atoms,
+            terms,
+            slots,
+            mentions: occurrences.into_iter().map(|(_, a, _)| a).collect(),
+            stats: db.stats(),
+            bound_slots: Vec::new(),
+            trail: Vec::new(),
+            bound: Vec::new(),
+        };
+        for a in 0..join.atoms.len() {
+            join.atoms[a].estimate = join.estimate(a);
+        }
+        Ok(join)
+    }
+
+    /// Fill `self.bound` with atom `a`'s arguments that are constants or
+    /// bound variables; returns whether that is all of them.
+    fn resolve_bound(&mut self, a: usize) -> bool {
+        self.bound.clear();
+        let terms = &self.terms[self.atoms[a].terms.clone()];
+        for (c, term) in terms.iter().enumerate() {
+            let value = match *term {
+                JoinTerm::Const(v) => Some(v),
+                JoinTerm::Slot(s) => self.slots[s].value,
+            };
+            if let Some(v) = value {
+                self.bound.push((c, v.clone()));
             }
         }
-        let ground = bound.len() == atom.terms.len();
-        let est = if ground {
-            0 // one O(1) membership probe
-        } else if bound.is_empty() {
-            // Unbound atoms are a last resort: full scan.
+        self.bound.len() == terms.len()
+    }
+
+    /// The greedy rule's cost of joining atom `a` next: ground atoms cost
+    /// one membership probe (0), atoms with nothing bound are a last
+    /// resort (full scan), the rest ask [`Table::estimate`], which is
+    /// backend-independent.
+    fn estimate(&mut self, a: usize) -> usize {
+        let table = self.atoms[a].table;
+        if self.resolve_bound(a) {
+            0
+        } else if self.bound.is_empty() {
             table.len().max(1) + 1_000_000
         } else {
-            table.estimate(&bound)
-        };
-        if best.as_ref().is_none_or(|(b, _)| est < *b) {
-            best = Some((
-                est,
-                AtomPlan {
-                    atom: i,
-                    bound,
-                    ground,
-                },
-            ));
+            table.estimate(&self.bound)
         }
     }
-    Ok(best.map(|(_, p)| p))
-}
 
-/// Enumerate the rows of the planned atom's relation that are compatible
-/// with the current binding, extending the binding and recursing for
-/// each. Fully ground atoms short-circuit through the storage membership
-/// test without touching any row.
-fn enumerate_matches(
-    db: &Database,
-    query: &ConjunctiveQuery,
-    plan: &AtomPlan,
-    used: &mut [bool],
-    binding: &mut Assignment,
-    on_answer: &mut dyn FnMut(&Assignment) -> bool,
-) -> Result<bool, DbError> {
-    let atom = &query.atoms[plan.atom];
-    let table = db.table(&atom.relation)?;
-    let stats = db.stats();
-
-    if plan.ground {
-        // Every term resolved to a value: one O(1) membership probe.
-        // `plan.bound` is complete and in column order, so the values
-        // form the candidate tuple directly.
-        let values: Vec<Value> = plan.bound.iter().map(|(_, v)| v.clone()).collect();
-        stats.record_ground_probe();
-        if !table.contains(&values) {
-            return Ok(false);
+    /// One level of the join: pick the unjoined atom with the smallest
+    /// cached estimate (ties to the lowest index), enumerate its
+    /// matches, recurse. Calls `on_answer` for every satisfying
+    /// assignment; returns `true` once it asks to stop.
+    fn step(&mut self, on_answer: &mut dyn FnMut(Assignment) -> bool) -> bool {
+        let (mut best, mut next) = (JOINED, 0);
+        for (a, atom) in self.atoms.iter().enumerate() {
+            if atom.estimate < best {
+                (best, next) = (atom.estimate, a);
+            }
         }
-        return step(db, query, used, binding, on_answer);
+        if best == JOINED {
+            // All atoms joined, so every variable is bound: report.
+            let value = |s: &Slot<'_>| s.value.expect("joined atoms bind their variables").clone();
+            let entries = self.slots.iter().map(|s| (s.var, value(s))).collect();
+            return on_answer(Assignment { entries });
+        }
+        self.atoms[next].estimate = JOINED;
+        let stop = self.enumerate_matches(next, on_answer);
+        self.atoms[next].estimate = best;
+        stop
     }
 
-    // The plan's bound set drives the scan: the backend picks its best
-    // access path, and the iterator is consumed in place — no row-id
-    // clone, no lock held while iterating.
-    let scan = table.scan(&plan.bound);
-    if scan.path().is_indexed() {
-        stats.record_index_hit();
-    } else {
-        stats.record_index_miss();
-    }
+    /// Enumerate the rows of atom `a`'s relation that are compatible
+    /// with the current bindings, extending them and recursing for each.
+    /// Fully ground atoms short-circuit through the storage membership
+    /// test without touching any row.
+    fn enumerate_matches(
+        &mut self,
+        a: usize,
+        on_answer: &mut dyn FnMut(Assignment) -> bool,
+    ) -> bool {
+        let table = self.atoms[a].table;
+        if self.resolve_bound(a) {
+            // `bound` is complete and in column order, so its values
+            // form the candidate tuple directly.
+            let tuple: Vec<Value> = self.bound.drain(..).map(|(_, v)| v).collect();
+            self.stats.record_ground_probe();
+            return table.contains(&tuple) && self.step(on_answer);
+        }
 
-    let mut scanned: u64 = 0;
-    let mut stopped = false;
-    for rid in scan {
-        scanned += 1;
-        // Try to match the atom's terms against this row, recording which
-        // variables we newly bind so we can undo on backtrack.
-        let mut newly_bound: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (c, term) in atom.terms.iter().enumerate() {
-            match term {
-                Term::Const(v) => {
-                    if v != table.cell(rid, c) {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(var) => match binding.get(*var) {
-                    Some(bound) => {
-                        if bound != table.cell(rid, c) {
-                            ok = false;
-                            break;
+        // The bound set drives the scan: the backend picks its best
+        // access path, and the iterator is consumed in place — no row-id
+        // clone, no lock held while iterating.
+        let scan = table.scan(&self.bound);
+        if scan.path().is_indexed() {
+            self.stats.record_index_hit();
+        } else {
+            self.stats.record_index_miss();
+        }
+
+        let first_new = self.bound_slots.len();
+        let mut scanned: u64 = 0;
+        let mut stopped = false;
+        for rid in scan {
+            scanned += 1;
+            // Match the atom's terms against this row, binding its
+            // unbound variables to the row's cells.
+            let terms = self.atoms[a].terms.clone();
+            let ok = terms.enumerate().all(|(c, t)| {
+                let cell = table.cell(rid, c);
+                match self.terms[t] {
+                    JoinTerm::Const(v) => v == cell,
+                    JoinTerm::Slot(s) => match self.slots[s].value {
+                        Some(v) => v == cell,
+                        None => {
+                            self.slots[s].value = Some(cell);
+                            self.bound_slots.push(s);
+                            true
                         }
-                    }
-                    None => {
-                        binding.bind(*var, table.cell(rid, c).clone());
-                        newly_bound.push(*var);
-                    }
-                },
+                    },
+                }
+            });
+            if ok {
+                let mark = self.trail.len();
+                self.reestimate_mentions(first_new);
+                stopped = self.step(on_answer);
+                for (atom, estimate) in self.trail.drain(mark..).rev() {
+                    self.atoms[atom].estimate = estimate;
+                }
             }
-        }
-        if ok {
-            let stop = step(db, query, used, binding, on_answer)?;
-            for v in &newly_bound {
-                binding.unbind(*v);
+            for s in self.bound_slots.drain(first_new..) {
+                self.slots[s].value = None;
             }
-            if stop {
-                stopped = true;
+            if stopped {
                 break;
             }
-        } else {
-            for v in &newly_bound {
-                binding.unbind(*v);
+        }
+        self.stats.record_rows_scanned(scanned);
+        stopped
+    }
+
+    /// Refresh the cached estimate of every unjoined atom mentioning a
+    /// slot in `bound_slots[first_new..]`, trailing the old values.
+    fn reestimate_mentions(&mut self, first_new: usize) {
+        for i in first_new..self.bound_slots.len() {
+            for m in self.slots[self.bound_slots[i]].mentions.clone() {
+                let a = self.mentions[m];
+                if self.atoms[a].estimate != JOINED {
+                    let old = self.atoms[a].estimate;
+                    self.atoms[a].estimate = self.estimate(a);
+                    self.trail.push((a, old));
+                }
             }
         }
     }
-    stats.record_rows_scanned(scanned);
-    Ok(stopped)
 }
 
 #[cfg(test)]

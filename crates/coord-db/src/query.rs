@@ -7,6 +7,7 @@
 
 use crate::error::DbError;
 use crate::symbol::Symbol;
+use crate::table::Table;
 use crate::value::Value;
 use std::fmt;
 
@@ -137,6 +138,20 @@ impl Atom {
     pub fn is_ground(&self) -> bool {
         self.terms.iter().all(Term::is_const)
     }
+
+    /// The table this atom ranges over, checked against the atom's
+    /// arity: an unknown relation is reported before an arity mismatch.
+    pub(crate) fn table_in<'a>(&self, db: &'a crate::Database) -> Result<&'a Table, DbError> {
+        let table = db.table(&self.relation)?;
+        if self.arity() != table.schema().arity() {
+            return Err(DbError::ArityMismatch {
+                relation: self.relation.to_string(),
+                expected: table.schema().arity(),
+                actual: self.arity(),
+            });
+        }
+        Ok(table)
+    }
 }
 
 impl fmt::Debug for Atom {
@@ -201,17 +216,7 @@ impl ConjunctiveQuery {
 
     /// Validate relation names and arities against the database schema.
     pub fn validate(&self, db: &crate::Database) -> Result<(), DbError> {
-        for atom in &self.atoms {
-            let table = db.table(&atom.relation)?;
-            if atom.arity() != table.schema().arity() {
-                return Err(DbError::ArityMismatch {
-                    relation: atom.relation.to_string(),
-                    expected: table.schema().arity(),
-                    actual: atom.arity(),
-                });
-            }
-        }
-        Ok(())
+        self.atoms.iter().try_for_each(|a| a.table_in(db).map(drop))
     }
 }
 

@@ -73,13 +73,16 @@ impl Histogram {
         self.inner.is_some()
     }
 
-    /// Record one value. Lock-free; relaxed ordering (monitoring does
-    /// not need cross-counter consistency).
+    /// Record one value. Lock-free and relaxed, except that the count
+    /// is bumped with release ordering (paired with the acquire load in
+    /// [`Histogram::snapshot`]): whoever sees this record in a snapshot
+    /// also sees every counter the recording thread bumped before it —
+    /// the guarantee `Registry::snapshot` documents.
     #[inline]
     pub fn record(&self, value: u64) {
         if let Some(inner) = &self.inner {
             inner.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            inner.count.fetch_add(1, Ordering::Relaxed);
+            inner.count.fetch_add(1, Ordering::Release);
             inner.sum.fetch_add(value, Ordering::Relaxed);
             inner.max.fetch_max(value, Ordering::Relaxed);
         }
@@ -106,7 +109,7 @@ impl Histogram {
         match &self.inner {
             None => HistogramSnapshot::default(),
             Some(inner) => HistogramSnapshot {
-                count: inner.count.load(Ordering::Relaxed),
+                count: inner.count.load(Ordering::Acquire),
                 sum: inner.sum.load(Ordering::Relaxed),
                 max: inner.max.load(Ordering::Relaxed),
                 buckets: inner

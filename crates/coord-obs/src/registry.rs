@@ -228,32 +228,42 @@ impl Registry {
 
     /// A point-in-time copy of every registered instrument, sorted by
     /// name. Cold path: locks the registration maps, never a recorder.
+    ///
+    /// Instruments are read one after another, so a snapshot is
+    /// consistent per instrument only — with one cross-instrument
+    /// guarantee: histograms are read *before* counters and gauges, and
+    /// [`Histogram::record`] publishes its count with release ordering,
+    /// so a thread that bumps a counter and *then* records a histogram
+    /// (a submit bumps `engine_submits`, then records
+    /// `engine_submit_nanos`) is never seen with the histogram ahead:
+    /// `histogram.count ≤ counter` in every snapshot.
     pub fn snapshot(&self) -> ObsSnapshot {
-        match &self.inner {
-            None => ObsSnapshot::default(),
-            Some(inner) => ObsSnapshot {
-                counters: inner
-                    .counters
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                gauges: inner
-                    .gauges
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                histograms: inner
-                    .histograms
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.snapshot()))
-                    .collect(),
-            },
+        let Some(inner) = &self.inner else {
+            return ObsSnapshot::default();
+        };
+        let histograms = inner
+            .histograms
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect();
+        ObsSnapshot {
+            counters: inner
+                .counters
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: inner
+                .gauges
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms,
         }
     }
 }

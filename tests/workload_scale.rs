@@ -89,6 +89,21 @@ fn parallel_sweep_agrees_at_scale() {
         let par = coordinator.run_parallel(&queries, threads).unwrap();
         assert_eq!(seq.per_value, par.per_value);
     }
+
+    // The SCC sweep at the benchmark's `batch-scc` shapes: a 300-query
+    // list (deep closures) and a BA(2000, 2) set (wide, shallow ones).
+    let db = pool_db(2_400);
+    let scale_free = fig5_queries(2_000, 2, &mut StdRng::seed_from_u64(1));
+    for (name, queries) in [("list", fig4_queries(300)), ("scale-free", scale_free)] {
+        let coordinator = SccCoordinator::new(&db);
+        let seq = coordinator.run(&queries).unwrap();
+        assert_eq!(seq.stats.db_queries, queries.len(), "{name}");
+        for threads in [2, 3] {
+            let par = coordinator.run_parallel(&queries, threads).unwrap();
+            assert_eq!(seq.found, par.found, "{name}/{threads}: candidate sets");
+            assert_eq!(seq.stats, par.stats, "{name}/{threads}: stats");
+        }
+    }
 }
 
 /// A unique cycle: query i coordinates with query (i+1) mod n — one SCC.

@@ -635,9 +635,8 @@ mod tests {
     }
 
     /// Scaling pin for the sweep's memory: along a BA(500, 2) batch every
-    /// memo's MGU stores variables of its own closure's members only —
-    /// O(|closure|) to keep, clone and absorb — and the identity over the
-    /// whole batch stores nothing.
+    /// memo's MGU stores variables of its own closure's members only (so
+    /// O(|closure|) to keep), and the identity over the batch nothing.
     #[test]
     fn memo_substitutions_are_confined_to_their_closure() {
         // Query i names up to two earlier partners drawn by degree (an LCG
@@ -667,12 +666,9 @@ mod tests {
         let mut memos: Vec<ClosureMemo> = Vec::new();
         for (i, succs) in partners.iter().enumerate() {
             let succ_memos: Vec<&ClosureMemo> = succs.iter().map(|&p| &memos[p]).collect();
-            let mut closure = vec![QueryId(i)];
-            for m in &succ_memos {
-                closure.extend(m.fragments.keys());
-            }
-            closure.sort_unstable();
-            closure.dedup();
+            let members = succ_memos.iter().flat_map(|m| m.fragments.keys().copied());
+            let closure: std::collections::BTreeSet<_> = members.chain([QueryId(i)]).collect();
+            let closure: Vec<QueryId> = closure.into_iter().collect();
             let work = &mut GroundWork::default();
             let memo = if succ_memos.is_empty() {
                 scratch_closure(&qs, &index, &closure, work)

@@ -10,6 +10,7 @@
 use coord_db::{Atom, Term, Value, Var};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why unification failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +50,23 @@ impl fmt::Display for UnifyError {
 
 impl std::error::Error for UnifyError {}
 
+/// One multiplication per variable id. The std default (SipHash under a
+/// per-process random key) makes bucket layout, and cost, differ per run.
+#[derive(Default)]
+struct VarHasher(u64);
+
+impl Hasher for VarHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("variable ids hash through write_u32");
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// One variable's departure from the identity substitution.
 #[derive(Clone, Debug)]
 struct Node {
@@ -65,7 +83,7 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct Substitution {
     n_vars: u32,
-    nodes: HashMap<u32, Node>,
+    nodes: HashMap<u32, Node, BuildHasherDefault<VarHasher>>,
 }
 
 impl Substitution {
@@ -73,7 +91,7 @@ impl Substitution {
     pub fn identity(n_vars: u32) -> Self {
         Substitution {
             n_vars,
-            nodes: HashMap::new(),
+            nodes: HashMap::default(),
         }
     }
 

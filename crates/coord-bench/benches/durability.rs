@@ -19,7 +19,7 @@
 //!   within 2× of the snapshot-free path.
 
 use coord_core::engine::CoordinationEngine;
-use coord_core::persist::{DurabilityOptions, DurableCoordinationEngine, DurableSharedEngine};
+use coord_core::persist::{DurabilityOptions, DurableSharedEngine};
 use coord_core::EntangledQuery;
 use coord_gen::workloads::{partner_query, pool_db};
 use coord_store::temp::TempDir;
@@ -57,6 +57,16 @@ fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
     }
 }
 
+/// The single-writer durable engine: one shard, one WAL stream, driven
+/// from this thread only.
+fn open_single_writer<'a>(
+    db: &'a coord_db::Database,
+    dir: &std::path::Path,
+    snapshot_every: Option<u64>,
+) -> DurableSharedEngine<'a> {
+    DurableSharedEngine::open_with(db, dir, 1, opts(snapshot_every)).unwrap()
+}
+
 fn sorted_names<'a>(queries: impl IntoIterator<Item = &'a EntangledQuery>) -> Vec<String> {
     let mut names: Vec<String> = queries.into_iter().map(|q| q.name().to_string()).collect();
     names.sort_unstable();
@@ -79,12 +89,11 @@ fn bench_durability(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("live_wal", n), &arrivals, |b, arrivals| {
             b.iter(|| {
                 let dir = TempDir::new("bench-live");
-                let mut engine =
-                    DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+                let engine = open_single_writer(&db, dir.path(), None);
                 for q in arrivals.iter().cloned() {
                     engine.submit(q).unwrap();
                 }
-                assert_eq!(engine.pending().len(), n);
+                assert_eq!(engine.pending_count(), n);
                 engine.store_stats().records_appended
             });
         });
@@ -97,9 +106,7 @@ fn bench_durability(c: &mut Criterion) {
             |b, arrivals| {
                 b.iter(|| {
                     let dir = TempDir::new("bench-snap");
-                    let mut engine =
-                        DurableCoordinationEngine::open_with(&db, dir.path(), opts(Some(every)))
-                            .unwrap();
+                    let engine = open_single_writer(&db, dir.path(), Some(every));
                     for q in arrivals.iter().cloned() {
                         engine.submit(q).unwrap();
                     }
@@ -114,19 +121,17 @@ fn bench_durability(c: &mut Criterion) {
         // timed loop).
         let replay_dir = TempDir::new("bench-replay");
         {
-            let mut engine =
-                DurableCoordinationEngine::open_with(&db, replay_dir.path(), opts(None)).unwrap();
+            let engine = open_single_writer(&db, replay_dir.path(), None);
             for q in arrivals.iter().cloned() {
                 engine.submit(q).unwrap();
             }
         } // drop = crash (there is no clean shutdown)
         group.bench_with_input(BenchmarkId::new("replay", n), &replay_dir, |b, dir| {
             b.iter(|| {
-                let engine =
-                    DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+                let engine = open_single_writer(&db, dir.path(), None);
                 assert_eq!(engine.recovery_report().records_replayed, n);
-                assert_eq!(engine.pending().len(), n);
-                engine.pending().len()
+                assert_eq!(engine.pending_count(), n);
+                engine.pending_count()
             });
         });
 
@@ -163,12 +168,11 @@ fn bench_durability(c: &mut Criterion) {
         let mut reference = CoordinationEngine::new(&db); // uninterrupted twin
         let live_start = Instant::now();
         {
-            let mut live =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+            let live = open_single_writer(&db, dir.path(), None);
             for q in arrivals.iter().cloned() {
                 live.submit(q).unwrap();
             }
-            assert_eq!(live.pending().len(), n);
+            assert_eq!(live.pending_count(), n);
         }
         let live_elapsed = live_start.elapsed();
         for q in arrivals.iter().cloned() {
@@ -178,8 +182,7 @@ fn bench_durability(c: &mut Criterion) {
         // 2. Recovery replay (timed) must be at least as fast: it does
         //    no component evaluation.
         let replay_start = Instant::now();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let recovered = open_single_writer(&db, dir.path(), None);
         let replay_elapsed = replay_start.elapsed();
         assert_eq!(recovered.recovery_report().records_replayed, n);
         assert!(
@@ -191,7 +194,7 @@ fn bench_durability(c: &mut Criterion) {
         //    pending set, same component structure, and the next
         //    coordination delivers identical answers.
         assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(reference.pending().iter().copied()),
             "recovered pending set diverged"
         );
@@ -212,16 +215,13 @@ fn bench_durability(c: &mut Criterion) {
         let snap_dir = TempDir::new("durability-analysis-snap");
         let snap_start = Instant::now();
         {
-            let mut live =
-                DurableCoordinationEngine::open_with(&db, snap_dir.path(), opts(Some(every)))
-                    .unwrap();
+            let live = open_single_writer(&db, snap_dir.path(), Some(every));
             for q in arrivals.iter().cloned() {
                 live.submit(q).unwrap();
             }
         }
         let snap_elapsed = snap_start.elapsed();
-        let snap_recovered =
-            DurableCoordinationEngine::open_with(&db, snap_dir.path(), opts(Some(every))).unwrap();
+        let snap_recovered = open_single_writer(&db, snap_dir.path(), Some(every));
         let report = snap_recovered.recovery_report().clone();
         assert!(report.had_snapshot);
         assert!(

@@ -22,7 +22,8 @@
 //! * the sharded engine with 4 submitter threads over disjoint groups
 //!   delivers the same coordinations.
 
-use coord_core::engine::{CoordinationEngine, RebuildEngine, SharedEngine};
+use coord_core::engine::{CoordinationEngine, SharedEngine};
+use coord_core::testkit::RebuildEngine;
 use coord_core::EntangledQuery;
 use coord_gen::networks::barabasi_albert;
 use coord_gen::workloads::{partner_query, pool_db};
@@ -160,13 +161,12 @@ fn bench_online_throughput(c: &mut Criterion) {
                             let engine = &engine;
                             s.spawn(move || {
                                 // Each thread owns disjoint groups: phase
-                                // 1 arrives in cross-group *batches* (one
-                                // routing acquisition per wave), then the
+                                // 1 arrives in cross-group waves, then the
                                 // keystones release each group.
                                 for i in 0..GROUP - 1 {
-                                    let wave: Vec<_> = chunk.iter().map(|g| g[i].clone()).collect();
-                                    for r in engine.submit_batch(wave) {
-                                        assert!(!r.unwrap().coordinated());
+                                    for g in chunk {
+                                        let r = engine.submit(g[i].clone()).unwrap();
+                                        assert!(!r.coordinated());
                                     }
                                 }
                                 for g in chunk {
@@ -176,7 +176,6 @@ fn bench_online_throughput(c: &mut Criterion) {
                             });
                         }
                     });
-                    assert!(engine.metrics().batches >= (GROUP - 1) as u64);
                     engine.delivered()
                 });
             },

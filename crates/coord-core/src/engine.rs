@@ -17,23 +17,18 @@
 //! thread-safe facade but is now backed by
 //! [`coord_engine::ShardedEngine`], so submitters touching disjoint
 //! components proceed concurrently instead of serializing behind one
-//! mutex. [`RebuildEngine`] preserves the pre-incremental
-//! full-rebuild-per-submit behavior as the baseline the
-//! `online_throughput` bench (and the property tests) compare against.
+//! mutex. The pre-incremental full-rebuild-per-submit loop survives as
+//! the oracle [`crate::testkit::RebuildEngine`].
 
 use crate::differential::{digest_query, ClosureCache, MemoStats};
 use crate::error::CoordError;
-use crate::graphs::coordination_graph;
 use crate::instance::QuerySet;
 use crate::query::{EntangledQuery, QueryId};
 use crate::scc::SccCoordinator;
 use crate::semantics::Grounding;
 use coord_db::{Atom, Database, Symbol, Term, Value};
-use coord_engine::lockrank::{self, LockRank};
 use coord_engine::{ComponentEvaluator, CoordinationQuery, IncrementalEngine, ShardedEngine};
-use coord_graph::reach::weakly_connected_components;
 use coord_obs::Registry as ObsRegistry;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 pub use coord_engine::{
@@ -275,7 +270,7 @@ impl<'a> CoordinationEngine<'a> {
     }
 }
 
-fn answer_for(qs: &QuerySet, q: QueryId, grounding: &Grounding) -> QueryAnswer {
+pub(crate) fn answer_for(qs: &QuerySet, q: QueryId, grounding: &Grounding) -> QueryAnswer {
     let query = qs.query(q);
     let mut bindings = Vec::with_capacity(query.var_count() as usize);
     for local in 0..query.var_count() {
@@ -298,17 +293,21 @@ fn answer_for(qs: &QuerySet, q: QueryId, grounding: &Grounding) -> QueryAnswer {
 pub struct SharedEngine<'a> {
     db: &'a Database,
     inner: ShardedEngine<EntangledQuery, SccEvaluator<'a>>,
-    rebalancer: Mutex<Rebalancer>,
     cache: Option<Arc<ClosureCache>>,
+}
+
+/// The default shard count of the concurrent engines: one per available
+/// CPU, capped at 16.
+pub(crate) fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map_or(4, std::num::NonZero::get)
+        .clamp(1, 16)
 }
 
 impl<'a> SharedEngine<'a> {
     /// An engine with one shard per available CPU (capped at 16).
     pub fn new(db: &'a Database) -> Self {
-        let shards = std::thread::available_parallelism()
-            .map_or(4, std::num::NonZero::get)
-            .clamp(1, 16);
-        Self::with_shards(db, shards)
+        Self::with_shards(db, default_shards())
     }
 
     /// An engine with an explicit shard count (least-loaded placement,
@@ -346,12 +345,9 @@ impl<'a> SharedEngine<'a> {
         if let Some(cache) = &cache {
             cache.attach(&obs);
         }
-        SharedEngine {
-            db,
-            inner: ShardedEngine::with_obs(evaluator, shards, placement, obs),
-            rebalancer: Mutex::new(Rebalancer::new(rebalance)),
-            cache,
-        }
+        let inner = ShardedEngine::with_obs(evaluator, shards, placement, obs);
+        inner.set_rebalance_config(rebalance);
+        SharedEngine { db, inner, cache }
     }
 
     /// An engine whose shards never memoize (see
@@ -365,7 +361,6 @@ impl<'a> SharedEngine<'a> {
                 shards,
                 Placement::default(),
             ),
-            rebalancer: Mutex::new(Rebalancer::new(RebalanceConfig::default())),
             cache: None,
         }
     }
@@ -381,9 +376,8 @@ impl<'a> SharedEngine<'a> {
     /// shards via the marker-based migration protocol. Safe to call
     /// from any thread at any time — rebalancing never changes a
     /// coordination result (see `tests/equivalence_props.rs`).
-    // lint: acquires(migration_lock, router, shard.engine)
     pub fn rebalance(&self) -> RebalanceReport {
-        lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()).run(&self.inner)
+        self.inner.rebalance()
     }
 
     /// Submit a query under its component shard's lock.
@@ -393,48 +387,6 @@ impl<'a> SharedEngine<'a> {
         Ok(SubmitResult {
             answers: outcome.delivery.unwrap_or_default(),
         })
-    }
-
-    /// Submit a batch of queries, acquiring the routing table once for
-    /// the whole batch instead of twice per query (amortizes routing for
-    /// high-throughput front ends). Per-query results in input order.
-    /// Directly routable queries of one component keep their relative
-    /// order; a batch member that bridges shards is deferred behind the
-    /// directly routable ones, so batch ≡ sequential is guaranteed when
-    /// the batch's components are disjoint or already co-sharded (see
-    /// `ShardedEngine::submit_batch`).
-    pub fn submit_batch(
-        &self,
-        queries: Vec<EntangledQuery>,
-    ) -> Vec<Result<SubmitResult, CoordError>> {
-        let n = queries.len();
-        let mut invalid: Vec<(usize, CoordError)> = Vec::new();
-        let mut valid_idx: Vec<usize> = Vec::with_capacity(n);
-        let mut batch: Vec<EntangledQuery> = Vec::with_capacity(n);
-        for (i, q) in queries.into_iter().enumerate() {
-            match q.validate(self.db) {
-                Ok(()) => {
-                    valid_idx.push(i);
-                    batch.push(q);
-                }
-                Err(e) => invalid.push((i, e)),
-            }
-        }
-        let outcomes = self.inner.submit_batch(batch);
-        let mut results: Vec<Option<Result<SubmitResult, CoordError>>> =
-            (0..n).map(|_| None).collect();
-        for (i, outcome) in valid_idx.into_iter().zip(outcomes) {
-            results[i] = Some(outcome.map(|o| SubmitResult {
-                answers: o.delivery.unwrap_or_default(),
-            }));
-        }
-        for (i, e) in invalid {
-            results[i] = Some(Err(e));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
     }
 
     /// Number of pending queries (across all shards).
@@ -473,109 +425,6 @@ impl<'a> SharedEngine<'a> {
     /// `memo_*` cache counters, and the trace ring.
     pub fn obs(&self) -> &ObsRegistry {
         self.inner.obs()
-    }
-}
-
-/// The pre-incremental engine: rebuilds the entire coordination graph
-/// over all pending queries on every submit and evaluates the new
-/// query's weakly connected component. Kept as the baseline the
-/// `online_throughput` bench and the engine property tests compare the
-/// incremental path against. Uses the same evaluation configuration
-/// (SCC algorithm with the small-instance cutoff) so the two paths are
-/// behaviorally identical on workloads whose key-level candidates match
-/// exactly the unifiable pairs.
-pub struct RebuildEngine<'a> {
-    db: &'a Database,
-    pending: Vec<EntangledQuery>,
-    delivered: usize,
-    queries_examined: u64,
-}
-
-impl<'a> RebuildEngine<'a> {
-    /// An engine over the given database.
-    pub fn new(db: &'a Database) -> Self {
-        RebuildEngine {
-            db,
-            pending: Vec::new(),
-            delivered: 0,
-            queries_examined: 0,
-        }
-    }
-
-    /// Queries currently buffered.
-    pub fn pending(&self) -> &[EntangledQuery] {
-        &self.pending
-    }
-
-    /// Total queries answered and retired so far.
-    pub fn delivered(&self) -> usize {
-        self.delivered
-    }
-
-    /// Cumulative pending queries examined across submits — the graph is
-    /// rebuilt over *all* pending queries per submit, so this grows
-    /// quadratically in steady pending size (what the incremental engine
-    /// avoids; compare with `MetricsSnapshot::queries_evaluated`).
-    pub fn queries_examined(&self) -> u64 {
-        self.queries_examined
-    }
-
-    /// Submit a new query: rebuild the coordination graph from scratch,
-    /// evaluate the new query's component, deliver and retire on success.
-    pub fn submit(&mut self, query: EntangledQuery) -> Result<SubmitResult, CoordError> {
-        query.validate(self.db)?;
-        self.pending.push(query);
-        let new_idx = self.pending.len() - 1;
-        self.queries_examined += self.pending.len() as u64;
-
-        // Full rebuild: the coordination graph over every pending query.
-        let qs = QuerySet::new(self.pending.clone());
-        let graph = coordination_graph(&qs);
-        let comps = weakly_connected_components(&graph);
-        let component: Vec<usize> = comps
-            .into_iter()
-            .find(|c| c.iter().any(|n| n.index() == new_idx))
-            .expect("new query must be in some component")
-            .into_iter()
-            .map(coord_graph::NodeId::index)
-            .collect();
-
-        let comp_queries: Vec<EntangledQuery> =
-            component.iter().map(|&i| self.pending[i].clone()).collect();
-
-        let outcome = match SccCoordinator::new(self.db)
-            .with_bruteforce_cutoff(SMALL_COMPONENT_CUTOFF)
-            .with_from_scratch_evaluation()
-            .run(&comp_queries)
-        {
-            Ok(o) => o,
-            Err(e) => {
-                // Reject the offending submission, keep earlier queries.
-                self.pending.pop();
-                return Err(e);
-            }
-        };
-
-        let Some(best) = outcome.best() else {
-            return Ok(SubmitResult::default());
-        };
-
-        // Build answers (variable names resolved per query).
-        let comp_qs = QuerySet::new(comp_queries.clone());
-        let mut answers = Vec::with_capacity(best.queries.len());
-        for &q in &best.queries {
-            answers.push(answer_for(&comp_qs, q, &best.grounding));
-        }
-
-        // Retire the coordinated queries from the buffer (descending
-        // pending-index order keeps removal indices valid).
-        let mut to_remove: Vec<usize> = best.queries.iter().map(|q| component[q.index()]).collect();
-        to_remove.sort_unstable_by(|a, b| b.cmp(a));
-        for i in to_remove {
-            self.pending.remove(i);
-        }
-        self.delivered += answers.len();
-        Ok(SubmitResult { answers })
     }
 }
 
@@ -748,23 +597,5 @@ mod tests {
         assert_eq!(snap.queries_evaluated, 10);
         // A full rebuild would have examined 1+2+…+10 = 55 queries.
         assert_eq!(snap.rebuild_avoided, 45);
-    }
-
-    #[test]
-    fn rebuild_engine_behaves_identically_on_the_running_example() {
-        let db = db();
-        let mut inc = CoordinationEngine::new(&db);
-        let mut reb = RebuildEngine::new(&db);
-        for q in [gwyneth(), chris()] {
-            let a = inc.submit(q.clone()).unwrap();
-            let b = reb.submit(q).unwrap();
-            assert_eq!(a.answers, b.answers);
-        }
-        assert_eq!(inc.pending().len(), reb.pending().len());
-        assert_eq!(inc.delivered(), reb.delivered());
-        // The rebuild engine examined 1 + 2 pending queries; the
-        // incremental engine evaluated the same components but records
-        // what it skipped.
-        assert_eq!(reb.queries_examined(), 3);
     }
 }

@@ -33,9 +33,11 @@
 //! * [`engine`] — a Youtopia-style online evaluation loop: a thin
 //!   adapter wiring the SCC algorithm into the `coord-engine` service
 //!   crate's incremental, sharded machinery,
-//! * [`persist`] — durable variants of the online engines: the
-//!   `coord-store` WAL/snapshot subsystem with an [`EntangledQuery`]
-//!   codec, so acknowledged submits survive crashes.
+//! * [`persist`] — the durable online engine: the `coord-store`
+//!   WAL/snapshot subsystem with an [`EntangledQuery`] codec, so
+//!   acknowledged submits survive crashes,
+//! * [`testkit`] — oracles for the online engines (the full-rebuild
+//!   loop the property suites and benches compare against).
 //!
 //! ## Quickstart
 //!
@@ -90,12 +92,13 @@ pub mod scc;
 pub mod selector;
 pub mod semantics;
 pub mod single_connected;
+pub mod testkit;
 pub mod unify;
 
 pub use differential::{ClosureCache, GroundWork, MemoStats};
 pub use error::CoordError;
 pub use instance::QuerySet;
 pub use outcome::FoundSet;
-pub use persist::{DurableCoordinationEngine, DurableSharedEngine};
+pub use persist::DurableSharedEngine;
 pub use query::{EntangledQuery, QueryBuilder, QueryId};
 pub use semantics::{check_coordinating_set, Grounding, Violation};

@@ -1,16 +1,17 @@
-//! Durable online engines for entangled queries: the `coord-store`
+//! The durable online engine for entangled queries: the `coord-store`
 //! WAL/snapshot subsystem wired to the paper's query type.
 //!
 //! * [`EntangledQueryCodec`] — deterministic byte serialization of
 //!   [`EntangledQuery`] (name, variable table, postcondition/head/body
 //!   atoms) for the log and snapshots,
-//! * [`DurableCoordinationEngine`] — the single-writer engine with a
-//!   write-ahead log: strict prefix semantics (state after recovery is
-//!   exactly the state after some prefix of acknowledged submits),
 //! * [`DurableSharedEngine`] — the sharded service with a log stream
-//!   per shard (records spread round-robin across streams; recovery is
-//!   order-independent) under a shared snapshot epoch; `SharedEngine`
-//!   callers opt into durability by swapping one constructor:
+//!   per shard (each commit record goes to the stream of the shard that
+//!   evaluated it; recovery is order-independent) under a shared
+//!   snapshot epoch. With `shards = 1` and one submitting thread it is
+//!   the single-writer durable engine, with strict prefix semantics:
+//!   the state after recovery is exactly the state after some prefix of
+//!   acknowledged submits. `SharedEngine` callers opt into durability
+//!   by swapping one constructor:
 //!
 //! ```no_run
 //! use coord_core::persist::DurableSharedEngine;
@@ -27,7 +28,7 @@
 //! component structure and subsequent coordination results match an
 //! uninterrupted run (property-tested in `tests/durability_props.rs`).
 
-use crate::engine::{QueryAnswer, SccEvaluator, SubmitResult};
+use crate::engine::{default_shards, SccEvaluator, SubmitResult};
 use crate::error::CoordError;
 use crate::query::EntangledQuery;
 use coord_db::{Atom, Database, Term, Value, Var};
@@ -138,138 +139,11 @@ fn durable_err(e: DurableError<CoordError>) -> CoordError {
     }
 }
 
-/// The single-writer online engine with WAL + snapshot durability:
-/// [`crate::engine::CoordinationEngine`] semantics, crash-safe.
-pub struct DurableCoordinationEngine<'a> {
-    db: &'a Database,
-    inner: coord_store::DurableEngine<EntangledQuery, SccEvaluator<'a>, EntangledQueryCodec>,
-}
-
-impl<'a> DurableCoordinationEngine<'a> {
-    /// Open (or create) a durable engine at `dir` with default
-    /// durability options, recovering any pending set left by a crash.
-    pub fn open(db: &'a Database, dir: impl AsRef<Path>) -> Result<Self, CoordError> {
-        Self::open_with(db, dir, DurabilityOptions::default())
-    }
-
-    /// Open with explicit sync/snapshot configuration.
-    pub fn open_with(
-        db: &'a Database,
-        dir: impl AsRef<Path>,
-        options: DurabilityOptions,
-    ) -> Result<Self, CoordError> {
-        Self::open_with_obs(db, dir, options, ObsRegistry::new())
-    }
-
-    /// Open with an explicit observability registry shared by the store
-    /// and the engine; the evaluator's closure cache registers its
-    /// `memo_*` counters there too.
-    pub fn open_with_obs(
-        db: &'a Database,
-        dir: impl AsRef<Path>,
-        options: DurabilityOptions,
-        obs: ObsRegistry,
-    ) -> Result<Self, CoordError> {
-        db.attach_obs(&obs);
-        let evaluator = SccEvaluator::new(db);
-        if let Some(cache) = evaluator.closure_cache() {
-            cache.attach(&obs);
-        }
-        let inner = coord_store::DurableEngine::open_with_obs(
-            dir,
-            evaluator,
-            EntangledQueryCodec,
-            options,
-            obs,
-        )
-        .map_err(store_err)?;
-        Ok(DurableCoordinationEngine { db, inner })
-    }
-
-    /// Submit a query; the accepted mutation is logged before this
-    /// returns, so an acknowledged submit survives a crash.
-    pub fn submit(&mut self, query: EntangledQuery) -> Result<SubmitResult, CoordError> {
-        query.validate(self.db)?;
-        let outcome = self.inner.submit(query).map_err(durable_err)?;
-        Ok(SubmitResult {
-            answers: outcome.delivery.unwrap_or_default(),
-        })
-    }
-
-    /// Submit a batch, collecting every delivered answer.
-    pub fn submit_all(
-        &mut self,
-        queries: impl IntoIterator<Item = EntangledQuery>,
-    ) -> Result<Vec<QueryAnswer>, CoordError> {
-        let mut out = Vec::new();
-        for q in queries {
-            out.extend(self.submit(q)?.answers);
-        }
-        Ok(out)
-    }
-
-    /// Queries currently buffered.
-    pub fn pending(&self) -> Vec<&EntangledQuery> {
-        self.inner.pending().collect()
-    }
-
-    /// Total queries answered and retired.
-    pub fn delivered(&self) -> usize {
-        self.inner.delivered() as usize
-    }
-
-    /// Number of incrementally maintained components.
-    pub fn component_count(&self) -> usize {
-        self.inner.component_count()
-    }
-
-    /// The engine's incremental-maintenance metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics().snapshot()
-    }
-
-    /// What recovery found when this engine was opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        self.inner.recovery_report()
-    }
-
-    /// Durable-store counters (records, bytes, snapshots, epoch).
-    pub fn store_stats(&self) -> StoreStatsSnapshot {
-        self.inner.store().stats()
-    }
-
-    /// The observability registry shared by the store and the engine.
-    pub fn obs(&self) -> &ObsRegistry {
-        self.inner.obs()
-    }
-
-    /// End offset of the WAL after the last acknowledged submit.
-    pub fn wal_len(&self) -> u64 {
-        self.inner.wal_len()
-    }
-
-    /// Snapshot the pending set now, rotating the WAL epoch.
-    pub fn snapshot(&mut self) -> Result<(), CoordError> {
-        self.inner.snapshot().map_err(store_err)
-    }
-
-    /// The last background rotation failure, if any (cleared on read).
-    /// Submits stay durable through the still-open WAL when a rotation
-    /// fails.
-    pub fn take_snapshot_error(&mut self) -> Option<CoordError> {
-        self.inner.take_snapshot_error().map(store_err)
-    }
-
-    /// Check engine + registry invariants; panics with a description on
-    /// violation.
-    pub fn validate_invariants(&mut self) {
-        self.inner.validate_invariants();
-    }
-}
-
 /// The sharded, thread-safe online service with durability: the
 /// [`crate::engine::SharedEngine`] API plus crash recovery. A WAL
-/// stream per shard (round-robin) under a shared snapshot epoch.
+/// stream per shard (a record goes to the stream of the shard that
+/// evaluated it) under a shared snapshot epoch; `shards = 1` driven
+/// from one thread is the single-writer durable engine.
 pub struct DurableSharedEngine<'a> {
     db: &'a Database,
     inner: coord_store::DurableShardedEngine<EntangledQuery, SccEvaluator<'a>, EntangledQueryCodec>,
@@ -279,10 +153,7 @@ impl<'a> DurableSharedEngine<'a> {
     /// Open (or create) a durable service at `dir` with one shard per
     /// available CPU (capped at 16) and default durability options.
     pub fn open(db: &'a Database, dir: impl AsRef<Path>) -> Result<Self, CoordError> {
-        let shards = std::thread::available_parallelism()
-            .map_or(4, std::num::NonZero::get)
-            .clamp(1, 16);
-        Self::open_with(db, dir, shards, DurabilityOptions::default())
+        Self::open_with(db, dir, default_shards(), DurabilityOptions::default())
     }
 
     /// Open with explicit shard count and durability configuration. The
@@ -346,37 +217,37 @@ impl<'a> DurableSharedEngine<'a> {
 
     /// Number of pending queries (across all shards).
     pub fn pending_count(&self) -> usize {
-        self.inner.pending_count()
+        self.inner.engine().pending_count()
     }
 
     /// Clones of all pending queries.
     pub fn pending(&self) -> Vec<EntangledQuery> {
-        self.inner.pending()
+        self.inner.engine().pending()
     }
 
     /// Total delivered answers.
     pub fn delivered(&self) -> usize {
-        self.inner.delivered() as usize
+        self.inner.engine().delivered() as usize
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+        self.inner.engine().shard_count()
     }
 
     /// Total maintained components across shards.
     pub fn component_count(&self) -> usize {
-        self.inner.component_count()
+        self.inner.engine().component_count()
     }
 
     /// Aggregated engine metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics().snapshot()
+        self.inner.engine().metrics().snapshot()
     }
 
     /// Per-shard load/contention statistics.
     pub fn shard_stats(&self) -> Vec<coord_engine::ShardStatsSnapshot> {
-        self.inner.shard_stats()
+        self.inner.engine().shard_stats()
     }
 
     /// One skew-correction pass over the sharded engine: detect a hot
@@ -386,12 +257,12 @@ impl<'a> DurableSharedEngine<'a> {
     /// re-routes the pending set regardless, so a crash at any point
     /// stays exactly recoverable.
     pub fn rebalance(&self) -> coord_engine::RebalanceReport {
-        self.inner.rebalance()
+        self.inner.engine().rebalance()
     }
 
     /// Replace the rebalancer's tuning (and reset its load watermarks).
     pub fn set_rebalance_config(&self, config: coord_engine::RebalanceConfig) {
-        self.inner.set_rebalance_config(config);
+        self.inner.engine().set_rebalance_config(config);
     }
 
     /// What recovery found when this engine was opened.
@@ -409,7 +280,7 @@ impl<'a> DurableSharedEngine<'a> {
     /// latency histograms, and the trace ring. One
     /// [`ObsRegistry::snapshot`] covers engine, store, and cache.
     pub fn obs(&self) -> &ObsRegistry {
-        self.inner.obs()
+        self.inner.engine().obs()
     }
 
     /// Clean end offset of every WAL stream (stream index = shard
@@ -429,6 +300,13 @@ impl<'a> DurableSharedEngine<'a> {
     /// fails.
     pub fn take_snapshot_error(&self) -> Option<CoordError> {
         self.inner.take_snapshot_error().map(store_err)
+    }
+
+    /// Check engine + registry invariants; panics with a description on
+    /// violation. Quiescent only (no submit in flight on another
+    /// thread).
+    pub fn validate_invariants(&self) {
+        self.inner.validate_invariants();
     }
 }
 

@@ -9,8 +9,9 @@
 //! candidate coordinating sets tie in size — so the incremental and
 //! rebuild engines must agree *exactly*, step by step.
 
-use coord_core::engine::{CoordinationEngine, RebuildEngine, SharedEngine};
+use coord_core::engine::{CoordinationEngine, SharedEngine};
 use coord_core::scc::SccCoordinator;
+use coord_core::testkit::RebuildEngine;
 use coord_core::{EntangledQuery, QueryBuilder};
 use coord_db::{Database, Value};
 use proptest::prelude::*;
@@ -139,47 +140,6 @@ proptest! {
             batch.best().is_none(),
             "engine left a coordinatable set pending: {:?}",
             batch.best_names()
-        );
-    }
-
-    /// Batch submission agrees with one-at-a-time submission: the same
-    /// arrivals chopped into batches deliver the same answers at each
-    /// step and leave the same pending set (the batch path acquires the
-    /// routing table once per batch instead of twice per query).
-    #[test]
-    fn batch_submit_matches_sequential(
-        shapes in prop::collection::vec((prop::arbitrary::any::<bool>(), 1usize..=5), 1..=4),
-        seed in prop::arbitrary::any::<u64>(),
-        batch_size in 1usize..=6,
-    ) {
-        let db = pool_db(64);
-        let groups: Vec<Vec<EntangledQuery>> = shapes
-            .iter()
-            .enumerate()
-            .map(|(g, &(cycle, size))| group(100 * g, size, cycle))
-            .collect();
-        let arrivals = interleave(groups, seed);
-
-        let mut reference = CoordinationEngine::new(&db);
-        let batched = SharedEngine::with_shards(&db, 3);
-        for chunk in arrivals.chunks(batch_size) {
-            let results = batched.submit_batch(chunk.to_vec());
-            prop_assert_eq!(results.len(), chunk.len());
-            for (q, r) in chunk.iter().zip(results) {
-                let a = reference.submit(q.clone()).unwrap();
-                let b = r.unwrap();
-                prop_assert_eq!(
-                    sorted_names(a.answers.iter().map(|x| x.query.clone())),
-                    sorted_names(b.answers.iter().map(|x| x.query.clone())),
-                    "batched delivery diverged"
-                );
-            }
-        }
-        prop_assert_eq!(reference.delivered(), batched.delivered());
-        prop_assert_eq!(reference.pending().len(), batched.pending_count());
-        prop_assert_eq!(
-            sorted_names(reference.pending().iter().map(|q| q.name().to_string())),
-            sorted_names(batched.pending().iter().map(|q| q.name().to_string()))
         );
     }
 

@@ -40,9 +40,6 @@ pub struct EngineMetrics {
     pub migrations: Counter,
     /// Routing attempts that backed off because a key was mid-migration.
     pub migration_backoffs: Counter,
-    /// Batch submissions (each covering many queries under one routing
-    /// acquisition).
-    pub batches: Counter,
     /// Component groups moved off a hot shard by the rebalancer.
     pub rebalance_moves: Counter,
 }
@@ -70,7 +67,6 @@ impl EngineMetrics {
         obs.register_counter("engine_repartitions", &self.repartitions);
         obs.register_counter("engine_migrations", &self.migrations);
         obs.register_counter("engine_migration_backoffs", &self.migration_backoffs);
-        obs.register_counter("engine_batches", &self.batches);
         obs.register_counter("engine_rebalance_moves", &self.rebalance_moves);
     }
 
@@ -88,7 +84,6 @@ impl EngineMetrics {
             repartitions: self.repartitions.get(),
             migrations: self.migrations.get(),
             migration_backoffs: self.migration_backoffs.get(),
-            batches: self.batches.get(),
             rebalance_moves: self.rebalance_moves.get(),
         }
     }
@@ -106,7 +101,6 @@ pub struct MetricsSnapshot {
     pub repartitions: u64,
     pub migrations: u64,
     pub migration_backoffs: u64,
-    pub batches: u64,
     pub rebalance_moves: u64,
 }
 

@@ -108,9 +108,10 @@ use crate::engine::{
 use crate::index::{keys_related, KeyPattern};
 use crate::lockrank::{self, LockRank};
 use crate::metrics::{EngineMetrics, ShardStats, ShardStatsSnapshot};
+use crate::rebalance::{RebalanceConfig, RebalanceReport, Rebalancer};
 use coord_obs::{Gauge, Histogram, Registry, TraceCtx, Tracer};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -354,15 +355,6 @@ type SeedPlan<Q> = (
     usize,
 );
 
-/// Per-query outcomes of [`ShardedEngine::submit_batch`], in input
-/// order.
-pub type BatchResults<Q, V> = Vec<
-    Result<
-        SubmitOutcome<Q, <V as ComponentEvaluator<Q>>::Delivery>,
-        <V as ComponentEvaluator<Q>>::Error,
-    >,
->;
-
 /// Outcome of [`ShardedEngine::submit_with_shard`]: the shard that ran
 /// the evaluation plus the submit result.
 pub type ShardedSubmit<Q, V> = (
@@ -452,6 +444,9 @@ pub struct ShardedEngine<Q: CoordinationQuery, V> {
     /// Wakes submitters parked on migration marks when a migration
     /// publishes and lifts them.
     mark_gate: MarkGate,
+    /// Skew correction state (see [`Self::rebalance`]): the one owner of
+    /// the load watermarks, so concurrent passes serialize here.
+    rebalancer: Mutex<Rebalancer>,
     /// Registry-backed histograms and tracer (see [`EngineObs`]).
     obs: EngineObs,
 }
@@ -500,6 +495,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q> + Clone> ShardedEngine<Q, V>
             next_shard: AtomicUsize::new(0),
             migration_lock: Mutex::new(()),
             mark_gate: MarkGate::new(),
+            rebalancer: Mutex::new(Rebalancer::new(RebalanceConfig::default())),
             obs,
         }
     }
@@ -634,6 +630,35 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         out
     }
 
+    /// One skew-correction pass: detect a hot shard from the per-shard
+    /// load windows and move its costliest component groups to colder
+    /// shards via the marker-based migration protocol (related traffic
+    /// backs off briefly, unrelated traffic never blocks). Safe to call
+    /// from any thread at any time — rebalancing never changes a
+    /// coordination result (see `tests/equivalence_props.rs`).
+    // lint: acquires(migration_lock, router, shard.engine)
+    pub fn rebalance(&self) -> RebalanceReport {
+        lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()).run(self)
+    }
+
+    /// Replace the rebalancer's tuning (and reset its load watermarks).
+    /// The default is conservative; tests and small deployments can
+    /// lower the window/threshold so passes trigger on light traffic.
+    pub fn set_rebalance_config(&self, config: RebalanceConfig) {
+        **lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()) = Rebalancer::new(config);
+    }
+
+    /// Check every shard's internal consistency (slab, index,
+    /// union-find, membership), each under its own shard lock.
+    ///
+    /// # Panics
+    /// Panics with a description if an invariant is violated.
+    pub fn validate_invariants(&self) {
+        for s in &self.shards {
+            lockrank::ranked(LockRank::ShardEngine, s.engine.lock()).validate_invariants();
+        }
+    }
+
     /// Submit a query: route it to the shard owning its keys (migrating
     /// bridged components first if it spans shards), then run the
     /// incremental submit under that shard's lock only.
@@ -670,145 +695,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         self.with_owned_shard(&qkeys, target, &mut migrated, false, |e| {
             e.insert_pending(query);
         });
-    }
-
-    /// Submit a batch of queries, acquiring the routing table **once**
-    /// for the whole batch (one claim pass, one release pass) instead of
-    /// twice per query. Queries that need a migration — or whose route
-    /// is invalidated by a concurrent one — fall back to the one-query
-    /// path *after* the directly routable ones. Results are in input
-    /// order, and directly routable queries of one component keep their
-    /// relative order — so a batch behaves exactly like submitting its
-    /// members sequentially when its components are disjoint or already
-    /// co-sharded (a deferred in-batch bridge runs late, and may
-    /// therefore observe same-component batch members that sequential
-    /// order would have placed after it).
-    pub fn submit_batch(&self, queries: Vec<Q>) -> BatchResults<Q, V> {
-        EngineMetrics::add(&self.metrics.batches, 1);
-        let n = queries.len();
-        let keysets: Vec<Vec<KeyPattern<Q::Rel, Q::Cst>>> =
-            queries.iter().map(route_keys).collect();
-
-        // Phase 1 (one exclusive acquisition): route and claim every
-        // directly routable query. Bridging or migration-blocked
-        // queries stay unclaimed and take the slow path below.
-        let mut targets: Vec<Option<usize>> = vec![None; n];
-        {
-            let mut router = lockrank::ranked(LockRank::Router, self.router.write());
-            for i in 0..n {
-                let qkeys = &keysets[i];
-                if router.blocked(qkeys) {
-                    continue;
-                }
-                let owners = router.owners_related(qkeys);
-                let t = match owners.len() {
-                    0 => self.place(),
-                    1 => *owners.iter().next().unwrap(),
-                    _ => continue,
-                };
-                for k in qkeys {
-                    router.register(k, t);
-                }
-                targets[i] = Some(t);
-            }
-        }
-
-        // Phase 2: per target shard, take the shard lock once and run
-        // the claimed queries in input order.
-        let mut slots: Vec<Option<Q>> = queries.into_iter().map(Some).collect();
-        let mut results: Vec<Option<_>> = (0..n).map(|_| None).collect();
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, t) in targets.iter().enumerate() {
-            if let Some(t) = *t {
-                by_shard.entry(t).or_default().push(i);
-            }
-        }
-        for (&t, idxs) in &by_shard {
-            let shard = &self.shards[t];
-            let mut engine = self.lock_shard(shard);
-            for &i in idxs {
-                let qkeys = &keysets[i];
-                // Same post-lock validation as the one-query path; an
-                // invalidated claim falls through to the slow path with
-                // its keys still registered.
-                let valid = qkeys.is_empty()
-                    // lint: backoff — never blocks on the router while
-                    // holding the shard lock; a miss (writer active)
-                    // routes the query to the one-query slow path below
-                    || match self.router.try_read() {
-                        Some(router) => {
-                            qkeys.iter().all(|k| router.keys[k].shard == t)
-                                && !router.blocked(qkeys)
-                        }
-                        None => false,
-                    };
-                if !valid {
-                    continue;
-                }
-                EngineMetrics::add(&shard.stats.submits, 1);
-                // The batch fast path still gets one TraceCtx per query
-                // — ids must not collapse just because the routing was
-                // amortized.
-                let _ticket = self.obs.tracer.ticket("submit");
-                let _inflight = InflightGuard::enter(&self.obs.inflight);
-                let _timer = self.obs.submit_hist.start();
-                results[i] = Some(engine.submit(slots[i].take().expect("query unconsumed")));
-            }
-            shard.pending_gauge.set(engine.pending_count() as u64);
-        }
-
-        // Slow path: unclaimed queries run the full one-query protocol;
-        // claimed-but-invalidated ones rejoin it after re-routing.
-        for i in 0..n {
-            if results[i].is_some() {
-                continue;
-            }
-            let query = slots[i].take().expect("query unconsumed");
-            match targets[i] {
-                None => results[i] = Some(self.submit(query)),
-                Some(t0) => {
-                    let _ticket = self.obs.tracer.ticket("submit");
-                    let _inflight = InflightGuard::enter(&self.obs.inflight);
-                    let _timer = self.obs.submit_hist.start();
-                    let mut migrated: MigrationRecord<Q> = Vec::new();
-                    let (_, outcome) =
-                        self.with_owned_shard(&keysets[i], t0, &mut migrated, true, |e| {
-                            e.submit(query)
-                        });
-                    results[i] = Some(self.finish(&keysets[i], migrated, outcome));
-                    targets[i] = None; // released by `finish`, skip below
-                }
-            }
-        }
-
-        // Phase 3 (one exclusive acquisition): release everything the
-        // fast-path queries retired or failed to submit.
-        {
-            let mut router = lockrank::ranked(LockRank::Router, self.router.write());
-            for i in 0..n {
-                if targets[i].is_none() {
-                    continue;
-                }
-                match results[i].as_ref().expect("result recorded") {
-                    Err(_) => {
-                        for k in &keysets[i] {
-                            router.unregister(k);
-                        }
-                    }
-                    Ok(out) => {
-                        for q in &out.retired {
-                            for k in route_keys(q) {
-                                router.unregister(&k);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("result recorded"))
-            .collect()
     }
 
     /// Route `qkeys` to one shard and (optionally) claim them there,
@@ -1470,73 +1356,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_sequential_results() {
-        let db_seq = ShardedEngine::new(SaturationEvaluator, 3);
-        let db_batch = ShardedEngine::new(SaturationEvaluator, 3);
-        // Three chains interleaved; the keystones close them mid-batch.
-        let mut order = Vec::new();
-        for g in 0..3i64 {
-            order.push(chain_query(100 * g, Some(100 * g + 1)));
-        }
-        for g in 0..3i64 {
-            order.push(chain_query(100 * g + 1, Some(100 * g + 2)));
-        }
-        for g in 0..3i64 {
-            order.push(chain_query(100 * g + 2, None));
-        }
-        let seq_results: Vec<_> = order
-            .iter()
-            .cloned()
-            .map(|q| db_seq.submit(q).unwrap())
-            .collect();
-        let batch_results = db_batch.submit_batch(order);
-        assert_eq!(batch_results.len(), seq_results.len());
-        for (i, (b, s)) in batch_results.iter().zip(&seq_results).enumerate() {
-            let b = b.as_ref().unwrap();
-            assert_eq!(b.coordinated(), s.coordinated(), "submission {i}");
-            let mut bn: Vec<&str> = b.retired.iter().map(|q| q.name.as_str()).collect();
-            let mut sn: Vec<&str> = s.retired.iter().map(|q| q.name.as_str()).collect();
-            bn.sort_unstable();
-            sn.sort_unstable();
-            assert_eq!(bn, sn, "submission {i}");
-        }
-        assert_eq!(db_batch.pending_count(), db_seq.pending_count());
-        assert_eq!(db_batch.delivered(), db_seq.delivered());
-        assert_eq!(db_batch.metrics().snapshot().batches, 1);
-        // All routing state was released along with the retirements.
-        assert!(db_batch.router.read().keys.is_empty());
-    }
-
-    #[test]
-    fn submit_batch_releases_keys_of_rejected_queries() {
-        #[derive(Clone)]
-        struct RejectNamed(&'static str);
-        impl ComponentEvaluator<TestQuery> for RejectNamed {
-            type Delivery = ();
-            type Error = String;
-            fn evaluate(&self, queries: &[TestQuery]) -> Result<Option<(Vec<usize>, ())>, String> {
-                if queries.iter().any(|q| q.name == self.0) {
-                    Err("rejected".into())
-                } else {
-                    Ok(None)
-                }
-            }
-        }
-        let engine = ShardedEngine::new(RejectNamed("q7"), 2);
-        let results = engine.submit_batch(vec![
-            chain_query(0, Some(1)),
-            chain_query(7, None),
-            chain_query(100, Some(101)),
-        ]);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-        assert_eq!(engine.pending_count(), 2);
-        // q7's keys were released; a fresh submit of the same keys works.
-        assert_eq!(engine.router.read().keys.len(), 4);
-    }
-
-    #[test]
     fn least_loaded_placement_avoids_the_hot_shard() {
         let engine = ShardedEngine::new(SaturationEvaluator, 2);
         // Build a heavy component on one shard: a chain that every new
@@ -1566,7 +1385,6 @@ mod tests {
 
     #[test]
     fn rebalancer_moves_costly_groups_off_the_hot_shard() {
-        use crate::rebalance::{RebalanceConfig, Rebalancer};
         // Round-robin placement over 2 shards: groups alternate, so
         // pinning extra traffic on shard 0's groups creates real skew.
         let engine = ShardedEngine::with_placement(SaturationEvaluator, 2, Placement::RoundRobin);
@@ -1586,7 +1404,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut rebalancer = Rebalancer::new(RebalanceConfig {
+        engine.set_rebalance_config(RebalanceConfig {
             skew_threshold: 0.7,
             min_window_load: 8,
             max_moves: 4,
@@ -1598,7 +1416,7 @@ mod tests {
             .collect();
         assert!(loads[0] > loads[1], "setup did not skew shard 0: {loads:?}");
 
-        let report = rebalancer.run(&engine);
+        let report = engine.rebalance();
         assert!(report.triggered, "{report:?}");
         assert_eq!(report.hot_shard, 0);
         assert!(report.hot_share > 0.7, "{report:?}");
@@ -1630,7 +1448,7 @@ mod tests {
         assert_eq!(engine.pending_count(), 0);
 
         // A balanced engine does not trigger another pass.
-        let quiet = rebalancer.run(&engine);
+        let quiet = engine.rebalance();
         assert!(!quiet.triggered, "{quiet:?}");
     }
 
@@ -1784,26 +1602,5 @@ mod tests {
         });
         assert!(engine.metrics().snapshot().migration_backoffs > 0);
         assert_eq!(engine.pending_count(), 5);
-    }
-
-    #[test]
-    fn submit_batch_handles_in_batch_bridges_via_slow_path() {
-        let engine = ShardedEngine::new(SaturationEvaluator, 2);
-        // Pre-place two disjoint waiters on separate shards.
-        engine.submit(chain_query(0, Some(1))).unwrap();
-        engine.submit(chain_query(10, Some(11))).unwrap();
-        // The batch's bridge needs a migration: it defers to the slow
-        // path but still coordinates everything.
-        let bridge = TestQuery::new(
-            "bridge",
-            vec![("R", Some(1)), ("R", Some(11))],
-            vec![("R", Some(10))],
-        );
-        let results = engine.submit_batch(vec![bridge, chain_query(50, Some(51))]);
-        assert!(results[0].as_ref().unwrap().coordinated());
-        assert_eq!(results[0].as_ref().unwrap().retired.len(), 3);
-        assert!(!results[1].as_ref().unwrap().coordinated());
-        assert_eq!(engine.pending_count(), 1);
-        assert_eq!(engine.metrics().snapshot().migrations, 1);
     }
 }

@@ -44,7 +44,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `DurableShardedEngine::rebalancer` / `SharedEngine::rebalancer`:
+    /// `ShardedEngine::rebalancer` (its only owner):
     /// held across an entire rebalance pass (which runs migrations).
     Rebalancer = 70,
     /// `ShardedEngine::migration_lock`: serializes marker-based
@@ -63,8 +63,7 @@ pub enum LockRank {
     StoreState = 30,
     /// One WAL stream's writer mutex (`state.wals[i]`).
     WalStream = 25,
-    /// `DurableShardedEngine::registry` / `DurableEngine::registry`:
-    /// the durable seq registry mutex.
+    /// `DurableShardedEngine::registry`: the durable seq registry mutex.
     Registry = 10,
 }
 

@@ -1,11 +1,10 @@
-//! Durable wrappers around the online coordination engines.
+//! The durable layer over the sharded online coordination engine.
 //!
-//! [`DurableEngine`] wraps an [`IncrementalEngine`]; [`DurableShardedEngine`]
-//! wraps a [`ShardedEngine`] with as many WAL streams as shards under a
-//! shared snapshot epoch (records are spread round-robin over the
-//! streams for append parallelism rather than pinned to the owning
-//! shard — recovery is order-independent, so pinning would buy
-//! nothing). Both follow the same commit protocol:
+//! [`DurableShardedEngine`] wraps a [`ShardedEngine`] with as many WAL
+//! streams as shards under a shared snapshot epoch; each commit record
+//! goes to the stream of the shard that evaluated the submit (see
+//! "Rebalancing and the per-shard streams" below). Recovery is
+//! order-independent across streams. The commit protocol:
 //!
 //! 1. apply the submit to the in-memory engine (a rejected submit
 //!    mutates nothing and logs nothing),
@@ -26,18 +25,18 @@
 //! wrapper keeps a registry mapping each pending query's encoding to the
 //! seqs that submitted it (a multiset: duplicate queries pop oldest
 //! first — retiring either duplicate reconstructs the same pending
-//! multiset). In the sharded engine the registry entry is made *before*
-//! the engine apply, so a concurrent submit on another thread that
-//! retires the query always finds its seq.
+//! multiset). The registry entry is made *before* the engine apply, so a
+//! concurrent submit on another thread that retires the query always
+//! finds its seq.
 //!
-//! ## Sharded acknowledgment window (closed)
+//! ## Acknowledgment window (closed)
 //!
 //! With multiple log streams, a submit used to be able to retire a
 //! query whose own commit record (on another stream) had not hit the
 //! log yet: recovery stayed exact — a retire naming a never-logged seq
 //! is simply ignored, and the unlogged query was never acknowledged —
 //! but a *delivered* coordination could mention a partner whose commit
-//! record was lost with the crash. The sharded wrapper now enforces a
+//! record was lost with the crash. The wrapper now enforces a
 //! **per-coordination flush barrier**: the registry tracks, per seq,
 //! whether the submit's commit record has been appended, a retire only
 //! pops seqs whose record is on its stream (waiting out the short
@@ -49,8 +48,16 @@
 //! caveat: if a partner's *append itself failed* (a [`StoreError`]
 //! already surfaced to that partner's submitter), its seq is released
 //! rather than blocking the retirer forever — that degraded-durability
-//! state is explicit on both sides. The single-stream [`DurableEngine`]
-//! has strict prefix semantics and needs none of this.
+//! state is explicit on both sides.
+//!
+//! ## Single writer: strict prefix
+//!
+//! With **one shard and one submitting thread** there is one stream and
+//! its records are in submit order, so the recovered state is exactly
+//! the state after some prefix of the acknowledged submits — the
+//! contract `tests/crash_points.rs` checks at every byte offset. That
+//! configuration *is* the single-writer durable engine; there is no
+//! separate type for it.
 //!
 //! ## Rebalancing and the per-shard streams
 //!
@@ -69,8 +76,7 @@ use crate::store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions};
 use crate::wal::SyncPolicy;
 use coord_engine::lockrank::{self, LockRank};
 use coord_engine::{
-    ComponentEvaluator, CoordinationQuery, IncrementalEngine, Placement, RebalanceConfig,
-    RebalanceReport, Rebalancer, ShardedEngine, SubmitOutcome,
+    ComponentEvaluator, CoordinationQuery, Placement, ShardedEngine, SubmitOutcome,
 };
 use coord_obs::Registry as ObsRegistry;
 use parking_lot::Mutex;
@@ -78,7 +84,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Durability configuration for the engine wrappers.
+/// Durability configuration for [`DurableShardedEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityOptions {
     /// When appended records reach stable storage.
@@ -108,7 +114,7 @@ impl DurabilityOptions {
 }
 
 /// One registered pending query: its encoding plus where its submit
-/// stands. Sharded submits *reserve* an entry before the engine apply
+/// stands. Submits *reserve* an entry before the engine apply
 /// (so a racing retire on another thread always finds the seq) and
 /// confirm it afterwards; snapshots skip unconfirmed entries — a
 /// reserved entry may belong to a submit the engine is about to reject,
@@ -124,7 +130,7 @@ struct RegistryEntry {
     logged: bool,
 }
 
-/// Pending-set bookkeeping shared by both wrappers: seq → encoding (the
+/// Pending-set bookkeeping: seq → encoding (the
 /// snapshot payload) and encoding → seqs (retired-query lookup).
 #[derive(Default)]
 struct Registry {
@@ -221,190 +227,11 @@ impl Registry {
     }
 }
 
-/// A single-writer [`IncrementalEngine`] with WAL + snapshot durability.
-pub struct DurableEngine<Q: CoordinationQuery, V, C> {
-    inner: IncrementalEngine<Q, V>,
-    store: CoordStore,
-    codec: C,
-    registry: Registry,
-    next_seq: u64,
-    report: RecoveryReport,
-    /// Last failed background rotation (see [`Self::take_snapshot_error`]).
-    snapshot_error: Option<StoreError>,
-}
-
-impl<Q, V, C> DurableEngine<Q, V, C>
-where
-    Q: CoordinationQuery,
-    V: ComponentEvaluator<Q>,
-    C: QueryCodec<Q>,
-{
-    /// Open (or create) a durable engine at `dir`, recovering any
-    /// pending set a previous process left behind.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        evaluator: V,
-        codec: C,
-        options: DurabilityOptions,
-    ) -> Result<Self, StoreError> {
-        Self::open_with_obs(dir, evaluator, codec, options, ObsRegistry::new())
-    }
-
-    /// Like [`Self::open`], with one observability registry shared by
-    /// the store (WAL append/sync, rotation, replay instruments) and
-    /// the wrapped engine.
-    pub fn open_with_obs(
-        dir: impl AsRef<Path>,
-        evaluator: V,
-        codec: C,
-        options: DurabilityOptions,
-        obs: ObsRegistry,
-    ) -> Result<Self, StoreError> {
-        let recovered = CoordStore::open_with_obs(dir, options.store_options(1), obs.clone())?;
-        let mut inner = IncrementalEngine::new(evaluator);
-        inner.metrics().register(&obs);
-        inner.set_tracer(obs.tracer());
-        let mut registry = Registry::default();
-        for (seq, bytes) in &recovered.live {
-            inner.insert_pending(codec.decode(bytes)?);
-            registry.insert(*seq, bytes.clone(), true, true);
-        }
-        Ok(DurableEngine {
-            inner,
-            store: recovered.store,
-            codec,
-            registry,
-            next_seq: recovered.next_seq,
-            report: recovered.report,
-            snapshot_error: None,
-        })
-    }
-
-    /// Submit a query; on acceptance the mutation is logged before the
-    /// caller is acknowledged.
-    ///
-    /// A [`DurableError::Store`] failure means the in-memory submit
-    /// applied but was **not** made durable (it will not survive a
-    /// crash); the in-memory engine remains usable. A *snapshot*
-    /// failure after a durably-logged submit does not fail the submit —
-    /// the outcome is returned and the error parked for
-    /// [`Self::take_snapshot_error`]; the next due submit retries the
-    /// rotation.
-    pub fn submit(
-        &mut self,
-        query: Q,
-    ) -> Result<SubmitOutcome<Q, V::Delivery>, DurableError<V::Error>> {
-        let mut qbytes = Vec::new();
-        self.codec.encode(&query, &mut qbytes);
-        let outcome = self.inner.submit(query).map_err(DurableError::Engine)?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // Single-writer strict prefix: no append can race a retire, so
-        // the entry is born logged.
-        self.registry.insert(seq, qbytes.clone(), true, true);
-        let mut retired = Vec::with_capacity(outcome.retired.len());
-        for q in &outcome.retired {
-            let mut b = Vec::new();
-            self.codec.encode(q, &mut b);
-            let s = self
-                .registry
-                .retire(&b, None)
-                .expect("retired query was registered pending");
-            retired.push(s);
-        }
-        self.store.append_commit(
-            0,
-            &CommitRecord {
-                seq,
-                query: qbytes,
-                retired,
-            },
-        )?;
-        if self.store.snapshot_due() {
-            if let Err(e) = self.snapshot() {
-                self.snapshot_error = Some(e);
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Take a snapshot now, rotating the WAL epoch.
-    pub fn snapshot(&mut self) -> Result<(), StoreError> {
-        let next_seq = self.next_seq;
-        let entries = self.registry.capture();
-        self.store.snapshot(move || (next_seq, entries))
-    }
-
-    /// The last *background* snapshot failure (a rotation triggered by
-    /// `snapshot_every` during a submit), if any, cleared on read.
-    /// Submits stay durable through the still-open WAL when a rotation
-    /// fails; this surfaces the degraded state for monitoring.
-    pub fn take_snapshot_error(&mut self) -> Option<StoreError> {
-        self.snapshot_error.take()
-    }
-
-    /// What recovery found when this engine was opened.
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.report
-    }
-
-    /// The underlying store (stats, epoch, stream offsets).
-    pub fn store(&self) -> &CoordStore {
-        &self.store
-    }
-
-    /// End offset of the WAL after the most recent record — the clean
-    /// length a crash-point test truncates against.
-    pub fn wal_len(&self) -> u64 {
-        self.store.stream_len(0)
-    }
-
-    /// Pending queries in slot order.
-    pub fn pending(&self) -> impl Iterator<Item = &Q> {
-        self.inner.pending()
-    }
-
-    /// Number of pending queries.
-    pub fn pending_count(&self) -> usize {
-        self.inner.pending_count()
-    }
-
-    /// Number of maintained components.
-    pub fn component_count(&self) -> usize {
-        self.inner.component_count()
-    }
-
-    /// Total queries answered and retired.
-    pub fn delivered(&self) -> u64 {
-        self.inner.delivered()
-    }
-
-    /// The wrapped engine's metrics.
-    pub fn metrics(&self) -> &std::sync::Arc<coord_engine::EngineMetrics> {
-        self.inner.metrics()
-    }
-
-    /// The observability registry shared by the store and the engine.
-    pub fn obs(&self) -> &ObsRegistry {
-        self.store.obs()
-    }
-
-    /// Check the wrapped engine's invariants plus the registry mirror.
-    ///
-    /// # Panics
-    /// Panics with a description if an invariant is violated.
-    pub fn validate_invariants(&mut self) {
-        self.inner.validate_invariants();
-        assert_eq!(
-            self.registry.len(),
-            self.inner.pending_count(),
-            "registry drifted from the pending set"
-        );
-    }
-}
-
 /// A [`ShardedEngine`] with one WAL stream per shard and a shared
-/// snapshot epoch.
+/// snapshot epoch. With `shards = 1` and a single submitting thread it
+/// is the single-writer durable engine: one stream, records in submit
+/// order, so recovery restores exactly the state after some prefix of
+/// the acknowledged submits.
 pub struct DurableShardedEngine<Q: CoordinationQuery, V, C> {
     inner: ShardedEngine<Q, V>,
     store: CoordStore,
@@ -412,8 +239,6 @@ pub struct DurableShardedEngine<Q: CoordinationQuery, V, C> {
     registry: Mutex<Registry>,
     next_seq: AtomicU64,
     report: RecoveryReport,
-    /// Skew correction over the wrapped engine (see [`Self::rebalance`]).
-    rebalancer: Mutex<Rebalancer>,
     /// Last failed background rotation (see [`Self::take_snapshot_error`]).
     snapshot_error: Mutex<Option<StoreError>>,
 }
@@ -466,7 +291,6 @@ where
             registry: Mutex::new(registry),
             next_seq: AtomicU64::new(recovered.next_seq),
             report: recovered.report,
-            rebalancer: Mutex::new(Rebalancer::new(RebalanceConfig::default())),
             snapshot_error: Mutex::new(None),
         })
     }
@@ -574,25 +398,6 @@ where
         Ok(outcome)
     }
 
-    /// One rebalance pass over the wrapped engine: detect a hot shard
-    /// from the per-shard load windows and move its costliest component
-    /// groups to colder shards (marker-based migration; related traffic
-    /// backs off briefly, unrelated traffic never blocks). Purely an
-    /// in-memory placement change: commit records written after the
-    /// move land on the new shard's stream, and recovery re-routes the
-    /// pending set anyway, so no log record is needed and a crash at
-    /// any point stays exactly recoverable.
-    pub fn rebalance(&self) -> RebalanceReport {
-        lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()).run(&self.inner)
-    }
-
-    /// Replace the rebalancer's tuning (and reset its load watermarks).
-    /// The default is conservative; tests and small deployments can
-    /// lower the window/threshold so passes trigger on light traffic.
-    pub fn set_rebalance_config(&self, config: RebalanceConfig) {
-        **lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()) = Rebalancer::new(config);
-    }
-
     /// Take a snapshot now, rotating every shard's WAL to the next
     /// epoch. Concurrent submitters keep running; the capture happens
     /// under the store's rotation lock with no appends in flight.
@@ -643,46 +448,33 @@ where
             .collect()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+    /// The wrapped in-memory engine: pending set, component and shard
+    /// statistics, metrics, the observability registry (shared with the
+    /// store, so one snapshot covers submit latency, WAL append/sync,
+    /// rotations, migrations and rebalance passes), and
+    /// [`ShardedEngine::rebalance`] — a rebalance is purely an in-memory
+    /// placement change, so it needs no log record and a crash at any
+    /// point stays exactly recoverable. Do **not** submit through it:
+    /// only [`Self::submit`] logs.
+    pub fn engine(&self) -> &ShardedEngine<Q, V> {
+        &self.inner
     }
 
-    /// Total pending queries across shards.
-    pub fn pending_count(&self) -> usize {
-        self.inner.pending_count()
-    }
-
-    /// Clones of all pending queries.
-    pub fn pending(&self) -> Vec<Q> {
-        self.inner.pending()
-    }
-
-    /// Total maintained components across shards.
-    pub fn component_count(&self) -> usize {
-        self.inner.component_count()
-    }
-
-    /// Total queries answered and retired.
-    pub fn delivered(&self) -> u64 {
-        self.inner.delivered()
-    }
-
-    /// Aggregated engine metrics.
-    pub fn metrics(&self) -> &std::sync::Arc<coord_engine::EngineMetrics> {
-        self.inner.metrics()
-    }
-
-    /// Per-shard contention statistics.
-    pub fn shard_stats(&self) -> Vec<coord_engine::ShardStatsSnapshot> {
-        self.inner.shard_stats()
-    }
-
-    /// The observability registry shared by the store and the sharded
-    /// engine: one snapshot covers submit latency, WAL append/sync,
-    /// rotations, migrations and rebalance passes.
-    pub fn obs(&self) -> &ObsRegistry {
-        self.inner.obs()
+    /// Check the wrapped engine's invariants plus the registry mirror
+    /// (one registry entry per pending query). Quiescent only: a submit
+    /// in flight on another thread holds a reserved entry the engine
+    /// does not have yet.
+    ///
+    /// # Panics
+    /// Panics with a description if an invariant is violated.
+    pub fn validate_invariants(&self) {
+        self.inner.validate_invariants();
+        let pending = self.inner.pending_count();
+        assert_eq!(
+            lockrank::ranked(LockRank::Registry, self.registry.lock()).len(),
+            pending,
+            "registry drifted from the pending set"
+        );
     }
 }
 
@@ -704,40 +496,27 @@ mod tests {
         v
     }
 
-    #[test]
-    fn pending_set_survives_reopen() {
-        let dir = TempDir::new("durable-basic");
-        {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-            assert!(!e.submit(chain(0, Some(1))).unwrap().coordinated());
-            assert!(!e.submit(chain(1, Some(2))).unwrap().coordinated());
-            assert!(!e.submit(chain(10, Some(11))).unwrap().coordinated());
-            assert_eq!(e.pending_count(), 3);
-            e.validate_invariants();
-        } // crash (no clean shutdown exists)
-
-        let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.recovery_report().records_replayed, 3);
-        assert_eq!(e.pending_count(), 3);
-        assert_eq!(e.component_count(), 2);
-        e.validate_invariants();
-        // The recovered components still coordinate correctly.
-        let r = e.submit(chain(2, None)).unwrap();
-        assert_eq!(names(r.delivery.unwrap()), vec!["q0", "q1", "q2"]);
-        assert_eq!(e.pending_count(), 1);
+    /// The single-writer configuration the strict-prefix tests drive.
+    fn open_one<V: ComponentEvaluator<MiniQuery> + Clone>(
+        dir: &TempDir,
+        evaluator: V,
+        snapshot_every: Option<u64>,
+    ) -> DurableShardedEngine<MiniQuery, V, MiniCodec> {
+        DurableShardedEngine::open(dir.path(), evaluator, 1, MiniCodec, opts(snapshot_every))
+            .unwrap()
     }
 
     #[test]
     fn retirement_is_durable() {
         let dir = TempDir::new("durable-retire");
         {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+            let e = open_one(&dir, Saturation, None);
             e.submit(chain(0, Some(1))).unwrap();
             let r = e.submit(chain(1, None)).unwrap();
             assert!(r.coordinated());
         }
-        let e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 0, "retired queries resurrected");
+        let e = open_one(&dir, Saturation, None);
+        assert_eq!(e.engine().pending_count(), 0, "retired queries resurrected");
         assert_eq!(e.recovery_report().records_replayed, 2);
     }
 
@@ -745,16 +524,16 @@ mod tests {
     fn duplicate_queries_recover_as_a_multiset() {
         let dir = TempDir::new("durable-dup");
         {
-            let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
+            let e = open_one(&dir, Saturation, None);
             // Two byte-identical waiters plus one that retires with one
             // of them (saturation retires whole components; both
             // duplicates share a component, so submit a separate pair).
             e.submit(chain(5, Some(6))).unwrap();
             e.submit(chain(5, Some(6))).unwrap();
-            assert_eq!(e.pending_count(), 2);
+            assert_eq!(e.engine().pending_count(), 2);
         }
-        let e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 2, "duplicate collapsed");
+        let e = open_one(&dir, Saturation, None);
+        assert_eq!(e.engine().pending_count(), 2, "duplicate collapsed");
     }
 
     #[test]
@@ -774,29 +553,28 @@ mod tests {
         }
         let dir = TempDir::new("durable-reject");
         {
-            let mut e =
-                DurableEngine::open(dir.path(), RejectNamed("q9"), MiniCodec, opts(None)).unwrap();
+            let e = open_one(&dir, RejectNamed("q9"), None);
             e.submit(chain(0, Some(1))).unwrap();
             e.submit(chain(9, None)).unwrap_err();
-            assert_eq!(e.pending_count(), 1);
+            assert_eq!(e.engine().pending_count(), 1);
+            e.validate_invariants();
         }
-        let e = DurableEngine::open(dir.path(), RejectNamed("q9"), MiniCodec, opts(None)).unwrap();
+        let e = open_one(&dir, RejectNamed("q9"), None);
         assert_eq!(e.recovery_report().records_replayed, 1);
-        assert_eq!(e.pending_count(), 1);
+        assert_eq!(e.engine().pending_count(), 1);
     }
 
     #[test]
     fn snapshots_bound_replay_work() {
         let dir = TempDir::new("durable-snap");
         {
-            let mut e =
-                DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(Some(4))).unwrap();
+            let e = open_one(&dir, Saturation, Some(4));
             for i in 0..10 {
                 e.submit(chain(10 * i, Some(10 * i + 1))).unwrap();
             }
             assert!(e.store().stats().snapshots_taken >= 2);
         }
-        let mut e = DurableEngine::open(dir.path(), Saturation, MiniCodec, opts(Some(4))).unwrap();
+        let e = open_one(&dir, Saturation, Some(4));
         let report = e.recovery_report().clone();
         assert!(report.had_snapshot);
         assert!(
@@ -808,11 +586,11 @@ mod tests {
             10,
             "{report:?}"
         );
-        assert_eq!(e.pending_count(), 10);
+        assert_eq!(e.engine().pending_count(), 10);
         e.validate_invariants();
         // Seqs keep advancing across the snapshot boundary.
         e.submit(chain(500, None)).unwrap();
-        assert_eq!(e.pending_count(), 10);
+        assert_eq!(e.engine().pending_count(), 10);
     }
 
     #[test]
@@ -833,22 +611,28 @@ mod tests {
                     });
                 }
             });
-            assert_eq!(e.pending_count(), 24);
-        }
+            assert_eq!(e.engine().pending_count(), 24);
+            e.validate_invariants();
+        } // crash (no clean shutdown exists)
         let e =
             DurableShardedEngine::open(dir.path(), Saturation, 4, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 24);
-        assert_eq!(e.component_count(), 12);
+        assert_eq!(e.recovery_report().records_replayed, 24);
+        assert_eq!(e.engine().pending_count(), 24);
+        assert_eq!(e.engine().component_count(), 12);
+        e.validate_invariants();
         // Each recovered chain still completes.
         for t in 0..4i64 {
             for c in 0..3 {
                 let base = 1000 * t + 10 * c;
                 let r = e.submit(chain(base + 2, None)).unwrap();
-                assert!(r.coordinated(), "chain {base} lost by recovery");
-                assert_eq!(r.retired.len(), 3);
+                assert_eq!(r.retired.len(), 3, "chain {base} lost by recovery");
+                assert_eq!(
+                    names(r.delivery.unwrap()),
+                    names((base..=base + 2).map(|i| format!("q{i}")).collect())
+                );
             }
         }
-        assert_eq!(e.pending_count(), 0);
+        assert_eq!(e.engine().pending_count(), 0);
     }
 
     #[test]
@@ -869,12 +653,12 @@ mod tests {
                 }
             });
             assert!(e.store().stats().snapshots_taken >= 1);
-            assert_eq!(e.pending_count(), 40);
+            assert_eq!(e.engine().pending_count(), 40);
         }
         let e = DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(Some(8)))
             .unwrap();
         assert!(e.recovery_report().had_snapshot);
-        assert_eq!(e.pending_count(), 40);
+        assert_eq!(e.engine().pending_count(), 40);
     }
 
     /// Regression: a snapshot racing a submit that the engine later
@@ -937,7 +721,7 @@ mod tests {
                 release.store(true, Ordering::SeqCst);
                 rejected.join().unwrap();
             });
-            assert_eq!(e.pending_count(), 0);
+            assert_eq!(e.engine().pending_count(), 0);
         }
         let e = DurableShardedEngine::open(
             dir.path(),
@@ -948,7 +732,7 @@ mod tests {
         )
         .unwrap();
         assert!(e.recovery_report().had_snapshot);
-        assert_eq!(e.pending_count(), 0, "rejected submit resurrected");
+        assert_eq!(e.engine().pending_count(), 0, "rejected submit resurrected");
     }
 
     /// The acknowledgment-window barrier at the registry level: an
@@ -990,7 +774,7 @@ mod tests {
             for i in 0..16i64 {
                 e.submit(chain(200 + i, Some(200 + i + 1))).unwrap();
             }
-            let report = e.rebalance();
+            let report = e.engine().rebalance();
             assert!(report.triggered, "no skew detected: {report:?}");
             assert!(report.groups_moved >= 1, "nothing moved: {report:?}");
             // Post-move submits follow the moved component; their
@@ -1005,18 +789,18 @@ mod tests {
                     && lens_after.iter().sum::<u64>() > lens_before.iter().sum::<u64>(),
                 "commit records not appended: {lens_before:?} → {lens_after:?}"
             );
-            assert_eq!(e.pending_count(), 35);
+            assert_eq!(e.engine().pending_count(), 35);
         } // crash
         let e =
             DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 35);
+        assert_eq!(e.engine().pending_count(), 35);
         // Every chain — moved or not — still completes.
         for (start, len) in [(0i64, 10i64), (100, 10), (200, 18)] {
             let r = e.submit(chain(start + len - 1, None)).unwrap();
             assert!(r.coordinated(), "chain at {start} lost");
             assert_eq!(r.retired.len() as i64, len, "chain at {start}");
         }
-        assert_eq!(e.pending_count(), 0);
+        assert_eq!(e.engine().pending_count(), 0);
     }
 
     #[test]
@@ -1031,7 +815,7 @@ mod tests {
         }
         let e =
             DurableShardedEngine::open(dir.path(), Saturation, 2, MiniCodec, opts(None)).unwrap();
-        assert_eq!(e.pending_count(), 6);
+        assert_eq!(e.engine().pending_count(), 6);
         let r = e.submit(chain(1, None)).unwrap();
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 2);

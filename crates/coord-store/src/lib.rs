@@ -8,14 +8,15 @@
 //!   prefix is exactly a prefix of acknowledged mutations,
 //! * [`wal`] — epoch-stamped append-only log files with configurable
 //!   [`wal::SyncPolicy`] and torn-tail truncation on reopen,
-//! * [`store`] — the store directory: a WAL stream per shard (records
-//!   spread round-robin for append parallelism) under a shared snapshot
+//! * [`store`] — the store directory: a WAL stream per shard (the
+//!   caller names the stream of each record) under a shared snapshot
 //!   epoch, tmp+rename snapshot rotation, and order-independent
 //!   set-difference recovery,
 //! * [`codec`] — pluggable query serialization ([`codec::QueryCodec`]),
 //!   keeping this crate below `coord-core` in the workspace DAG,
-//! * [`durable`] — [`DurableEngine`] / [`DurableShardedEngine`]
-//!   wrappers: submit → apply → log one atomic commit record →
+//! * [`durable`] — [`DurableShardedEngine`], the durable layer over the
+//!   sharded engine (one shard + one submitter = the single-writer
+//!   durable engine): submit → apply → log one atomic commit record →
 //!   acknowledge; recovery replays `snapshot + log tail` with
 //!   `insert_pending` (no re-evaluation), so replay is *faster* than
 //!   live submission — the `durability` bench asserts it.
@@ -37,7 +38,7 @@ pub mod testkit;
 pub mod wal;
 
 pub use codec::QueryCodec;
-pub use durable::{DurabilityOptions, DurableEngine, DurableShardedEngine};
+pub use durable::{DurabilityOptions, DurableShardedEngine};
 pub use error::{DurableError, StoreError};
 pub use store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions, StoreStatsSnapshot};
 pub use wal::SyncPolicy;

@@ -1,11 +1,13 @@
-//! Crash-point fuzzing of the durable engine: truncate the WAL at
+//! Crash-point fuzzing of the durable engine in its single-writer
+//! configuration (`DurableShardedEngine`, one shard, one submitting
+//! thread — one stream, records in submit order): truncate the WAL at
 //! *every* byte offset — including mid-record — and at randomly flipped
 //! bytes, and assert recovery restores exactly the state after the
 //! longest clean prefix of acknowledged submits.
 
 use coord_store::temp::TempDir;
 use coord_store::testkit::{chain, MiniCodec, MiniQuery, SaturationEvaluator as Saturation};
-use coord_store::{DurabilityOptions, DurableEngine, SyncPolicy};
+use coord_store::{DurabilityOptions, DurableShardedEngine, SyncPolicy};
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::path::Path;
@@ -17,12 +19,23 @@ fn no_snapshots() -> DurabilityOptions {
     }
 }
 
-fn open(dir: &Path) -> DurableEngine<MiniQuery, Saturation, MiniCodec> {
-    DurableEngine::open(dir, Saturation, MiniCodec, no_snapshots()).unwrap()
+type Engine = DurableShardedEngine<MiniQuery, Saturation, MiniCodec>;
+
+fn open(dir: &Path) -> Engine {
+    DurableShardedEngine::open(dir, Saturation, 1, MiniCodec, no_snapshots()).unwrap()
 }
 
-fn pending_names(engine: &DurableEngine<MiniQuery, Saturation, MiniCodec>) -> Vec<String> {
-    let mut names: Vec<String> = engine.pending().map(|q| q.name.clone()).collect();
+fn wal_len(engine: &Engine) -> u64 {
+    engine.wal_stream_lens()[0]
+}
+
+fn pending_names(engine: &Engine) -> Vec<String> {
+    let mut names: Vec<String> = engine
+        .engine()
+        .pending()
+        .into_iter()
+        .map(|q| q.name)
+        .collect();
     names.sort_unstable();
     names
 }
@@ -50,11 +63,11 @@ fn workload(groups: usize, len: usize, complete_every: usize) -> Vec<MiniQuery> 
 /// Drive the engine, recording `(wal_len, pending set)` after every
 /// acknowledged submit. Returns the WAL path and the state timeline.
 fn drive(dir: &Path, arrivals: &[MiniQuery]) -> (std::path::PathBuf, Vec<(u64, Vec<String>)>) {
-    let mut engine = open(dir);
-    let mut timeline = vec![(0, Vec::new()), (engine.wal_len(), Vec::new())];
+    let engine = open(dir);
+    let mut timeline = vec![(0, Vec::new()), (wal_len(&engine), Vec::new())];
     for q in arrivals {
         engine.submit(q.clone()).unwrap();
-        timeline.push((engine.wal_len(), pending_names(&engine)));
+        timeline.push((wal_len(&engine), pending_names(&engine)));
     }
     let wal = std::fs::read_dir(dir)
         .unwrap()
@@ -94,7 +107,7 @@ fn truncation_at_every_byte_recovers_the_exact_prefix() {
             &full[..cut],
         )
         .unwrap();
-        let mut engine = open(crash_dir.path());
+        let engine = open(crash_dir.path());
         assert_eq!(
             pending_names(&engine),
             expected_at(&timeline, cut as u64),
@@ -152,7 +165,7 @@ fn header_damage_means_empty_store_not_a_crash() {
         let crash_dir = TempDir::new("fuzz-header-case");
         std::fs::write(crash_dir.path().join(wal.file_name().unwrap()), &damaged).unwrap();
         let engine = open(crash_dir.path());
-        assert_eq!(engine.pending_count(), 0, "header flip at {pos}");
+        assert_eq!(engine.engine().pending_count(), 0, "header flip at {pos}");
     }
 }
 
@@ -177,7 +190,7 @@ proptest! {
 
         let crash_dir = TempDir::new("fuzz-prop-case");
         std::fs::write(crash_dir.path().join(wal.file_name().unwrap()), &full[..cut]).unwrap();
-        let mut engine = open(crash_dir.path());
+        let engine = open(crash_dir.path());
         let expected = expected_at(&timeline, cut as u64);
         prop_assert_eq!(pending_names(&engine), expected);
         engine.validate_invariants();
@@ -192,12 +205,15 @@ proptest! {
             .count()
             .saturating_sub(2);
         let ref_dir = TempDir::new("fuzz-prop-ref");
-        let mut reference = open(ref_dir.path());
+        let reference = open(ref_dir.path());
         for q in &arrivals[..prefix_submits] {
             reference.submit(q.clone()).unwrap();
         }
         prop_assert_eq!(pending_names(&engine), pending_names(&reference));
-        prop_assert_eq!(engine.component_count(), reference.component_count());
+        prop_assert_eq!(
+            engine.engine().component_count(),
+            reference.engine().component_count()
+        );
         for q in &arrivals[prefix_submits..] {
             let a = engine.submit(q.clone()).unwrap();
             let b = reference.submit(q.clone()).unwrap();
@@ -230,7 +246,7 @@ proptest! {
 
         let survivors;
         {
-            let mut engine = open(crash_dir.path());
+            let engine = open(crash_dir.path());
             prop_assert_eq!(pending_names(&engine), expected_at(&timeline, cut as u64));
             for q in second {
                 engine.submit(q.clone()).unwrap();

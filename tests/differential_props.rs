@@ -11,10 +11,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use social_coordination::core::engine::{
-    CoordinationEngine, Placement, QueryAnswer, RebalanceConfig, RebuildEngine, SharedEngine,
+    CoordinationEngine, Placement, QueryAnswer, RebalanceConfig, SharedEngine,
 };
 use social_coordination::core::graphs::is_safe;
 use social_coordination::core::scc::SccCoordinator;
+use social_coordination::core::testkit::RebuildEngine;
 use social_coordination::core::{ClosureCache, EntangledQuery, QueryBuilder, QuerySet};
 use social_coordination::gen::workloads::{
     fig4_queries, fig5_queries, interleave_arrivals, partner_query, pool_db,

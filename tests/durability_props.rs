@@ -6,10 +6,11 @@
 use proptest::prelude::*;
 use social_coordination::core::engine::CoordinationEngine;
 use social_coordination::core::persist::{
-    DurabilityOptions, DurableCoordinationEngine, DurableSharedEngine, EntangledQueryCodec,
+    DurabilityOptions, DurableSharedEngine, EntangledQueryCodec,
 };
 use social_coordination::core::scc::SccCoordinator;
 use social_coordination::core::EntangledQuery;
+use social_coordination::db::Database;
 use social_coordination::gen::workloads::{interleave_arrivals, partner_query, pool_db};
 use social_coordination::store::temp::TempDir;
 use social_coordination::store::wal::read_wal;
@@ -49,6 +50,23 @@ fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
     }
 }
 
+/// The single-writer durable engine: one shard (hence one WAL stream,
+/// records in submit order) driven from this thread only — the
+/// configuration with strict prefix recovery.
+fn open_single_writer<'a>(
+    db: &'a Database,
+    dir: &std::path::Path,
+    snapshot_every: Option<u64>,
+) -> DurableSharedEngine<'a> {
+    DurableSharedEngine::open_with(db, dir, 1, opts(snapshot_every)).unwrap()
+}
+
+/// End offset of the single WAL stream after the last acknowledged
+/// submit.
+fn wal_len(engine: &DurableSharedEngine<'_>) -> u64 {
+    engine.wal_stream_lens()[0]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -78,9 +96,7 @@ proptest! {
         let mut live = CoordinationEngine::new(&db);
         // Durable engine: submit a prefix, then "crash" (drop).
         {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(snapshot_every))
-                    .unwrap();
+            let durable = open_single_writer(&db, dir.path(), snapshot_every);
             for q in &arrivals[..crash_at] {
                 durable.submit(q.clone()).unwrap();
                 live.submit(q.clone()).unwrap();
@@ -88,13 +104,12 @@ proptest! {
         }
 
         let delivered_before_crash = live.delivered();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(snapshot_every)).unwrap();
+        let recovered = open_single_writer(&db, dir.path(), snapshot_every);
         if snapshot_every.is_some() && crash_at as u64 >= snapshot_every.unwrap() {
             prop_assert!(recovered.recovery_report().had_snapshot);
         }
         prop_assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(live.pending().iter().copied()),
             "recovered pending set diverged at crash point {}", crash_at
         );
@@ -119,14 +134,12 @@ proptest! {
             live.delivered() - delivered_before_crash
         );
         prop_assert_eq!(
-            sorted_names(recovered.pending()),
+            sorted_names(&recovered.pending()),
             sorted_names(live.pending().iter().copied())
         );
 
         // Fresh batch cross-check: recovery left nothing coordinatable.
-        let pending: Vec<EntangledQuery> =
-            recovered.pending().into_iter().cloned().collect();
-        let batch = SccCoordinator::new(&db).run(&pending).unwrap();
+        let batch = SccCoordinator::new(&db).run(&recovered.pending()).unwrap();
         prop_assert!(batch.best().is_none());
     }
 
@@ -151,14 +164,13 @@ proptest! {
         // Drive, recording (wal end, pending set) after every ack.
         let mut timeline: Vec<(u64, Vec<String>)> = vec![(0, Vec::new())];
         {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
-            timeline.push((durable.wal_len(), Vec::new()));
+            let durable = open_single_writer(&db, dir.path(), None);
+            timeline.push((wal_len(&durable), Vec::new()));
             for q in &arrivals {
                 durable.submit(q.clone()).unwrap();
                 timeline.push((
-                    durable.wal_len(),
-                    sorted_names(durable.pending().iter().copied()),
+                    wal_len(&durable),
+                    sorted_names(&durable.pending()),
                 ));
             }
         }
@@ -176,8 +188,7 @@ proptest! {
 
         let crash_dir = TempDir::new("durability-cut-case");
         std::fs::write(crash_dir.path().join(wal.file_name().unwrap()), &full[..cut]).unwrap();
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, crash_dir.path(), opts(None)).unwrap();
+        let recovered = open_single_writer(&db, crash_dir.path(), None);
         let expected = &timeline
             .iter()
             .rev()
@@ -185,7 +196,7 @@ proptest! {
             .unwrap()
             .1;
         prop_assert_eq!(
-            &sorted_names(recovered.pending().iter().copied()),
+            &sorted_names(&recovered.pending()),
             expected,
             "cut at byte {} of {}", cut, full.len()
         );
@@ -193,9 +204,8 @@ proptest! {
         // The truncated store remains appendable and durable.
         recovered.submit(partner_query(999, &[998])).unwrap();
         drop(recovered);
-        let reopened =
-            DurableCoordinationEngine::open_with(&db, crash_dir.path(), opts(None)).unwrap();
-        prop_assert!(sorted_names(reopened.pending().iter().copied())
+        let reopened = open_single_writer(&db, crash_dir.path(), None);
+        prop_assert!(sorted_names(&reopened.pending())
             .contains(&"q999".to_string()));
     }
 
@@ -220,8 +230,7 @@ proptest! {
         let dir = TempDir::new("memo-crash-window");
 
         let (wal_before, original) = {
-            let mut durable =
-                DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+            let durable = open_single_writer(&db, dir.path(), None);
             for q in &chain[..size - 1] {
                 prop_assert!(!durable.submit(q.clone()).unwrap().coordinated());
             }
@@ -230,7 +239,7 @@ proptest! {
             for p in 0..probe {
                 durable.submit(partner_query(500 + p, &[600 + p])).unwrap();
             }
-            let wal_before = durable.wal_len();
+            let wal_before = wal_len(&durable);
             let r = durable.submit(keystone.clone()).unwrap();
             prop_assert!(r.coordinated());
             let mut answers = r.answers;
@@ -255,8 +264,7 @@ proptest! {
 
         // Recover (fresh engine, fresh memo state): the whole chain is
         // pending again, as if the keystone had never arrived.
-        let mut recovered =
-            DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let recovered = open_single_writer(&db, dir.path(), None);
         recovered.validate_invariants();
         let mut expected: Vec<String> = sorted_names(chain[..size - 1].iter());
         for p in 0..probe {
@@ -264,7 +272,7 @@ proptest! {
         }
         expected.sort_unstable();
         prop_assert_eq!(
-            sorted_names(recovered.pending().iter().copied()),
+            sorted_names(&recovered.pending()),
             expected,
             "recovery must replay exactly the pre-keystone pending set"
         );
@@ -461,7 +469,7 @@ fn crash_between_snapshot_and_new_wals_recovers() {
     let db = pool_db(POOL);
     let dir = TempDir::new("durable-rotation-crash");
     {
-        let mut engine = DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+        let engine = open_single_writer(&db, dir.path(), None);
         for q in group(0, 4, false).into_iter().take(3) {
             engine.submit(q).unwrap();
         }
@@ -477,7 +485,7 @@ fn crash_between_snapshot_and_new_wals_recovers() {
             std::fs::remove_file(p).unwrap();
         }
     }
-    let engine = DurableCoordinationEngine::open_with(&db, dir.path(), opts(None)).unwrap();
+    let engine = open_single_writer(&db, dir.path(), None);
     assert!(engine.recovery_report().had_snapshot);
     assert_eq!(engine.pending().len(), 3);
 }

@@ -1,10 +1,9 @@
 //! Request-scoped tracing acceptance tests: trace-id propagation from a
 //! submit through every layer it touches (evaluation, migrations, WAL
-//! append/sync), fresh ids for rebalance passes and batch-submitted
-//! queries, orphaned-end accounting when the ring overwrites a span's
-//! begin, the slow-query flight recorder's retention guarantee, and the
-//! books-balance property — per-phase nanos never exceed the root
-//! span's wall nanos.
+//! append/sync), fresh ids for rebalance passes, orphaned-end
+//! accounting when the ring overwrites a span's begin, the slow-query
+//! flight recorder's retention guarantee, and the books-balance
+//! property — per-phase nanos never exceed the root span's wall nanos.
 
 use proptest::prelude::*;
 use social_coordination::core::engine::{Placement, RebalanceConfig, SharedEngine};
@@ -160,38 +159,6 @@ fn rebalance_pass_and_its_migrations_share_one_fresh_id() {
         moved_under_pass > 0,
         "the pass's migrations must carry the pass's trace id"
     );
-}
-
-/// The batch fast path holds each shard's lock once for the whole
-/// wave — but each query in the wave is still its own request, with
-/// its own trace id.
-#[test]
-fn batch_fast_path_gives_each_query_its_own_id() {
-    let db = pool_db(2_000);
-    let obs = Registry::new();
-    let engine = SharedEngine::with_obs(
-        &db,
-        4,
-        Placement::default(),
-        RebalanceConfig::default(),
-        obs.clone(),
-    );
-    const WAVE: usize = 8;
-    let wave: Vec<_> = (0..WAVE)
-        .map(|i| partner_query(10 * i, &[10 * i + 1]))
-        .collect();
-    for r in engine.submit_batch(wave) {
-        assert!(!r.unwrap().coordinated());
-    }
-    assert!(engine.metrics().batches >= 1, "fast path was not taken");
-
-    let (events, dropped) = obs.tracer().events();
-    assert_eq!(dropped, 0);
-    let ids = begin_ids(&events, "submit");
-    assert_eq!(ids.len(), WAVE, "one submit span per batched query");
-    assert!(!ids.contains(&0));
-    let distinct: BTreeSet<u64> = ids.iter().copied().collect();
-    assert_eq!(distinct.len(), WAVE, "batched queries must not share ids");
 }
 
 /// Ring-overflow regression: when a long span's begin is overwritten,

@@ -6,13 +6,13 @@
 //!
 //! * the Consistent algorithm's per-value sweep (each option value is
 //!   checked independently), and
-//! * the SCC algorithm's condensation sweep (independent components of
-//!   a reverse-topological wavefront are evaluated concurrently) —
-//!   asserted equal to the sequential outcome while measuring.
+//! * the SCC algorithm's condensation sweep (weakly connected groups of
+//!   the condensation are swept concurrently) — asserted equal to the
+//!   sequential outcome while measuring.
 
 use coord_core::consistent::ConsistentCoordinator;
 use coord_core::scc::SccCoordinator;
-use coord_gen::workloads::{fig7_instance, partner_query, pool_db};
+use coord_gen::workloads::{fig7_instance, forest_queries, pool_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_parallel_sweep(c: &mut Criterion) {
@@ -44,33 +44,11 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// A forest of `chains` independent list-structured chains of length
-/// `len`: within each chain query i requires query i+1, and the chains
-/// share nothing. The condensation is `chains` disjoint paths, so every
-/// reverse-topological wavefront holds `chains` independent components —
-/// the shape the wavefront-parallel sweep exists for. (A single list is
-/// the *worst* case: its condensation is one chain, waves of width 1.)
-fn forest_queries(chains: usize, len: usize) -> Vec<coord_core::EntangledQuery> {
-    (0..chains)
-        .flat_map(|ch| {
-            let base = ch * len;
-            (0..len).map(move |i| {
-                let partners: Vec<usize> = if i + 1 < len {
-                    vec![base + i + 1]
-                } else {
-                    vec![]
-                };
-                partner_query(base + i, &partners)
-            })
-        })
-        .collect()
-}
-
 fn bench_scc_parallel_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_scc_parallel_sweep");
     group.sample_size(5);
-    // 8 independent chains of 40: waves of width 8, with nontrivial
-    // suffix-closure work per component.
+    // 8 independent chains of 40: 8 weakly connected groups, with
+    // nontrivial suffix-closure work per component.
     let db = pool_db(1_000);
     let queries = forest_queries(8, 40);
     let coordinator = SccCoordinator::new(&db);

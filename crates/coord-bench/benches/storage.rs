@@ -1,73 +1,31 @@
 //! Storage backends: flat per-submit coordination cost under composite
 //! indexes (the PR 8 tentpole gate).
 //!
-//! Workload: the Figure 4 list chain over a Slashdot-scale activity
-//! table `A(id, topic, day)` whose topic pool and day range both have
-//! ≈√N values — each query body pins a (topic, day) pair, so a
-//! single-column index bucket holds ≈√N rows while the composite
-//! (topic, day) bucket holds exactly one. Cost is measured in database
-//! **probe work** (rows scanned + ground membership probes — the
-//! `QueryStats` counters), not wall clock: the CI runner has one CPU
-//! and counters are deterministic.
-//!
-//! The bench *asserts the storage analysis while it measures*:
-//!
-//! * **flat cost**: with composite indexes active (advised by
-//!   `preprocess`, the same wiring the batch coordinator uses),
-//!   per-submit probe work grows ≤ 2× while the table grows 100×
-//!   (10⁴ → 10⁶ rows);
-//! * **the contrast is real**: the plain row store's per-submit work
-//!   grows ≥ 3× over the same span (≈√100 = 10× expected);
-//! * **results stay identical**: every backend's submit-by-submit
-//!   answers are byte-identical.
+//! Workload, cost metric and gates live in [`coord_bench::storage`]
+//! (shared with `reproduce --only storage`): composite per-submit probe
+//! work grows ≤ 2× while the table grows 100× (10⁴ → 10⁶ rows), the row
+//! store's grows ≥ 3×, and the submit-by-submit answers are
+//! byte-identical. This target adds the wall-clock timing of one chain
+//! run per backend at the small size.
 
-use coord_core::engine::{CoordinationEngine, QueryAnswer};
-use coord_core::scc::preprocess;
-use coord_core::EntangledQuery;
-use coord_db::{BackendKind, Database, Symbol};
-use coord_gen::workloads::{activity_chain_queries, activity_db, ACTIVITY_TABLE};
+use coord_bench::storage::{drive, growth, probe_work_sweep, sizes, CHAIN};
+use coord_db::BackendKind;
+use coord_gen::workloads::{activity_chain_queries, activity_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-/// Chain length: 60 queries, matching the paper's Figure 4 midpoint.
-const CHAIN: usize = 60;
-
-/// Table sizes for the flat-cost gate: 100× growth up to 10⁶ rows.
-const SMALL: usize = 10_000;
-const LARGE: usize = 1_000_000;
-
-/// Drive the activity chain through the online engine and return
-/// (per-submit probe work, submit-by-submit answer transcript).
-fn drive(db: &Database, queries: &[EntangledQuery]) -> (f64, Vec<Vec<QueryAnswer>>) {
-    // Advise composite patterns exactly as batch coordination does; the
-    // row and columnar backends ignore the hint.
-    preprocess(db, queries).expect("workload preprocesses");
-    db.stats().reset();
-    let mut engine = CoordinationEngine::new(db);
-    let mut transcript = Vec::new();
-    for q in queries {
-        transcript.push(engine.submit(q.clone()).unwrap().answers);
-    }
-    assert_eq!(engine.pending().len(), 0, "chain must fully coordinate");
-    let per_submit = db.stats().probe_work() as f64 / queries.len() as f64;
-    (per_submit, transcript)
-}
 
 fn bench_storage(c: &mut Criterion) {
     let quick = std::env::args().any(|a| a == "--quick");
-    let sizes: &[usize] = if quick {
-        &[SMALL, LARGE]
-    } else {
-        &[SMALL, 100_000, LARGE]
-    };
+    let sizes = sizes(quick);
+    let small = sizes[0];
 
     // ── Criterion timing: chain run per backend at the small size ────
     let mut group = c.benchmark_group("storage");
     group.sample_size(if quick { 2 } else { 3 });
     for kind in BackendKind::ALL {
-        let db = activity_db(SMALL, kind);
-        let queries = activity_chain_queries(CHAIN, SMALL);
+        let db = activity_db(small, kind);
+        let queries = activity_chain_queries(CHAIN, small);
         group.bench_with_input(
-            BenchmarkId::new(kind.name(), SMALL),
+            BenchmarkId::new(kind.name(), small),
             &queries,
             |b, queries| b.iter(|| drive(&db, queries)),
         );
@@ -75,68 +33,15 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
 
     // ── Assert-while-measuring: the flat-cost gate ───────────────────
-    //
-    // One backend in memory at a time: a 10⁶-row table with per-column
-    // hash indexes is the dominant allocation of the run.
-    let mut work: Vec<(BackendKind, Vec<f64>)> = Vec::new();
-    let mut transcripts: Option<Vec<Vec<Vec<QueryAnswer>>>> = None;
-    for kind in BackendKind::ALL {
-        let mut per_size = Vec::new();
-        let mut per_size_transcripts = Vec::new();
-        for &rows in sizes {
-            let db = activity_db(rows, kind);
-            let queries = activity_chain_queries(CHAIN, rows);
-            let (per_submit, transcript) = drive(&db, &queries);
-            if kind == BackendKind::Composite {
-                let patterns = db
-                    .table(&Symbol::new(ACTIVITY_TABLE))
-                    .unwrap()
-                    .storage()
-                    .composite_patterns();
-                assert!(
-                    patterns.contains(&vec![1, 2]),
-                    "preprocess must advise the (topic, day) composite index, got {patterns:?}"
-                );
-            }
-            per_size.push(per_submit);
-            per_size_transcripts.push(transcript);
-        }
-        // Answers are backend-independent, submit by submit.
-        match &transcripts {
-            None => transcripts = Some(per_size_transcripts),
-            Some(reference) => assert_eq!(
-                reference,
-                &per_size_transcripts,
-                "{} answers diverged from the row store",
-                kind.name()
-            ),
-        }
-        work.push((kind, per_size));
-    }
-
-    for (kind, per_size) in &work {
-        let (first, last) = (per_size[0], per_size[per_size.len() - 1]);
-        let growth = last / first.max(1.0);
+    for (kind, per_size) in probe_work_sweep(sizes) {
         println!(
             "storage/analysis/{}: per-submit probe work {:?} over table sizes {:?} \
-             (growth {growth:.2}× across 100× rows)",
+             (growth {:.2}× across 100× rows)",
             kind.name(),
             per_size.iter().map(|w| *w as u64).collect::<Vec<_>>(),
             sizes,
+            growth(&per_size),
         );
-        match kind {
-            BackendKind::Composite => assert!(
-                growth <= 2.0,
-                "composite per-submit probe work grew {growth:.2}× (> 2×) \
-                 across a 100× table: {first:.0} → {last:.0}"
-            ),
-            BackendKind::Row => assert!(
-                growth >= 3.0,
-                "row-store per-submit probe work grew only {growth:.2}×; \
-                 the workload no longer stresses single-column buckets"
-            ),
-            BackendKind::Columnar => {}
-        }
     }
 }
 

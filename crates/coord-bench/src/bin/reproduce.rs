@@ -15,18 +15,17 @@
 //! `BENCH_observability.json`, `BENCH_trace.json`, and
 //! `BENCH_storage.json` trajectory artifacts.
 
-use coord_bench::{drive_phase1, measure, series_to_json, Series};
+use coord_bench::{drive_phase1, measure, series_to_json, storage, Series};
 use coord_core::bruteforce;
 use coord_core::consistent::ConsistentCoordinator;
-use coord_core::engine::{CoordinationEngine, Placement, RebalanceConfig, SharedEngine};
+use coord_core::engine::{Placement, RebalanceConfig, SharedEngine};
 use coord_core::persist::DurableSharedEngine;
 use coord_core::scc::{preprocess, SccCoordinator};
 use coord_core::ClosureCache;
-use coord_db::BackendKind;
 use coord_gen::social::SLASHDOT_ROWS;
 use coord_gen::workloads::{
-    activity_chain_queries, activity_db, fig4_queries, fig5_queries, fig7_instance, fig8_instance,
-    pool_db, unsat_cycle_with_spokes, zipf_chain_workload,
+    fig4_queries, fig5_queries, fig7_instance, fig8_instance, pool_db, unsat_cycle_with_spokes,
+    zipf_chain_workload,
 };
 use coord_sat::{dpll_solve, random_3sat, reduction1};
 use coord_store::temp::TempDir;
@@ -667,52 +666,24 @@ fn trace(quick: bool, report: &mut Report) {
 /// Extra experiment (storage backends): per-submit database probe work
 /// (rows scanned + ground membership probes) on the 60-query activity
 /// chain as the table grows 100× to 10⁶ rows, one series per backend.
-/// Counter-based (deterministic on a 1-CPU runner), asserted while
-/// measuring — the composite backend must stay flat (≤ 2×) where
+/// Counter-based (deterministic on a 1-CPU runner) and gated by
+/// [`coord_bench::storage::probe_work_sweep`] exactly as the `storage`
+/// bench is — the composite backend must stay flat (≤ 2×) where
 /// single-column indexing pays √N — and emitted as the CI
 /// `BENCH_storage.json` trajectory artifact.
 fn storage(quick: bool, report: &mut Report) {
-    const CHAIN: usize = 60;
-    let sizes: &[usize] = if quick {
-        &[10_000, 1_000_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
+    let sizes = storage::sizes(quick);
     let mut growths = Vec::new();
-    for kind in BackendKind::ALL {
+    for (kind, per_size) in storage::probe_work_sweep(sizes) {
         let mut series = Series::new(format!(
-            "Storage — per-submit probe work, {} backend ({CHAIN}-query activity chain)",
-            kind.name()
+            "Storage — per-submit probe work, {} backend ({}-query activity chain)",
+            kind.name(),
+            storage::CHAIN
         ));
-        let mut per_size = Vec::new();
-        for &rows in sizes {
-            // One backend × size in memory at a time: the 10⁶-row table
-            // with its per-column hash indexes dominates the run's
-            // footprint.
-            let db = activity_db(rows, kind);
-            let queries = activity_chain_queries(CHAIN, rows);
-            // Advise composite patterns exactly as batch coordination
-            // does; the other backends ignore the hint.
-            preprocess(&db, &queries).unwrap();
-            db.stats().reset();
-            let mut engine = CoordinationEngine::new(&db);
-            for q in queries {
-                engine.submit(q).unwrap();
-            }
-            assert_eq!(engine.pending().len(), 0, "chain must fully coordinate");
-            let per_submit = db.stats().probe_work() as f64 / CHAIN as f64;
+        for (&rows, &per_submit) in sizes.iter().zip(&per_size) {
             series.push(rows as u64, per_submit, 1);
-            per_size.push(per_submit);
         }
-        let growth = per_size[per_size.len() - 1] / per_size[0].max(1.0);
-        if kind == BackendKind::Composite {
-            // The same flat-cost gate the `storage` bench asserts.
-            assert!(
-                growth <= 2.0,
-                "composite per-submit probe work grew {growth:.2}× across a 100× table"
-            );
-        }
-        growths.push((kind.name(), growth));
+        growths.push((kind.name(), storage::growth(&per_size)));
         report.add(series);
     }
     report.note(format_args!(

@@ -8,6 +8,7 @@
 
 pub mod harness;
 pub mod skew;
+pub mod storage;
 
 pub use harness::{measure, series_to_json, MeasuredPoint, Series};
 pub use skew::{drive_phase1, SkewRun};

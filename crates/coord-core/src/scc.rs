@@ -113,9 +113,6 @@ pub struct Preprocessed {
     pub unify_calls: u64,
 }
 
-/// Run validation, the safety check, preprocessing and graph construction
-/// (steps 1–2 of the algorithm; no database queries are issued beyond
-/// schema validation).
 /// Check safety (Definition 2), reporting the first violation as the
 /// error the coordination algorithms raise.
 fn check_safety(qs: &QuerySet, counter: &mut UnifyCounter) -> Result<(), CoordError> {
@@ -129,6 +126,9 @@ fn check_safety(qs: &QuerySet, counter: &mut UnifyCounter) -> Result<(), CoordEr
     Ok(())
 }
 
+/// Run validation, the safety check, preprocessing and graph construction
+/// (steps 1–2 of the algorithm; no database queries are issued beyond
+/// schema validation).
 pub fn preprocess(db: &Database, queries: &[EntangledQuery]) -> Result<Preprocessed, CoordError> {
     let qs = QuerySet::new(queries.to_vec());
     qs.validate(db)?;
@@ -368,18 +368,14 @@ impl<'a> SccCoordinator<'a> {
     /// Run the full algorithm with the condensation-DAG sweep
     /// parallelized over `threads` workers (the "parallel processes"
     /// future work of Section 6.2, applied to the SCC algorithm).
-    /// Independence comes at two granularities, both via
-    /// `std::thread::scope` (mirroring the Consistent algorithm's
-    /// chunked value sweep):
-    ///
-    /// * **weakly connected groups** of the condensation share nothing
-    ///   at all — each worker sweeps whole groups sequentially, so a
-    ///   forest of independent chains parallelizes with one thread
-    ///   spawn per worker;
-    /// * within a single connected group, components are layered into
-    ///   reverse-topological *wavefronts* (components in the same wave
-    ///   share no edges); a wave wide enough to amortize the spawn is
-    ///   evaluated concurrently, narrow waves run inline.
+    /// **Weakly connected groups** of the condensation share nothing at
+    /// all, so each `std::thread::scope` worker sweeps whole groups
+    /// sequentially: a forest of independent chains parallelizes with
+    /// one thread spawn per worker. A condensation that is one connected
+    /// group runs the sequential sweep: its components wait on one
+    /// another, and on the committed one-group workloads (list,
+    /// scale-free) splitting them across threads costs more than
+    /// [`SccCoordinator::run`] does.
     ///
     /// The outcome is identical to [`SccCoordinator::run`]: the same
     /// candidate sets in the same order, the same groundings and the
@@ -402,7 +398,7 @@ impl<'a> SccCoordinator<'a> {
         self.run_preprocessed_parallel(pre, threads)
     }
 
-    /// [`SccCoordinator::run_preprocessed`] with the wavefront-parallel
+    /// [`SccCoordinator::run_preprocessed`] with the group-parallel
     /// component sweep of [`SccCoordinator::run_parallel`].
     pub fn run_preprocessed_parallel(
         &self,
@@ -470,21 +466,20 @@ impl<'a> SccCoordinator<'a> {
         // ids are in reverse topological order, so walking them in
         // ascending order always finds successors already evaluated.
         let mut state = SweepState::new(n_comp);
-        if threads == 1 {
+        // Weakly connected groups of the condensation are fully
+        // independent; one spawn per worker covers the common
+        // many-component case. A lone group has nothing to split.
+        let groups = if threads > 1 {
+            weak_groups(&cond)
+        } else {
+            Vec::new()
+        };
+        if groups.len() > 1 {
+            sweep_groups(&ctx, groups, threads, &mut state)?;
+        } else {
             for c in 0..n_comp {
                 let ev = eval_component(&ctx, &state.failed, &state.closures, &state.memos, c)?;
                 state.commit(c, ev);
-            }
-        } else {
-            // Weakly connected groups of the condensation are fully
-            // independent; one spawn per worker covers the common
-            // many-component case. A lone group falls back to the
-            // wavefront sweep.
-            let groups = weak_groups(&cond);
-            if groups.len() > 1 {
-                sweep_groups(&ctx, groups, threads, &mut state)?;
-            } else {
-                sweep_wavefronts(&ctx, threads, &mut state)?;
             }
         }
 
@@ -691,76 +686,6 @@ fn sweep_groups(
     Ok(())
 }
 
-/// Sweep one connected condensation group in reverse-topological
-/// wavefronts: wave 0 holds the sinks, wave `l` the components whose
-/// longest successor chain has length `l`. Every edge leaves a higher
-/// wave for a strictly lower one, so components within a wave are
-/// pairwise independent; waves wide enough to amortize a thread spawn
-/// run concurrently, narrow waves run inline.
-fn sweep_wavefronts(
-    ctx: &SweepCtx<'_>,
-    threads: usize,
-    state: &mut SweepState,
-) -> Result<(), CoordError> {
-    let n_comp = ctx.cond.len();
-    let mut level = vec![0usize; n_comp];
-    let mut max_level = 0usize;
-    for c in 0..n_comp {
-        // Component ids are in reverse topological order, so every
-        // successor's level is already final.
-        let mut l = 0usize;
-        for succ in ctx.cond.dag.successors(NodeId(c)) {
-            l = l.max(level[succ.index()] + 1);
-        }
-        level[c] = l;
-        max_level = max_level.max(l);
-    }
-    let mut waves: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-    for (c, &l) in level.iter().enumerate() {
-        waves[l].push(c);
-    }
-
-    for wave in &waves {
-        let results: Vec<(usize, Result<ComponentEval, CoordError>)> = if wave.len() < 2 {
-            wave.iter()
-                .map(|&c| {
-                    (
-                        c,
-                        eval_component(ctx, &state.failed, &state.closures, &state.memos, c),
-                    )
-                })
-                .collect()
-        } else {
-            // Chunk the wave across scoped threads sharing the read-only
-            // state of earlier waves (cf. `consistent.rs`'s value sweep).
-            // Memos are shared read-only too: the delta join clones a
-            // successor memo before extending it.
-            std::thread::scope(|scope| {
-                let chunk = wave.len().div_ceil(threads);
-                let mut handles = Vec::new();
-                for ch in wave.chunks(chunk.max(1)) {
-                    let (failed, closures, memos) = (&state.failed, &state.closures, &state.memos);
-                    handles.push(scope.spawn(move || {
-                        ch.iter()
-                            .map(|&c| (c, eval_component(ctx, failed, closures, memos, c)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("component worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Commit the wave in component-id order (wave lists ascend).
-        for (c, result) in results {
-            state.commit(c, result?);
-        }
-    }
-    Ok(())
-}
-
 /// What evaluating one component produced. Exactly one of `failed` /
 /// `found` describes the verdict; `closure` is empty on failure so
 /// predecessors merging it see the same sets the sequential sweep built.
@@ -779,8 +704,8 @@ struct ComponentEval {
 /// closures, unify the closure's postconditions with their unique heads,
 /// and ground the combined body with one conjunctive query. Reads only
 /// already-evaluated successor state (`failed` / `closures` / `memos`),
-/// so the sequential sweep and both parallel sweeps share it verbatim —
-/// which is what keeps their per-closure candidates and stats identical.
+/// so the sequential sweep and the group-parallel sweep share it verbatim
+/// — which is what keeps their per-closure candidates and stats identical.
 ///
 /// Under the default [`Evaluation::Differential`] mode the closure is
 /// built as a delta join against the successors' memos (falling back to

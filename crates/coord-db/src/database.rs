@@ -31,8 +31,8 @@ pub struct Database {
     tables: HashMap<Symbol, Table>,
     /// Relation names in creation order (stable iteration for tests/demos).
     order: Vec<Symbol>,
-    /// Backend for tables created without an explicit kind.
-    default_backend: BackendKind,
+    /// Backend every table of this database is created on.
+    backend: BackendKind,
     stats: QueryStats,
 }
 
@@ -46,14 +46,9 @@ impl Database {
     /// backend.
     pub fn with_backend(kind: BackendKind) -> Self {
         Database {
-            default_backend: kind,
+            backend: kind,
             ..Database::default()
         }
-    }
-
-    /// The backend newly created tables use.
-    pub fn default_backend(&self) -> BackendKind {
-        self.default_backend
     }
 
     /// Create a table with the given relation name and attribute names.
@@ -65,21 +60,7 @@ impl Database {
 
     /// Create a table from a pre-built schema.
     pub fn create_table_with_schema(&mut self, schema: RelationSchema) -> Result<(), DbError> {
-        let kind = self.default_backend;
-        self.add_table(Table::with_backend(schema, kind))
-    }
-
-    /// Create a table on an explicit storage backend (overriding the
-    /// database default).
-    pub fn create_table_with_backend(
-        &mut self,
-        name: impl Into<Symbol>,
-        attrs: &[&str],
-        kind: BackendKind,
-    ) -> Result<(), DbError> {
-        let name = name.into();
-        let schema = RelationSchema::new(name.clone(), attrs.iter().copied())?;
-        self.add_table(Table::with_backend(schema, kind))
+        self.add_table(Table::with_backend(schema, self.backend))
     }
 
     fn add_table(&mut self, table: Table) -> Result<(), DbError> {
@@ -349,8 +330,8 @@ mod tests {
     }
 
     /// A row store that counts `estimate()` calls, installed through
-    /// `Backend::Custom`.
-    #[derive(Clone, Debug)]
+    /// [`Table::with_storage`].
+    #[derive(Debug)]
     struct CountingStore {
         inner: RowStore,
         estimates: Arc<AtomicUsize>,
@@ -381,9 +362,6 @@ mod tests {
         }
         fn distinct_count(&self, col: usize) -> usize {
             self.inner.distinct_count(col)
-        }
-        fn boxed_clone(&self) -> Box<dyn Storage> {
-            Box::new(self.clone())
         }
     }
 

@@ -8,7 +8,7 @@
 //! test — no rows are walked. Everything else is served through
 //! [`crate::Table::scan`], which lets the selected
 //! [`crate::storage::Storage`] backend pick its best access path
-//! (single-column bucket, composite index, or sorted range).
+//! (single-column bucket or composite index).
 //!
 //! The join is *compiled once per query* (`Join::compile`): one pass
 //! validates each atom and resolves its `&Table`, variables are numbered

@@ -11,10 +11,10 @@
 //!
 //! * a simple value model ([`Value`]: integers and interned strings),
 //! * named relations ([`Table`]) over pluggable [`Storage`] backends:
-//!   the per-column-hash [`storage::RowStore`], the adaptive
-//!   composite-index [`storage::CompositeStore`], and the sorted
-//!   [`storage::ColumnarStore`] — byte-identical answers, different
-//!   probe work (see [`storage`]'s determinism contract),
+//!   the per-column-hash [`storage::RowStore`] and the
+//!   composite-index [`storage::CompositeStore`] — byte-identical
+//!   answers, different probe work (see [`storage`]'s determinism
+//!   contract),
 //! * conjunctive queries ([`ConjunctiveQuery`]) over variables and
 //!   constants, evaluated by a backtracking join with greedy atom ordering
 //!   ([`eval`]),
@@ -62,7 +62,7 @@ pub use eval::Assignment;
 pub use query::{Atom, ConjunctiveQuery, Term, Var};
 pub use schema::RelationSchema;
 pub use stats::QueryStats;
-pub use storage::{AccessPath, Backend, BackendKind, Scan, Storage};
+pub use storage::{AccessPath, BackendKind, Scan, Storage};
 pub use symbol::Symbol;
 pub use table::Table;
 pub use tuple::Tuple;

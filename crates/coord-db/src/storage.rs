@@ -1,20 +1,21 @@
 //! Pluggable tuple storage: the [`Storage`] trait and its backends.
 //!
-//! [`crate::Table`] delegates all physical data access to a [`Storage`]
-//! implementation, so the evaluator and every engine above it are
-//! agnostic to the representation. Three backends ship in-tree:
+//! [`crate::Table`] holds a `Box<dyn Storage>` and delegates all
+//! physical data access to it, so the evaluator and every engine above
+//! it are agnostic to the representation. Two backends ship in-tree:
 //!
 //! * [`RowStore`] — the original row store with one hash index per
 //!   column (insertion-ordered `Vec<Tuple>` + `indexes[c][v]` buckets).
-//! * [`CompositeStore`] — a [`RowStore`] plus adaptive *multi-column*
-//!   hash indexes: it observes which bound-column sets the workload
-//!   probes (or is told explicitly via [`Storage::ensure_index`], wired
-//!   from the engines' body-pattern analysis) and materializes an exact
-//!   bucket per value combination, collapsing a `min(bucket)` scan into
-//!   a point lookup.
-//! * [`ColumnarStore`] — column-major storage with lazily rebuilt
-//!   sorted permutations per column, serving equality scans by binary
-//!   search and true range scans ([`Storage::scan_range`]).
+//! * [`CompositeStore`] — a [`RowStore`] plus *multi-column* hash
+//!   indexes with an exact bucket per value combination, collapsing a
+//!   `min(bucket)` scan into a point lookup. An index is built either
+//!   when the batch path advises its pattern up front
+//!   ([`Storage::ensure_index`], called by `coord_core::scc::preprocess`)
+//!   or adaptively, once the pattern has been probed
+//!   [`COMPOSITE_BUILD_THRESHOLD`] times. The adaptive path is not
+//!   redundant with the advice: the online engine evaluates components
+//!   of at most six queries on a fast path that never runs `preprocess`,
+//!   so there sighting-counting is the only thing that ever builds one.
 //!
 //! ## The determinism contract
 //!
@@ -54,8 +55,6 @@ pub enum AccessPath {
     ColumnIndex(usize),
     /// Exact multi-column hash bucket.
     CompositeIndex,
-    /// Binary-searched run of a sorted column permutation.
-    SortedRange(usize),
 }
 
 impl AccessPath {
@@ -114,9 +113,10 @@ impl Iterator for Scan<'_> {
     }
 }
 
-/// Physical storage for one relation. Object-safe so custom backends
-/// can plug in at runtime ([`Backend::Custom`]); see the module docs
-/// for the determinism contract every implementation must uphold.
+/// Physical storage for one relation. Object-safe: a [`crate::Table`]
+/// holds it boxed, so out-of-tree backends and test fakes plug in
+/// through [`crate::Table::with_storage`]; see the module docs for the
+/// determinism contract every implementation must uphold.
 pub trait Storage: fmt::Debug + Send + Sync {
     /// Number of (distinct) rows.
     fn len(&self) -> usize;
@@ -151,20 +151,6 @@ pub trait Storage: fmt::Debug + Send + Sync {
     /// backends — see the determinism contract.
     fn estimate(&self, bound: &[(usize, Value)]) -> usize;
 
-    /// Rows whose `col` value lies in `[lo, hi]` (inclusive). Candidate
-    /// order is unspecified for range scans. The default is a filtered
-    /// full scan; sorted backends serve it by binary search.
-    fn scan_range<'a>(&'a self, col: usize, lo: &Value, hi: &Value) -> Scan<'a> {
-        let (lo, hi) = (lo.clone(), hi.clone());
-        Scan::new(
-            (0..self.len()).filter(move |&r| {
-                let v = self.cell(r, col);
-                *v >= lo && *v <= hi
-            }),
-            AccessPath::FullScan,
-        )
-    }
-
     /// Number of distinct values in `col`.
     fn distinct_count(&self, col: usize) -> usize;
 
@@ -178,9 +164,6 @@ pub trait Storage: fmt::Debug + Send + Sync {
     fn composite_patterns(&self) -> Vec<Vec<usize>> {
         Vec::new()
     }
-
-    /// Clone into a boxed trait object (for [`Backend::Custom`]).
-    fn boxed_clone(&self) -> Box<dyn Storage>;
 }
 
 // ---------------------------------------------------------------------
@@ -267,10 +250,6 @@ impl Storage for RowStore {
 
     fn distinct_count(&self, col: usize) -> usize {
         self.indexes[col].len()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Storage> {
-        Box::new(self.clone())
     }
 }
 
@@ -360,28 +339,6 @@ impl CompositeStore {
     }
 }
 
-impl Clone for CompositeStore {
-    fn clone(&self) -> Self {
-        let patterns = self
-            .patterns
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| {
-                let state = match v {
-                    PatternState::Counting(n) => PatternState::Counting(*n),
-                    PatternState::Built(map) => PatternState::Built(map.clone()),
-                };
-                (k.clone(), state)
-            })
-            .collect();
-        CompositeStore {
-            base: self.base.clone(),
-            patterns: RwLock::new(patterns),
-        }
-    }
-}
-
 impl Storage for CompositeStore {
     fn len(&self) -> usize {
         self.base.len()
@@ -442,6 +399,15 @@ impl Storage for CompositeStore {
         if cols.len() < 2 || cols.iter().any(|&c| c >= self.arity()) {
             return;
         }
+        // `preprocess` advises every multi-constant body atom of every
+        // batch: an already-built pattern must not cost a write lock.
+        let built = matches!(
+            self.patterns.read().unwrap().get(cols),
+            Some(PatternState::Built(_))
+        );
+        if built {
+            return;
+        }
         let mut guard = self.patterns.write().unwrap();
         let state = guard
             .entry(cols.to_vec())
@@ -463,173 +429,10 @@ impl Storage for CompositeStore {
         out.sort();
         out
     }
-
-    fn boxed_clone(&self) -> Box<dyn Storage> {
-        Box::new(self.clone())
-    }
 }
 
 // ---------------------------------------------------------------------
-// ColumnarStore: column-major values + lazy sorted permutations.
-// ---------------------------------------------------------------------
-
-/// Column-major storage with one lazily (re)built sorted permutation
-/// per column. Equality probes binary-search the permutation; range
-/// probes ([`Storage::scan_range`]) come for free. Permutations are
-/// sorted by `(value, row id)`, so equality runs yield ascending row
-/// ids as the determinism contract requires.
-#[derive(Debug)]
-pub struct ColumnarStore {
-    arity: usize,
-    len: usize,
-    cols: Vec<Vec<Value>>,
-    row_set: HashSet<Tuple>,
-    /// `perms[c]` sorts rows by `(cols[c][r], r)`. Stale (shorter than
-    /// `len`) after inserts; rebuilt on the next probe of that column.
-    perms: RwLock<Vec<Arc<Vec<u32>>>>,
-}
-
-impl ColumnarStore {
-    /// An empty store with `arity` columns.
-    pub fn new(arity: usize) -> Self {
-        ColumnarStore {
-            arity,
-            len: 0,
-            cols: vec![Vec::new(); arity],
-            row_set: HashSet::new(),
-            perms: RwLock::new((0..arity).map(|_| Arc::new(Vec::new())).collect()),
-        }
-    }
-
-    /// The current sorted permutation for `col`, rebuilding if stale.
-    fn perm(&self, col: usize) -> Arc<Vec<u32>> {
-        {
-            let guard = self.perms.read().unwrap();
-            if guard[col].len() == self.len {
-                return guard[col].clone();
-            }
-        }
-        let mut guard = self.perms.write().unwrap();
-        if guard[col].len() != self.len {
-            let column = &self.cols[col];
-            let mut perm: Vec<u32> = (0..self.len as u32).collect();
-            perm.sort_unstable_by(|&a, &b| {
-                column[a as usize].cmp(&column[b as usize]).then(a.cmp(&b))
-            });
-            guard[col] = Arc::new(perm);
-        }
-        guard[col].clone()
-    }
-
-    /// `perm` positions of the run equal to `value` in `col`.
-    fn equal_run(&self, col: usize, value: &Value) -> (Arc<Vec<u32>>, std::ops::Range<usize>) {
-        let perm = self.perm(col);
-        let column = &self.cols[col];
-        let lo = perm.partition_point(|&r| column[r as usize] < *value);
-        let hi = perm.partition_point(|&r| column[r as usize] <= *value);
-        (perm, lo..hi)
-    }
-}
-
-impl Clone for ColumnarStore {
-    fn clone(&self) -> Self {
-        ColumnarStore {
-            arity: self.arity,
-            len: self.len,
-            cols: self.cols.clone(),
-            row_set: self.row_set.clone(),
-            perms: RwLock::new(self.perms.read().unwrap().clone()),
-        }
-    }
-}
-
-impl Storage for ColumnarStore {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn arity(&self) -> usize {
-        self.arity
-    }
-
-    fn insert(&mut self, tuple: Tuple) -> bool {
-        if self.row_set.contains(&tuple) {
-            return false;
-        }
-        for (c, v) in tuple.iter().enumerate() {
-            self.cols[c].push(v.clone());
-        }
-        self.row_set.insert(tuple);
-        self.len += 1;
-        true
-    }
-
-    fn contains(&self, values: &[Value]) -> bool {
-        self.row_set.contains(values)
-    }
-
-    fn cell(&self, row: usize, col: usize) -> &Value {
-        &self.cols[col][row]
-    }
-
-    fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
-        let mut best: Option<(Arc<Vec<u32>>, std::ops::Range<usize>, usize)> = None;
-        for (c, v) in bound {
-            let (perm, run) = self.equal_run(*c, v);
-            if best.as_ref().is_none_or(|(_, r, _)| run.len() < r.len()) {
-                best = Some((perm, run, *c));
-            }
-        }
-        match best {
-            Some((perm, run, c)) => Scan::new(
-                run.map(move |i| perm[i] as usize),
-                AccessPath::SortedRange(c),
-            ),
-            None => Scan::new(0..self.len, AccessPath::FullScan),
-        }
-    }
-
-    fn estimate(&self, bound: &[(usize, Value)]) -> usize {
-        bound
-            .iter()
-            .map(|(c, v)| self.equal_run(*c, v).1.len())
-            .min()
-            .unwrap_or(self.len)
-    }
-
-    fn scan_range<'a>(&'a self, col: usize, lo: &Value, hi: &Value) -> Scan<'a> {
-        let perm = self.perm(col);
-        let column = &self.cols[col];
-        let start = perm.partition_point(|&r| column[r as usize] < *lo);
-        let end = perm.partition_point(|&r| column[r as usize] <= *hi);
-        Scan::new(
-            (start..end).map(move |i| perm[i] as usize),
-            AccessPath::SortedRange(col),
-        )
-    }
-
-    fn distinct_count(&self, col: usize) -> usize {
-        let perm = self.perm(col);
-        let column = &self.cols[col];
-        let mut distinct = 0;
-        let mut prev: Option<&Value> = None;
-        for &r in perm.iter() {
-            let v = &column[r as usize];
-            if prev != Some(v) {
-                distinct += 1;
-                prev = Some(v);
-            }
-        }
-        distinct
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Storage> {
-        Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Backend: the runtime-selectable storage for a table.
+// BackendKind: which in-tree store a table is built on.
 // ---------------------------------------------------------------------
 
 /// Which in-tree backend a [`crate::Database`] builds its tables with.
@@ -640,80 +443,25 @@ pub enum BackendKind {
     Row,
     /// [`CompositeStore`].
     Composite,
-    /// [`ColumnarStore`].
-    Columnar,
 }
 
 impl BackendKind {
     /// All in-tree backends (handy for equivalence sweeps).
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Row,
-        BackendKind::Composite,
-        BackendKind::Columnar,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Row, BackendKind::Composite];
 
     /// Stable lowercase name (bench/series labels).
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Row => "row",
             BackendKind::Composite => "composite",
-            BackendKind::Columnar => "columnar",
-        }
-    }
-}
-
-/// A table's physical storage: one of the in-tree backends, or any
-/// boxed [`Storage`] implementation.
-#[derive(Debug)]
-pub enum Backend {
-    /// Per-column-hash row store.
-    Row(RowStore),
-    /// Row store + adaptive composite indexes.
-    Composite(CompositeStore),
-    /// Sorted columnar store.
-    Columnar(ColumnarStore),
-    /// A custom storage implementation.
-    Custom(Box<dyn Storage>),
-}
-
-impl Backend {
-    /// Build the given in-tree backend for `arity` columns.
-    pub fn of_kind(kind: BackendKind, arity: usize) -> Self {
-        match kind {
-            BackendKind::Row => Backend::Row(RowStore::new(arity)),
-            BackendKind::Composite => Backend::Composite(CompositeStore::new(arity)),
-            BackendKind::Columnar => Backend::Columnar(ColumnarStore::new(arity)),
         }
     }
 
-    /// The underlying storage as a trait object.
-    pub fn store(&self) -> &dyn Storage {
+    /// An empty store of this kind for `arity` columns.
+    pub(crate) fn new_store(self, arity: usize) -> Box<dyn Storage> {
         match self {
-            Backend::Row(s) => s,
-            Backend::Composite(s) => s,
-            Backend::Columnar(s) => s,
-            Backend::Custom(s) => s.as_ref(),
-        }
-    }
-
-    /// The underlying storage, mutably.
-    pub fn store_mut(&mut self) -> &mut dyn Storage {
-        match self {
-            Backend::Row(s) => s,
-            Backend::Composite(s) => s,
-            Backend::Columnar(s) => s,
-            Backend::Custom(s) => s.as_mut(),
-        }
-    }
-}
-
-impl Clone for Backend {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Row(s) => Backend::Row(s.clone()),
-            Backend::Composite(s) => Backend::Composite(s.clone()),
-            Backend::Columnar(s) => Backend::Columnar(s.clone()),
-            Backend::Custom(s) => Backend::Custom(s.boxed_clone()),
+            BackendKind::Row => Box::new(RowStore::new(arity)),
+            BackendKind::Composite => Box::new(CompositeStore::new(arity)),
         }
     }
 }
@@ -731,10 +479,10 @@ mod tests {
         ]
     }
 
-    fn filled(kind: BackendKind) -> Backend {
-        let mut b = Backend::of_kind(kind, 3);
+    fn filled(kind: BackendKind) -> Box<dyn Storage> {
+        let mut b = kind.new_store(3);
         for t in tuples() {
-            assert!(b.store_mut().insert(t));
+            assert!(b.insert(t));
         }
         b
     }
@@ -742,35 +490,33 @@ mod tests {
     #[test]
     fn all_backends_agree_on_scans_and_estimates() {
         let row = filled(BackendKind::Row);
-        for kind in [BackendKind::Composite, BackendKind::Columnar] {
-            let other = filled(kind);
-            for bound in [
-                vec![],
-                vec![(1, Value::str("a"))],
-                vec![(1, Value::str("a")), (2, Value::int(10))],
-                vec![(0, Value::int(3)), (2, Value::int(20))],
-                vec![(1, Value::str("zzz"))],
-            ] {
-                // Repeat so the composite store crosses its build
-                // threshold and switches access paths mid-test: matching
-                // rows must not change.
-                for _ in 0..=COMPOSITE_BUILD_THRESHOLD {
-                    let verify = |s: &dyn Storage| -> Vec<usize> {
-                        s.scan(&bound)
-                            .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
-                            .collect()
-                    };
-                    assert_eq!(
-                        verify(row.store()),
-                        verify(other.store()),
-                        "{kind:?} diverged on {bound:?}"
-                    );
-                    assert_eq!(
-                        row.store().estimate(&bound),
-                        other.store().estimate(&bound),
-                        "{kind:?} estimate diverged on {bound:?}"
-                    );
-                }
+        let other = filled(BackendKind::Composite);
+        for bound in [
+            vec![],
+            vec![(1, Value::str("a"))],
+            vec![(1, Value::str("a")), (2, Value::int(10))],
+            vec![(0, Value::int(3)), (2, Value::int(20))],
+            vec![(1, Value::str("zzz"))],
+        ] {
+            // Repeat so the composite store crosses its build
+            // threshold and switches access paths mid-test: matching
+            // rows must not change.
+            for _ in 0..=COMPOSITE_BUILD_THRESHOLD {
+                let verify = |s: &dyn Storage| -> Vec<usize> {
+                    s.scan(&bound)
+                        .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
+                        .collect()
+                };
+                assert_eq!(
+                    verify(row.as_ref()),
+                    verify(other.as_ref()),
+                    "composite diverged on {bound:?}"
+                );
+                assert_eq!(
+                    row.estimate(&bound),
+                    other.estimate(&bound),
+                    "composite estimate diverged on {bound:?}"
+                );
             }
         }
     }
@@ -780,93 +526,54 @@ mod tests {
         let b = filled(BackendKind::Composite);
         let bound = vec![(1, Value::str("a")), (2, Value::int(10))];
         for i in 0..COMPOSITE_BUILD_THRESHOLD {
-            let path = b.store().scan(&bound).path();
+            let path = b.scan(&bound).path();
             if i + 1 < COMPOSITE_BUILD_THRESHOLD {
                 assert_eq!(path, AccessPath::ColumnIndex(1));
             } else {
                 assert_eq!(path, AccessPath::CompositeIndex);
             }
         }
-        assert_eq!(b.store().composite_patterns(), vec![vec![1, 2]]);
-        let hits: Vec<usize> = b.store().scan(&bound).collect();
+        assert_eq!(b.composite_patterns(), vec![vec![1, 2]]);
+        let hits: Vec<usize> = b.scan(&bound).collect();
         assert_eq!(hits, vec![0, 3]);
     }
 
     #[test]
     fn composite_index_tracks_inserts() {
         let mut b = filled(BackendKind::Composite);
-        b.store().ensure_index(&[1, 2]);
+        b.ensure_index(&[1, 2]);
         let bound = vec![(1, Value::str("a")), (2, Value::int(10))];
-        assert_eq!(b.store().scan(&bound).collect::<Vec<_>>(), vec![0, 3]);
-        b.store_mut().insert(Tuple::new(vec![
+        assert_eq!(b.scan(&bound).collect::<Vec<_>>(), vec![0, 3]);
+        b.insert(Tuple::new(vec![
             Value::int(5),
             Value::str("a"),
             Value::int(10),
         ]));
-        assert_eq!(b.store().scan(&bound).collect::<Vec<_>>(), vec![0, 3, 4]);
-        assert_eq!(b.store().scan(&bound).path(), AccessPath::CompositeIndex);
+        // Advising a built pattern again is a no-op, not a rebuild.
+        b.ensure_index(&[1, 2]);
+        assert_eq!(b.scan(&bound).collect::<Vec<_>>(), vec![0, 3, 4]);
+        assert_eq!(b.scan(&bound).path(), AccessPath::CompositeIndex);
+        assert_eq!(b.composite_patterns(), vec![vec![1, 2]]);
     }
 
     #[test]
     fn ensure_index_ignores_bad_patterns() {
         let b = filled(BackendKind::Composite);
-        b.store().ensure_index(&[0]); // too short
-        b.store().ensure_index(&[0, 9]); // out of range
-        assert!(b.store().composite_patterns().is_empty());
-    }
-
-    #[test]
-    fn columnar_equality_runs_yield_ascending_rows() {
-        let b = filled(BackendKind::Columnar);
-        let ids: Vec<usize> = b.store().scan(&[(1, Value::str("a"))]).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
-        assert_eq!(
-            b.store().scan(&[(1, Value::str("a"))]).path(),
-            AccessPath::SortedRange(1)
-        );
-    }
-
-    #[test]
-    fn columnar_range_scan_is_binary_searched() {
-        let b = filled(BackendKind::Columnar);
-        let scan = b.store().scan_range(0, &Value::int(2), &Value::int(3));
-        assert_eq!(scan.path(), AccessPath::SortedRange(0));
-        let mut ids: Vec<usize> = scan.collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
-        // Default (filtered full scan) path agrees.
-        let row = filled(BackendKind::Row);
-        let mut base: Vec<usize> = row
-            .store()
-            .scan_range(0, &Value::int(2), &Value::int(3))
-            .collect();
-        base.sort_unstable();
-        assert_eq!(base, ids);
-    }
-
-    #[test]
-    fn columnar_perm_rebuilds_after_insert() {
-        let mut b = filled(BackendKind::Columnar);
-        assert_eq!(b.store().estimate(&[(2, Value::int(10))]), 3);
-        b.store_mut().insert(Tuple::new(vec![
-            Value::int(0),
-            Value::str("c"),
-            Value::int(10),
-        ]));
-        assert_eq!(b.store().estimate(&[(2, Value::int(10))]), 4);
-        assert_eq!(b.store().distinct_count(1), 3);
+        b.ensure_index(&[0]); // too short
+        b.ensure_index(&[0, 9]); // out of range
+        assert!(b.composite_patterns().is_empty());
     }
 
     #[test]
     fn zero_arity_stores_behave() {
         for kind in BackendKind::ALL {
-            let mut b = Backend::of_kind(kind, 0);
-            assert!(!b.store().contains(&[]));
-            assert!(b.store_mut().insert(Tuple::new(Vec::new())));
-            assert!(!b.store_mut().insert(Tuple::new(Vec::new())));
-            assert_eq!(b.store().len(), 1);
-            assert!(b.store().contains(&[]));
-            assert_eq!(b.store().scan(&[]).collect::<Vec<_>>(), vec![0]);
+            let mut b = kind.new_store(0);
+            assert!(!b.contains(&[]));
+            assert!(b.insert(Tuple::new(Vec::new())));
+            assert!(!b.insert(Tuple::new(Vec::new())));
+            assert_eq!(b.len(), 1);
+            assert!(b.contains(&[]));
+            assert_eq!(b.scan(&[]).collect::<Vec<_>>(), vec![0]);
         }
     }
 
@@ -874,8 +581,8 @@ mod tests {
     fn duplicates_ignored_everywhere() {
         for kind in BackendKind::ALL {
             let mut b = filled(kind);
-            assert!(!b.store_mut().insert(tuples().swap_remove(0)));
-            assert_eq!(b.store().len(), 4, "{kind:?}");
+            assert!(!b.insert(tuples().swap_remove(0)));
+            assert_eq!(b.len(), 4, "{kind:?}");
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::DbError;
 use crate::schema::RelationSchema;
-use crate::storage::{Backend, BackendKind, Scan, Storage};
+use crate::storage::{BackendKind, Scan, Storage};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -12,15 +12,15 @@ use std::collections::HashSet;
 /// All data access goes through the [`Storage`] trait, so the evaluator
 /// and the engines above it are agnostic to the representation: the
 /// default per-column-hash [`crate::storage::RowStore`], the
-/// composite-index [`crate::storage::CompositeStore`], the sorted
-/// [`crate::storage::ColumnarStore`], or any custom backend via
-/// [`Table::with_storage`]. For the paper's workloads (tables of up to
-/// 10⁶ rows with 2–4 columns) every bound-column lookup is O(bucket),
-/// which is what the backtracking join in [`crate::eval`] relies on.
-#[derive(Clone, Debug)]
+/// composite-index [`crate::storage::CompositeStore`], or any other
+/// implementation via [`Table::with_storage`]. For the paper's workloads
+/// (tables of up to 10⁶ rows with 2–4 columns) every bound-column lookup
+/// is O(bucket), which is what the backtracking join in [`crate::eval`]
+/// relies on.
+#[derive(Debug)]
 pub struct Table {
     schema: RelationSchema,
-    backend: Backend,
+    store: Box<dyn Storage>,
 }
 
 impl Table {
@@ -32,30 +32,21 @@ impl Table {
 
     /// Create an empty table on the given in-tree backend.
     pub fn with_backend(schema: RelationSchema, kind: BackendKind) -> Self {
-        let arity = schema.arity();
-        Table {
-            schema,
-            backend: Backend::of_kind(kind, arity),
-        }
+        let store = kind.new_store(schema.arity());
+        Table { schema, store }
     }
 
-    /// Create a table on a custom (boxed) storage backend. The backend
-    /// must be empty and agree with the schema's arity.
-    pub fn with_storage(
-        schema: RelationSchema,
-        storage: Box<dyn Storage>,
-    ) -> Result<Self, DbError> {
-        if storage.arity() != schema.arity() {
+    /// Create a table on the given storage, which must agree with the
+    /// schema's arity; rows it already holds become the table's rows.
+    pub fn with_storage(schema: RelationSchema, store: Box<dyn Storage>) -> Result<Self, DbError> {
+        if store.arity() != schema.arity() {
             return Err(DbError::ArityMismatch {
                 relation: schema.name().to_string(),
                 expected: schema.arity(),
-                actual: storage.arity(),
+                actual: store.arity(),
             });
         }
-        Ok(Table {
-            schema,
-            backend: Backend::Custom(storage),
-        })
+        Ok(Table { schema, store })
     }
 
     /// The table's schema.
@@ -65,17 +56,17 @@ impl Table {
 
     /// The table's storage backend.
     pub fn storage(&self) -> &dyn Storage {
-        self.backend.store()
+        self.store.as_ref()
     }
 
     /// Number of (distinct) rows.
     pub fn len(&self) -> usize {
-        self.backend.store().len()
+        self.store.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.backend.store().is_empty()
+        self.store.is_empty()
     }
 
     /// Insert a tuple. Duplicate tuples are ignored; returns whether the
@@ -89,7 +80,7 @@ impl Table {
                 actual: tuple.len(),
             });
         }
-        Ok(self.backend.store_mut().insert(tuple))
+        Ok(self.store.insert(tuple))
     }
 
     /// O(1) membership test for a fully grounded tuple (allocation-free:
@@ -99,19 +90,19 @@ impl Table {
         if values.len() != self.schema.arity() {
             return false;
         }
-        self.backend.store().contains(values)
+        self.store.contains(values)
     }
 
     /// The value at (`row`, `col`); rows are dense ids in insertion
     /// order.
     pub fn cell(&self, row: usize, col: usize) -> &Value {
-        self.backend.store().cell(row, col)
+        self.store.cell(row, col)
     }
 
     /// Materialized rows in insertion order (test/diagnostic helper —
     /// hot paths use [`Table::scan`] + [`Table::cell`]).
     pub fn iter_rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        let store = self.backend.store();
+        let store = self.storage();
         (0..store.len()).map(move |r| {
             (0..store.arity())
                 .map(|c| store.cell(r, c).clone())
@@ -123,19 +114,14 @@ impl Table {
     /// access path that serves them (possibly a superset — callers
     /// re-verify).
     pub fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
-        self.backend.store().scan(bound)
-    }
-
-    /// Rows whose `col` value lies in `[lo, hi]` (inclusive).
-    pub fn scan_range<'a>(&'a self, col: usize, lo: &Value, hi: &Value) -> Scan<'a> {
-        self.backend.store().scan_range(col, lo, hi)
+        self.store.scan(bound)
     }
 
     /// Exact number of rows matching the most selective single bound
     /// column (backend-independent; see [`crate::storage`]'s
     /// determinism contract).
     pub fn estimate(&self, bound: &[(usize, Value)]) -> usize {
-        self.backend.store().estimate(bound)
+        self.store.estimate(bound)
     }
 
     /// Row ids whose column `col` equals `value` (ascending, possibly
@@ -149,13 +135,13 @@ impl Table {
 
     /// Number of distinct values in column `col`.
     pub fn distinct_count(&self, col: usize) -> usize {
-        self.backend.store().distinct_count(col)
+        self.store.distinct_count(col)
     }
 
     /// Advise the backend that the given multi-column equality pattern
     /// will be probed (no-op on backends without composite indexes).
     pub fn advise_index(&self, cols: &[usize]) {
-        self.backend.store().ensure_index(cols);
+        self.store.ensure_index(cols);
     }
 
     /// Distinct projections of the given columns over rows matching the

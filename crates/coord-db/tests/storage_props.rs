@@ -1,4 +1,4 @@
-//! Property tests: every storage backend answers byte-identically to
+//! Property tests: the composite store answers byte-identically to
 //! the row store — `find_one`, `find_all` (including answer *order*),
 //! and `distinct_project` — on random tables and conjunctive queries,
 //! plus deterministic zero-arity and repeated-variable edge cases.
@@ -82,11 +82,9 @@ proptest! {
         let reference = build_db(BackendKind::Row, &rows_a, &rows_b);
         let expected_all = reference.find_all(&q, None).unwrap();
         let expected_one = reference.find_one(&q).unwrap();
-        for kind in [BackendKind::Composite, BackendKind::Columnar] {
-            let db = build_db(kind, &rows_a, &rows_b);
-            prop_assert_eq!(db.find_all(&q, None).unwrap(), expected_all.clone());
-            prop_assert_eq!(db.find_one(&q).unwrap(), expected_one.clone());
-        }
+        let db = build_db(BackendKind::Composite, &rows_a, &rows_b);
+        prop_assert_eq!(db.find_all(&q, None).unwrap(), expected_all);
+        prop_assert_eq!(db.find_one(&q).unwrap(), expected_one);
     }
 
     /// `distinct_project` — bound and unbound — is byte-identical
@@ -101,15 +99,13 @@ proptest! {
         let t = reference.table(&rel).unwrap();
         let expected_bound = t.distinct_project(&[1], &[(0, Value::int(bound))]);
         let expected_free = t.distinct_project(&[0, 1], &[]);
-        for kind in [BackendKind::Composite, BackendKind::Columnar] {
-            let db = build_db(kind, &rows_a, &[]);
-            let t = db.table(&rel).unwrap();
-            prop_assert_eq!(
-                t.distinct_project(&[1], &[(0, Value::int(bound))]),
-                expected_bound.clone()
-            );
-            prop_assert_eq!(t.distinct_project(&[0, 1], &[]), expected_free.clone());
-        }
+        let db = build_db(BackendKind::Composite, &rows_a, &[]);
+        let t = db.table(&rel).unwrap();
+        prop_assert_eq!(
+            t.distinct_project(&[1], &[(0, Value::int(bound))]),
+            expected_bound
+        );
+        prop_assert_eq!(t.distinct_project(&[0, 1], &[]), expected_free);
     }
 }
 
@@ -150,14 +146,7 @@ fn repeated_variable_atoms_agree_across_backends() {
     let reference = build_db(BackendKind::Row, &rows, &[]);
     let expected = reference.find_all(&q, None).unwrap();
     assert_eq!(expected.len(), 3); // (0,0), (1,1), (3,3)
-    for kind in [BackendKind::Composite, BackendKind::Columnar] {
-        let db = build_db(kind, &rows, &[]);
-        assert_eq!(db.find_all(&q, None).unwrap(), expected, "{}", kind.name());
-        assert_eq!(
-            db.find_one(&q).unwrap(),
-            reference.find_one(&q).unwrap(),
-            "{}",
-            kind.name()
-        );
-    }
+    let db = build_db(BackendKind::Composite, &rows, &[]);
+    assert_eq!(db.find_all(&q, None).unwrap(), expected);
+    assert_eq!(db.find_one(&q).unwrap(), reference.find_one(&q).unwrap());
 }

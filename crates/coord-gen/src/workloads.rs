@@ -158,6 +158,28 @@ pub fn fig4_queries(n: usize) -> Vec<EntangledQuery> {
         .collect()
 }
 
+/// A forest of `chains` independent list-structured chains of length
+/// `len`: within each chain query i requires query i+1, and the chains
+/// share nothing. The condensation is `chains` disjoint paths — that
+/// many weakly connected groups, the shape
+/// `SccCoordinator::run_parallel` splits across workers. (A single list
+/// is one group and runs sequentially.)
+pub fn forest_queries(chains: usize, len: usize) -> Vec<EntangledQuery> {
+    (0..chains)
+        .flat_map(|ch| {
+            let base = ch * len;
+            (0..len).map(move |i| {
+                let partners: Vec<usize> = if i + 1 < len {
+                    vec![base + i + 1]
+                } else {
+                    vec![]
+                };
+                partner_query(base + i, &partners)
+            })
+        })
+        .collect()
+}
+
 /// Figure 4 instance: `n` queries in a list structure over a pool table
 /// of `table_rows` tuples (82,168 in the paper).
 pub fn fig4_instance(n: usize, table_rows: usize) -> (Database, Vec<EntangledQuery>) {

@@ -18,7 +18,7 @@ use social_coordination::core::scc::SccCoordinator;
 use social_coordination::core::testkit::RebuildEngine;
 use social_coordination::core::{ClosureCache, EntangledQuery, QueryBuilder, QuerySet};
 use social_coordination::gen::workloads::{
-    fig4_queries, fig5_queries, interleave_arrivals, partner_query, pool_db,
+    fig4_queries, fig5_queries, forest_queries, interleave_arrivals, partner_query, pool_db,
     unsat_cycle_with_spokes,
 };
 
@@ -33,9 +33,11 @@ const POOL: usize = 4096;
 /// (Figure 4's list), a single cycle, and a scale-free preferential-
 /// attachment graph.
 fn shaped_workload(shape: usize, n: usize, seed: u64) -> Vec<EntangledQuery> {
-    match shape % 3 {
+    match shape % 4 {
         0 => fig4_queries(n),
         1 => (0..n).map(|i| partner_query(i, &[(i + 1) % n])).collect(),
+        // Three weak groups: the shape the parallel sweep splits.
+        2 => forest_queries(3, n / 3),
         _ => {
             let mut rng = StdRng::seed_from_u64(seed);
             fig5_queries(n, 2, &mut rng)
@@ -75,13 +77,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Memoized batch evaluation ≡ from-scratch evaluation on random
-    /// chain / cycle / scale-free workloads, across the sequential and
-    /// both parallel sweeps, with and without a cross-run cache — and a
+    /// chain / cycle / forest / scale-free workloads, across the sequential and
+    /// the parallel sweep, with and without a cross-run cache — and a
     /// second cache-warmed run (all closure verdicts served from the
     /// cache) still reproduces the from-scratch answers byte-for-byte.
     #[test]
     fn memoized_batch_equals_from_scratch(
-        shape in 0usize..3,
+        shape in 0usize..4,
         n in 7usize..28,
         seed in any::<u64>(),
     ) {
@@ -103,7 +105,7 @@ proptest! {
         // member — covered deterministically by the scaling tests).
         prop_assert!(scratch.stats.ground_work >= diff.stats.ground_work);
 
-        // Parallel sweeps share the same memo table.
+        // The parallel sweep builds memos the same way.
         let par = SccCoordinator::new(&db).run_parallel(&queries, 3).unwrap();
         assert_outcomes_equal(&par, &scratch, "differential/parallel")?;
 

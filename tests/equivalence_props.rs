@@ -104,7 +104,7 @@ proptest! {
         prop_assert!(scc.stats.db_queries <= queries.len());
     }
 
-    /// The wavefront-parallel condensation sweep is *indistinguishable*
+    /// The group-parallel condensation sweep is *indistinguishable*
     /// from the sequential one on random safe instances: identical
     /// candidate sets (same order, same groundings) and identical stats,
     /// at several thread counts.

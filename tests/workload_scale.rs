@@ -7,10 +7,12 @@ use social_coordination::core::check_coordinating_set;
 use social_coordination::core::consistent::ConsistentCoordinator;
 use social_coordination::core::scc::{preprocess, SccCoordinator};
 use social_coordination::core::EntangledQuery;
+use social_coordination::db::Database;
 use social_coordination::gen::workloads::{
     fig4_instance, fig4_queries, fig5_instance, fig5_queries, fig7_instance, fig8_instance,
-    partner_query, pool_db,
+    forest_queries, partner_query, pool_db,
 };
+use social_coordination::graph::reach::weakly_connected_components;
 
 #[test]
 fn fig4_workload_all_candidates_verify() {
@@ -90,14 +92,26 @@ fn parallel_sweep_agrees_at_scale() {
         assert_eq!(seq.per_value, par.per_value);
     }
 
-    // The SCC sweep at the benchmark's `batch-scc` shapes: a 300-query
-    // list (deep closures) and a BA(2000, 2) set (wide, shallow ones).
+    // The SCC sweep at the benchmark's `batch-scc` shapes — a 300-query
+    // list (deep closures) and a BA(2000, 2) set (wide, shallow ones),
+    // one weak group each, swept sequentially — and on the forests the
+    // group-parallel sweep splits across workers.
     let db = pool_db(2_400);
     let scale_free = fig5_queries(2_000, 2, &mut StdRng::seed_from_u64(1));
-    for (name, queries) in [("list", fig4_queries(300)), ("scale-free", scale_free)] {
+    for (name, queries, many_groups) in [
+        ("list", fig4_queries(300), false),
+        ("scale-free", scale_free, false),
+        ("forest", forest_queries(8, 40), true),
+        ("ragged-forest", ragged_forest_queries(), true),
+    ] {
+        assert_eq!(weak_group_count(&db, &queries) > 1, many_groups, "{name}");
         let coordinator = SccCoordinator::new(&db);
         let seq = coordinator.run(&queries).unwrap();
-        assert_eq!(seq.stats.db_queries, queries.len(), "{name}");
+        assert_eq!(
+            seq.stats.db_queries,
+            queries.len() - seq.stats.removed,
+            "{name}"
+        );
         for threads in [2, 3] {
             let par = coordinator.run_parallel(&queries, threads).unwrap();
             assert_eq!(seq.found, par.found, "{name}/{threads}: candidate sets");
@@ -109,6 +123,22 @@ fn parallel_sweep_agrees_at_scale() {
 /// A unique cycle: query i coordinates with query (i+1) mod n — one SCC.
 fn cycle_queries(n: usize) -> Vec<EntangledQuery> {
     (0..n).map(|i| partner_query(i, &[(i + 1) % n])).collect()
+}
+
+/// The 8 × 40 forest with the middle of chain 3 missing: the chain's
+/// upper half loses its partner and is removed by preprocessing (failed
+/// components among the groups), its lower half is a shorter chain.
+fn ragged_forest_queries() -> Vec<EntangledQuery> {
+    let mut queries = forest_queries(8, 40);
+    queries.remove(3 * 40 + 20);
+    queries
+}
+
+/// Weakly connected groups of the condensation — what decides whether
+/// `run_parallel` splits the sweep across workers (≥ 2) or runs the
+/// sequential loop (1).
+fn weak_group_count(db: &Database, queries: &[EntangledQuery]) -> usize {
+    weakly_connected_components(&preprocess(db, queries).unwrap().graph).len()
 }
 
 /// Regression gate for the ROADMAP superlinearity item: on the list
@@ -184,17 +214,23 @@ fn list_workload_grounding_work_grows_with_n_delta_not_n_squared() {
 /// `SccCoordinator::run_parallel` must return results *identical* to the
 /// sequential sweep — same candidate sets in the same order, same
 /// groundings, same stats — on the cycle, list and random scale-free
-/// safe workloads, at every thread count.
+/// safe workloads (one weak group: the sequential loop) and on the
+/// forests (several: the group-parallel sweep), at every thread count.
 #[test]
 fn scc_parallel_equals_sequential_on_all_workloads() {
     let db = pool_db(1_000);
-    let mut workloads: Vec<(&str, Vec<EntangledQuery>)> =
-        vec![("cycle", cycle_queries(40)), ("list", fig4_queries(40))];
+    let mut workloads: Vec<(&str, Vec<EntangledQuery>, bool)> = vec![
+        ("cycle", cycle_queries(40), false),
+        ("list", fig4_queries(40), false),
+        ("forest", forest_queries(8, 40), true),
+        ("ragged-forest", ragged_forest_queries(), true),
+    ];
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        workloads.push(("scale-free", fig5_queries(48, 2, &mut rng)));
+        workloads.push(("scale-free", fig5_queries(48, 2, &mut rng), false));
     }
-    for (name, queries) in &workloads {
+    for (name, queries, many_groups) in &workloads {
+        assert_eq!(weak_group_count(&db, queries) > 1, *many_groups, "{name}");
         let coordinator = SccCoordinator::new(&db);
         let seq = coordinator.run(queries).unwrap();
         for threads in [1, 2, 4, 8] {

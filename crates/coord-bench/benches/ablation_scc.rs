@@ -18,10 +18,8 @@
 
 use coord_core::bruteforce;
 use coord_core::scc::{preprocess, SccCoordinator};
-use coord_core::ClosureCache;
 use coord_gen::workloads::{fig4_queries, partner_query, pool_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::Arc;
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -119,40 +117,6 @@ fn bench_cycle_vs_list(c: &mut Criterion) {
         "ablation_cycle_vs_list/analysis: grounding work {d_small} @ n=20 → {d_large} @ n=100 \
          differential vs {scratch_large} from-scratch ({:.1}× saving)",
         scratch_large as f64 / d_large as f64,
-    );
-
-    // Assert-while-measuring, closure-cache gate: a cold run populates
-    // the cross-run verdict cache, a warm run over the same queries
-    // resolves every closure from it. The counters come straight from
-    // `ClosureCache::stats()` (the same `MemoStats` the engines expose
-    // through `memo_stats()`), so the `--quick` CI log records the
-    // steady-state hit rate alongside the other ablation figures.
-    let cache = Arc::new(ClosureCache::with_capacity(4096));
-    let warm_queries = fig4_queries(100);
-    for _ in 0..2 {
-        let out = SccCoordinator::new(&db)
-            .with_closure_cache(Arc::clone(&cache))
-            .run(&warm_queries)
-            .unwrap();
-        assert_eq!(out.best().unwrap().len(), 100);
-    }
-    let memo = cache.stats();
-    assert!(
-        memo.hits > 0,
-        "warm run must resolve closures from the cache"
-    );
-    assert_eq!(
-        memo.evictions, 0,
-        "a 4096-entry cache must not evict on a 100-closure workload"
-    );
-    println!(
-        "ablation_cycle_vs_list/analysis: closure cache {} hits / {} misses / {} evictions, \
-         {} entries ({:.1}% warm hit rate)",
-        memo.hits,
-        memo.misses,
-        memo.evictions,
-        memo.entries,
-        100.0 * memo.hits as f64 / (memo.hits + memo.misses) as f64,
     );
 }
 

@@ -8,11 +8,10 @@
 //! emits every series as one machine-readable JSON array on stdout
 //! instead of the aligned text tables. `--only <section>` runs a single
 //! section (`fig4` … `fig8`, `hardness`, `shard_skew`, `differential`,
-//! `observability`, `trace`, `storage`) — CI uses `--only shard_skew
-//! --json`, `--only differential --json`, `--only observability
-//! --json`, `--only trace --json`, and `--only storage --json` to emit
-//! the `BENCH_shard_skew.json`, `BENCH_differential.json`,
-//! `BENCH_observability.json`, `BENCH_trace.json`, and
+//! `trace`, `storage`) — CI uses `--only shard_skew --json`, `--only
+//! differential --json`, `--only trace --json`, and `--only storage
+//! --json` to emit the `BENCH_shard_skew.json`,
+//! `BENCH_differential.json`, `BENCH_trace.json`, and
 //! `BENCH_storage.json` trajectory artifacts.
 
 use coord_bench::{drive_phase1, measure, series_to_json, storage, Series};
@@ -21,7 +20,6 @@ use coord_core::consistent::ConsistentCoordinator;
 use coord_core::engine::{Placement, RebalanceConfig, SharedEngine};
 use coord_core::persist::DurableSharedEngine;
 use coord_core::scc::{preprocess, SccCoordinator};
-use coord_core::ClosureCache;
 use coord_gen::social::SLASHDOT_ROWS;
 use coord_gen::workloads::{
     fig4_queries, fig5_queries, fig7_instance, fig8_instance, pool_db, unsat_cycle_with_spokes,
@@ -79,7 +77,6 @@ fn main() {
         "hardness",
         "shard_skew",
         "differential",
-        "observability",
         "trace",
         "storage",
     ];
@@ -125,9 +122,6 @@ fn main() {
     }
     if report.wants("differential") {
         differential(quick, &mut report);
-    }
-    if report.wants("observability") {
-        observability(quick, &mut report);
     }
     if report.wants("trace") {
         trace(quick, &mut report);
@@ -381,8 +375,6 @@ fn differential(quick: bool, report: &mut Report) {
         Series::new("Differential — grounding work on the list workload, memoized delta joins");
     let mut scratch_series =
         Series::new("Differential — grounding work on the list workload, from-scratch baseline");
-    let mut hit_rate_series =
-        Series::new("Differential — closure-cache hit rate % on a warm second run");
     let work_at = |n: usize, scratch: bool| -> u64 {
         let coordinator = SccCoordinator::new(&db);
         let coordinator = if scratch {
@@ -396,30 +388,12 @@ fn differential(quick: bool, report: &mut Report) {
         assert_eq!(out.best().unwrap().len(), n);
         out.stats.ground_work
     };
-    // Cache-hit-rate trajectory: run each workload cold then warm on a
-    // shared ClosureCache; the warm run's hit rate is what a steady-state
-    // online engine sees when a repeat query arrives.
-    let hit_rate_at = |n: usize| -> f64 {
-        let cache = std::sync::Arc::new(ClosureCache::with_capacity(4096));
-        let queries = fig4_queries(n);
-        for _ in 0..2 {
-            let out = SccCoordinator::new(&db)
-                .with_closure_cache(std::sync::Arc::clone(&cache))
-                .run(&queries)
-                .unwrap();
-            assert_eq!(out.best().unwrap().len(), n);
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "warm run must hit the closure cache");
-        100.0 * stats.hits as f64 / (stats.hits + stats.misses) as f64
-    };
     let mut last = (0u64, 0u64);
     for &n in sizes {
         let diff = work_at(n, false);
         let scratch = work_at(n, true);
         diff_series.push(n as u64, diff as f64, 1);
         scratch_series.push(n as u64, scratch as f64, 1);
-        hit_rate_series.push(n as u64, hit_rate_at(n), 2);
         last = (diff, scratch);
     }
     // The same gate the ablation bench asserts: ≥ 10× saving at n = 100.
@@ -430,7 +404,6 @@ fn differential(quick: bool, report: &mut Report) {
     );
     report.add(diff_series);
     report.add(scratch_series);
-    report.add(hit_rate_series);
     report.note(format_args!(
         "(differential evaluation: ~2n−1 operations vs Σ|closure| ≈ n²/2 from scratch; \
          {:.1}× saving at n = {})",
@@ -439,99 +412,11 @@ fn differential(quick: bool, report: &mut Report) {
     ));
 }
 
-/// Extra experiment (observability): one live `DurableSharedEngine` run
-/// over the list workload with per-record fsyncs, reported entirely from
-/// a single `obs::Registry::snapshot()` — submit-latency percentiles,
-/// WAL sync percentiles, and the closure cache's memo hit rate. Emitted
-/// as the CI `BENCH_observability.json` artifact; the ≤5% overhead gate
-/// itself lives in the `online_throughput` bench.
-fn observability(quick: bool, report: &mut Report) {
-    let rows = if quick { 2_000 } else { 5_000 };
-    let n = if quick { 60 } else { 100 };
-    let db = pool_db(rows);
-    let dir = TempDir::new("reproduce-obs");
-    let options = DurabilityOptions {
-        sync: SyncPolicy::EveryRecord,
-        snapshot_every: Some(32),
-    };
-    let engine = DurableSharedEngine::open_with(&db, dir.path(), 4, options).unwrap();
-    // The list chain coordinates in full on the last submit, exercising
-    // delivery, WAL appends/syncs, and snapshot rotations…
-    for q in fig4_queries(n) {
-        engine.submit(q).unwrap();
-    }
-    // …then an unsatisfiable contending cycle plus spokes exercises the
-    // closure cache: the cycle's failed verdict is cached once, and every
-    // spoke arrival re-confronts the engine with the same closure — a hit.
-    let (cycle, spokes) = unsat_cycle_with_spokes(8, 12);
-    let extra = (cycle.len() + spokes.len()) as u64;
-    for q in cycle.into_iter().chain(spokes) {
-        engine.submit(q).unwrap();
-    }
-    let snap = engine.obs().snapshot();
-
-    let submit = snap
-        .histogram("engine_submit_nanos")
-        .expect("submit histogram present");
-    assert_eq!(
-        submit.count,
-        n as u64 + extra,
-        "every submit must land in the latency histogram"
-    );
-    let mut submit_series = Series::new(
-        "Observability — submit latency percentiles, ns (durable engine, list workload)",
-    );
-    for (q, v) in [(50, submit.p50()), (90, submit.p90()), (99, submit.p99())] {
-        submit_series.push(q, v as f64, submit.count as u32);
-    }
-    report.add(submit_series);
-
-    let sync = snap
-        .histogram("wal_sync_nanos")
-        .expect("WAL sync histogram present");
-    assert!(sync.count > 0, "EveryRecord policy must record syncs");
-    let mut sync_series =
-        Series::new("Observability — WAL fsync latency percentiles, ns (EveryRecord policy)");
-    for (q, v) in [(50, sync.p50()), (90, sync.p90()), (99, sync.p99())] {
-        sync_series.push(q, v as f64, sync.count as u32);
-    }
-    report.add(sync_series);
-
-    let hit_rate = snap
-        .hit_rate("memo_hits", "memo_misses")
-        .expect("memo counters present");
-    assert!(
-        hit_rate > 0.0,
-        "re-evaluated failed cycle closure must hit the memo"
-    );
-    let mut memo_series =
-        Series::new("Observability — closure-cache memo hit rate % (live pending component)");
-    memo_series.push(n as u64, 100.0 * hit_rate, 1);
-    report.add(memo_series);
-
-    report.note(format_args!(
-        "(one registry snapshot covers {} submits, {} WAL syncs, {} snapshot rotations, \
-         memo hit rate {:.1}%)",
-        submit.count,
-        sync.count,
-        snap.counter("store_snapshots_taken").unwrap_or(0),
-        100.0 * hit_rate,
-    ));
-    // A taste of the trace ring: the first few span events of the run.
-    if !report.json {
-        let dump = engine.obs().tracer().dump_json_lines();
-        for line in dump.lines().take(4) {
-            println!("trace> {line}");
-        }
-        println!();
-    }
-}
-
 /// Extra experiment (request-scoped tracing): contending submitter
 /// threads drive the unsat-cycle-with-spokes workload into one durable
 /// engine while every layer stamps its trace-ring events with the
 /// submitting request's trace id; `TraceAnalyzer` then attributes each
-/// request's wall time across lock-wait / evaluate / db-probe / memo /
+/// request's wall time across lock-wait / evaluate / db-probe /
 /// wal-append / wal-sync / other. Emitted as the CI `BENCH_trace.json`
 /// artifact, asserting while measuring that the books balance — every
 /// complete trace's phase sum equals its root span's wall nanos, and
@@ -563,8 +448,8 @@ fn trace(quick: bool, report: &mut Report) {
     }
     // …then the spokes race in from contending submitters, every one
     // re-confronting that component's shard: lock-wait, evaluation,
-    // probes, memo hits, and WAL appends all interleave in the ring,
-    // each event stamped with its submitter's trace id.
+    // probes, and WAL appends all interleave in the ring, each event
+    // stamped with its submitter's trace id.
     std::thread::scope(|s| {
         for chunk in spokes.chunks(spoke_count.div_ceil(THREADS)) {
             let engine = &engine;

@@ -6,32 +6,22 @@
 //! component, walking the condensation in reverse topological order.
 //! Evaluated from scratch, the closure work is Σ|closure| — quadratic on
 //! a list workload, where the i-th closure repeats all the unification
-//! and body rewriting already done for closure i−1. This module caches
-//! per-component results at two granularities:
-//!
-//! * **Per-run memos** ([`ClosureMemo`]): after a component's closure is
-//!   unified and grounded, its MGU ([`Substitution`]) and its body atoms
-//!   rewritten under that MGU (per-member *fragments*) are kept. A
-//!   predecessor evaluates as a **delta join**: clone the largest
-//!   successor memo, absorb any others, unify only the component's *own*
-//!   postconditions into the cached MGU with the representative-
-//!   preserving ops of [`crate::unify`], and rebuild only the fragments
-//!   whose variables were dethroned or newly bound (tracked by
-//!   [`DeltaLog`]). On a chain, a component touches O(Δ) atoms instead
-//!   of O(|closure|). A memo costs O(|closure|) to keep and to clone —
-//!   fragments are shared by `Arc`, and the MGU stores only variables
-//!   its closure has merged or bound — so a sweep spends O(|closure| + Δ)
-//!   per component and Σ|closure|, the size of its output, in total.
-//! * **Cross-run verdicts** ([`ClosureCache`]): a content-addressed map
-//!   from the closure's member digests to its evaluation verdict. The
-//!   online engine re-evaluates a component every time a query arrives;
-//!   with the cache, a closure whose member *contents* were already
-//!   decided against this database is answered without unification or a
-//!   database query. Keys are 128-bit FNV-1a digests of the members'
-//!   canonical byte encoding, so invalidation is structural: any change
-//!   to a member changes the key, and stale entries are simply never
-//!   looked up again. Explicit eviction (on retire) is an optimization,
-//!   never a correctness requirement.
+//! and body rewriting already done for closure i−1. This module memoizes
+//! per-component results for the length of one sweep ([`ClosureMemo`]):
+//! after a component's closure is unified and grounded, its MGU
+//! ([`Substitution`]) and its body atoms rewritten under that MGU
+//! (per-member *fragments*) are kept. A predecessor evaluates as a
+//! **delta join**: clone the largest successor memo, absorb any others,
+//! unify only the component's *own* postconditions into the cached MGU
+//! with the representative-preserving ops of [`crate::unify`], and rebuild
+//! only the fragments whose variables were dethroned or newly bound
+//! (tracked by [`DeltaLog`]). On a chain, a component touches O(Δ) atoms
+//! instead of O(|closure|). A memo costs O(|closure|) to keep and to
+//! clone — fragments are shared by `Arc`, and the MGU stores only
+//! variables its closure has merged or bound — so a sweep spends
+//! O(|closure| + Δ) per component and Σ|closure|, the size of its output,
+//! in total. Nothing outlives the sweep: the online engine re-evaluates a
+//! component from its pending queries every time one arrives.
 //!
 //! # Why memoized evaluation is byte-identical to from-scratch
 //!
@@ -51,30 +41,18 @@
 //! current representative or a constant and co-occurrence of variables
 //! is preserved. `find_one` backtracks in atom order and is invariant
 //! under variable renaming, so it returns the same row values; grounding
-//! then resolves every member variable to the same [`Value`]s. The
+//! then resolves every member variable to the same [`coord_db::Value`]s. The
 //! differential proptest suite asserts this equality byte-for-byte.
-//!
-//! Cached verdicts are pure functions of (ordered member contents,
-//! database): member names and batch-global variable offsets do not
-//! affect the values, and the borrow checker guarantees the database
-//! cannot change while an evaluator holds it. Verdicts therefore store
-//! per-member, *local*-variable value rows, reusable across batches.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use coord_obs::{Counter, TraceCtx, Tracer};
-use parking_lot::Mutex;
 
 use crate::combined::unify_members_counted;
 use crate::graphs::HeadIndex;
 use crate::instance::QuerySet;
-use crate::persist::EntangledQueryCodec;
-use crate::query::{EntangledQuery, QueryId};
-use crate::semantics::Grounding;
+use crate::query::QueryId;
 use crate::unify::{atoms_unifiable, DeltaLog, Substitution};
-use coord_db::{Atom, ConjunctiveQuery, Term, Value, Var};
-use coord_store::QueryCodec;
+use coord_db::{Atom, ConjunctiveQuery, Term};
 
 /// Work performed inside closure evaluation — the counter the
 /// differential layer keeps proportional to the delta where from-scratch
@@ -291,348 +269,10 @@ pub fn delta_unify(
     })
 }
 
-/// Rebuild a total grounding over `members` from cached per-member
-/// value rows (inverse of [`bindings_from_grounding`]).
-pub fn grounding_from_bindings(
-    qs: &QuerySet,
-    members: &[QueryId],
-    bindings: &[Vec<Value>],
-) -> Grounding {
-    debug_assert_eq!(members.len(), bindings.len());
-    let mut g = Grounding::new();
-    for (&m, vals) in members.iter().zip(bindings) {
-        for (l, v) in vals.iter().enumerate() {
-            g.set(qs.global_var(m, Var(l as u32)), v.clone());
-        }
-    }
-    g
-}
-
-/// Extract batch-independent per-member value rows from a total
-/// grounding over `members` (local variable order within each member).
-pub fn bindings_from_grounding(
-    qs: &QuerySet,
-    members: &[QueryId],
-    g: &Grounding,
-) -> Vec<Vec<Value>> {
-    members
-        .iter()
-        .map(|&m| {
-            qs.vars_of(m)
-                .map(|v| g.get(v).expect("groundings are total").clone())
-                .collect()
-        })
-        .collect()
-}
-
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
-
-fn fnv128(h: u128, bytes: &[u8]) -> u128 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// 128-bit FNV-1a digest of a query's canonical byte encoding
-/// ([`EntangledQueryCodec`]). 128 bits because digest collisions would
-/// alias cache entries — a correctness, not performance, concern.
-pub fn digest_query(q: &EntangledQuery) -> u128 {
-    let mut buf = Vec::with_capacity(128);
-    EntangledQueryCodec.encode(q, &mut buf);
-    fnv128(FNV_OFFSET, &buf)
-}
-
-/// Cache key for a closure: the fold of its members' digests in
-/// member-sorted order (order is part of the identity — fragments and
-/// the combined query depend on it).
-pub fn closure_key(member_digests: &[u128]) -> u128 {
-    let mut h = FNV_OFFSET;
-    for d in member_digests {
-        h = fnv128(h, &d.to_le_bytes());
-    }
-    h
-}
-
-/// A closure's cached evaluation verdict — a pure function of the
-/// members' ordered contents and the database.
-#[derive(Clone, Debug)]
-pub enum CachedVerdict {
-    /// Unification failed or the combined query had no satisfying row.
-    Failed,
-    /// Grounded: one value row per member, indexed by local variable.
-    Found {
-        /// Per-member value rows in member-sorted order.
-        bindings: Arc<Vec<Vec<Value>>>,
-    },
-}
-
-struct CacheEntry {
-    members: Box<[u128]>,
-    verdict: CachedVerdict,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    map: HashMap<u128, CacheEntry>,
-    generation: u64,
-    /// Trace sink for per-lookup `cache_hit` / `cache_miss` instants
-    /// (disabled until [`ClosureCache::attach`] wires a registry in).
-    tracer: Tracer,
-}
-
-/// Observable cache counters (`hits`/`misses` per lookup, cumulative
-/// grounding work recorded by the owning evaluator).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub entries: usize,
-    pub ground_work: u64,
-}
-
-/// Content-addressed cross-run verdict cache, shared by every sweep (and
-/// every shard — clones of an evaluator share it through an [`Arc`]).
-///
-/// Recency is a generation counter bumped per lookup, not wall-clock
-/// time, so eviction order is deterministic.
-pub struct ClosureCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-    /// Lock-free counters, readable without the map mutex and
-    /// exportable through a [`coord_obs::Registry`] via
-    /// [`ClosureCache::attach`].
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    work: Counter,
-}
-
-impl Default for ClosureCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ClosureCache {
-    /// Default capacity: 4096 closures.
-    pub fn new() -> Self {
-        Self::with_capacity(4096)
-    }
-
-    /// A cache evicting down to ~¾ of `capacity` (least recently used
-    /// first) whenever an insert exceeds it.
-    pub fn with_capacity(capacity: usize) -> Self {
-        ClosureCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(4),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
-            work: Counter::new(),
-        }
-    }
-
-    /// Export this cache's counters through `obs` (as `memo_hits`,
-    /// `memo_misses`, `memo_evictions`, `memo_ground_work`) and route
-    /// per-lookup `cache_hit`/`cache_miss` instants into its tracer —
-    /// stamped with the submitting request's [`TraceCtx`] and carrying
-    /// the lookup's nanos as `arg`, so the trace analyzer can attribute
-    /// memo time per trace.
-    pub fn attach(&self, obs: &coord_obs::Registry) {
-        obs.register_counter("memo_hits", &self.hits);
-        obs.register_counter("memo_misses", &self.misses);
-        obs.register_counter("memo_evictions", &self.evictions);
-        obs.register_counter("memo_ground_work", &self.work);
-        self.inner.lock().tracer = obs.tracer();
-    }
-
-    /// Look up a closure verdict by key.
-    pub fn lookup(&self, key: u128) -> Option<CachedVerdict> {
-        let mut inner = self.inner.lock();
-        // Timed only when a tracer is attached (no clock reads on the
-        // unattached path); the instant's arg is the lookup's nanos.
-        let started = inner.tracer.is_enabled().then(std::time::Instant::now);
-        inner.generation += 1;
-        let generation = inner.generation;
-        match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.last_used = generation;
-                let v = e.verdict.clone();
-                self.hits.incr();
-                if let Some(t) = started {
-                    let nanos = t.elapsed().as_nanos() as u64;
-                    inner
-                        .tracer
-                        .instant_in(TraceCtx::current(), "cache_hit", nanos);
-                }
-                Some(v)
-            }
-            None => {
-                self.misses.incr();
-                if let Some(t) = started {
-                    let nanos = t.elapsed().as_nanos() as u64;
-                    inner
-                        .tracer
-                        .instant_in(TraceCtx::current(), "cache_miss", nanos);
-                }
-                None
-            }
-        }
-    }
-
-    /// Record a freshly evaluated verdict.
-    pub fn insert(&self, key: u128, members: Box<[u128]>, verdict: CachedVerdict) {
-        let mut inner = self.inner.lock();
-        inner.generation += 1;
-        let generation = inner.generation;
-        inner.map.insert(
-            key,
-            CacheEntry {
-                members,
-                verdict,
-                last_used: generation,
-            },
-        );
-        if inner.map.len() > self.capacity {
-            // Evict the least recently used quarter in one pass.
-            let mut order: Vec<(u64, u128)> =
-                inner.map.iter().map(|(k, e)| (e.last_used, *k)).collect();
-            order.sort_unstable();
-            let drop_n = (self.capacity / 4).max(1);
-            for (_, k) in order.into_iter().take(drop_n) {
-                inner.map.remove(&k);
-                self.evictions.incr();
-            }
-        }
-    }
-
-    /// Drop every entry naming one of `departed` among its members
-    /// (called when queries retire). Purely an optimization: retired
-    /// queries never reappear in a closure, so their entries would just
-    /// age out — correctness relies on content addressing alone.
-    pub fn evict_members(&self, departed: &[u128]) {
-        if departed.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|_, e| !e.members.iter().any(|m| departed.contains(m)));
-        self.evictions.add((before - inner.map.len()) as u64);
-    }
-
-    /// Accumulate grounding work observed by the owning evaluator.
-    pub fn record_work(&self, work: u64) {
-        self.work.add(work);
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> MemoStats {
-        let entries = self.inner.lock().map.len();
-        MemoStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            entries,
-            ground_work: self.work.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QueryBuilder;
-
-    fn q(name: &str, tag: &str) -> EntangledQuery {
-        QueryBuilder::new(name)
-            .head("R", |a| a.constant(name.to_string()).var("x"))
-            .body("T", |a| a.var("x").constant(tag.to_string()))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn digests_separate_contents_and_respect_order() {
-        let a = digest_query(&q("a", "t0"));
-        let b = digest_query(&q("b", "t0"));
-        let a2 = digest_query(&q("a", "t1"));
-        assert_ne!(a, b, "names are part of the identity");
-        assert_ne!(a, a2, "bodies are part of the identity");
-        assert_eq!(a, digest_query(&q("a", "t0")), "digests are stable");
-        assert_ne!(closure_key(&[a, b]), closure_key(&[b, a]));
-    }
-
-    #[test]
-    fn cache_round_trips_verdicts_and_counts() {
-        let cache = ClosureCache::new();
-        let key = closure_key(&[1, 2]);
-        assert!(cache.lookup(key).is_none());
-        cache.insert(key, Box::new([1, 2]), CachedVerdict::Failed);
-        assert!(matches!(cache.lookup(key), Some(CachedVerdict::Failed)));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn eviction_prefers_least_recently_used() {
-        let cache = ClosureCache::with_capacity(4);
-        for i in 0..4u128 {
-            cache.insert(closure_key(&[i]), Box::new([i]), CachedVerdict::Failed);
-        }
-        // Touch entry 0 so it is the most recently used.
-        assert!(cache.lookup(closure_key(&[0])).is_some());
-        cache.insert(closure_key(&[9]), Box::new([9]), CachedVerdict::Failed);
-        assert!(
-            cache.lookup(closure_key(&[0])).is_some(),
-            "recently used survives"
-        );
-        assert!(
-            cache.lookup(closure_key(&[1])).is_none(),
-            "LRU entry evicted"
-        );
-        assert!(cache.stats().evictions >= 1);
-    }
-
-    #[test]
-    fn member_eviction_drops_exactly_intersecting_entries() {
-        let cache = ClosureCache::new();
-        cache.insert(
-            closure_key(&[1, 2]),
-            Box::new([1, 2]),
-            CachedVerdict::Failed,
-        );
-        cache.insert(closure_key(&[3]), Box::new([3]), CachedVerdict::Failed);
-        cache.evict_members(&[2]);
-        assert!(cache.lookup(closure_key(&[1, 2])).is_none());
-        assert!(cache.lookup(closure_key(&[3])).is_some());
-    }
-
-    #[test]
-    fn binding_rows_round_trip_through_groundings() {
-        let qs = QuerySet::new(vec![q("a", "t0"), q("b", "t1")]);
-        let members = [QueryId(0), QueryId(1)];
-        let mut g = Grounding::new();
-        for (i, m) in members.iter().enumerate() {
-            for v in qs.vars_of(*m) {
-                g.set(v, Value::int(i as i64));
-            }
-        }
-        let rows = bindings_from_grounding(&qs, &members, &g);
-        let back = grounding_from_bindings(&qs, &members, &rows);
-        for m in &members {
-            for v in qs.vars_of(*m) {
-                assert_eq!(g.get(v), back.get(v));
-            }
-        }
-    }
+    use coord_db::Var;
 
     /// Scaling pin for the sweep's memory: along a BA(500, 2) batch every
     /// memo's MGU stores variables of its own closure's members only (so

@@ -20,7 +20,6 @@
 //! mutex. The pre-incremental full-rebuild-per-submit loop survives as
 //! the oracle [`crate::testkit::RebuildEngine`].
 
-use crate::differential::{digest_query, ClosureCache, MemoStats};
 use crate::error::CoordError;
 use crate::instance::QuerySet;
 use crate::query::{EntangledQuery, QueryId};
@@ -29,7 +28,6 @@ use crate::semantics::Grounding;
 use coord_db::{Atom, Database, Symbol, Term, Value};
 use coord_engine::{ComponentEvaluator, CoordinationQuery, IncrementalEngine, ShardedEngine};
 use coord_obs::Registry as ObsRegistry;
-use std::sync::Arc;
 
 pub use coord_engine::{
     EngineMetrics, MetricsSnapshot, Placement, RebalanceConfig, RebalanceReport, Rebalancer,
@@ -94,47 +92,19 @@ impl CoordinationQuery for EntangledQuery {
 
 /// The component evaluator wiring the SCC Coordination Algorithm (with
 /// the small-instance brute-force fast path) into the service crate.
-///
-/// By default it carries a shared [`ClosureCache`]: component closures
-/// whose member contents were already decided against this database are
-/// answered from the cache, and re-evaluating a component after a
-/// single-query delta touches only the affected closures. Clones (one
-/// per shard in the sharded engine) share the cache through an [`Arc`],
-/// so component migration between shards never loses or stales it —
-/// the keys are content digests, valid on every shard.
+/// It keeps no state between evaluations: each one is a fresh sweep over
+/// the component's pending queries, so clones (one per shard in the
+/// sharded engine) are interchangeable and component migration between
+/// shards has nothing to carry along.
 #[derive(Clone)]
 pub struct SccEvaluator<'a> {
     db: &'a Database,
-    cache: Option<Arc<ClosureCache>>,
 }
 
 impl<'a> SccEvaluator<'a> {
-    /// An evaluator over the given database, with differential
-    /// evaluation and a fresh cross-run closure cache.
+    /// An evaluator over the given database.
     pub fn new(db: &'a Database) -> Self {
-        SccEvaluator {
-            db,
-            cache: Some(Arc::new(ClosureCache::new())),
-        }
-    }
-
-    /// An evaluator with no memoization at all: every component is
-    /// re-unified and re-ground from scratch on every evaluation. The
-    /// oracle baseline the differential equivalence suite compares the
-    /// default evaluator against.
-    pub fn memo_free(db: &'a Database) -> Self {
-        SccEvaluator { db, cache: None }
-    }
-
-    /// Closure-cache counters, if this evaluator memoizes.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// The shared closure cache, if this evaluator memoizes (used to
-    /// attach the cache's counters to an observability registry).
-    pub fn closure_cache(&self) -> Option<&Arc<ClosureCache>> {
-        self.cache.as_ref()
+        SccEvaluator { db }
     }
 }
 
@@ -146,13 +116,9 @@ impl ComponentEvaluator<EntangledQuery> for SccEvaluator<'_> {
         &self,
         queries: &[EntangledQuery],
     ) -> Result<Option<(Vec<usize>, Vec<QueryAnswer>)>, CoordError> {
-        let coordinator =
-            SccCoordinator::new(self.db).with_bruteforce_cutoff(SMALL_COMPONENT_CUTOFF);
-        let coordinator = match &self.cache {
-            Some(cache) => coordinator.with_closure_cache(Arc::clone(cache)),
-            None => coordinator.with_from_scratch_evaluation(),
-        };
-        let outcome = coordinator.run(queries)?;
+        let outcome = SccCoordinator::new(self.db)
+            .with_bruteforce_cutoff(SMALL_COMPONENT_CUTOFF)
+            .run(queries)?;
         let Some(best) = outcome.best() else {
             return Ok(None);
         };
@@ -164,17 +130,6 @@ impl ComponentEvaluator<EntangledQuery> for SccEvaluator<'_> {
         let members = best.queries.iter().map(|q| q.index()).collect();
         Ok(Some((members, answers)))
     }
-
-    fn note_departed(&self, queries: &[EntangledQuery]) {
-        // Retired queries never reappear in a closure, so their cache
-        // entries can only waste capacity — drop them eagerly. Content
-        // addressing keeps this an optimization, never a correctness
-        // requirement.
-        if let Some(cache) = &self.cache {
-            let departed: Vec<u128> = queries.iter().map(digest_query).collect();
-            cache.evict_members(&departed);
-        }
-    }
 }
 
 /// The online evaluation loop: buffer queries, evaluate the affected
@@ -184,35 +139,15 @@ impl ComponentEvaluator<EntangledQuery> for SccEvaluator<'_> {
 pub struct CoordinationEngine<'a> {
     db: &'a Database,
     inner: IncrementalEngine<EntangledQuery, SccEvaluator<'a>>,
-    cache: Option<Arc<ClosureCache>>,
 }
 
 impl<'a> CoordinationEngine<'a> {
     /// An engine over the given database.
     pub fn new(db: &'a Database) -> Self {
-        let evaluator = SccEvaluator::new(db);
-        let cache = evaluator.cache.clone();
         CoordinationEngine {
             db,
-            inner: IncrementalEngine::new(evaluator),
-            cache,
+            inner: IncrementalEngine::new(SccEvaluator::new(db)),
         }
-    }
-
-    /// An engine whose evaluator never memoizes (see
-    /// [`SccEvaluator::memo_free`]) — byte-identical answers, used as
-    /// the oracle in the differential equivalence suite.
-    pub fn memo_free(db: &'a Database) -> Self {
-        CoordinationEngine {
-            db,
-            inner: IncrementalEngine::new(SccEvaluator::memo_free(db)),
-            cache: None,
-        }
-    }
-
-    /// Closure-cache counters, if this engine's evaluator memoizes.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Queries currently buffered (unsatisfied coordination requirements).
@@ -293,7 +228,6 @@ pub(crate) fn answer_for(qs: &QuerySet, q: QueryId, grounding: &Grounding) -> Qu
 pub struct SharedEngine<'a> {
     db: &'a Database,
     inner: ShardedEngine<EntangledQuery, SccEvaluator<'a>>,
-    cache: Option<Arc<ClosureCache>>,
 }
 
 /// The default shard count of the concurrent engines: one per available
@@ -331,8 +265,7 @@ impl<'a> SharedEngine<'a> {
     /// pass [`ObsRegistry::disabled`] to compile every histogram, trace
     /// event, and export hook down to a branch per call (the overhead
     /// gate in `online_throughput` holds the enabled/disabled gap under
-    /// 5%). The closure cache's `memo_*` counters are registered too,
-    /// so one snapshot covers engine and memoization.
+    /// 5%).
     pub fn with_obs(
         db: &'a Database,
         shards: usize,
@@ -340,35 +273,9 @@ impl<'a> SharedEngine<'a> {
         rebalance: RebalanceConfig,
         obs: ObsRegistry,
     ) -> Self {
-        let evaluator = SccEvaluator::new(db);
-        let cache = evaluator.cache.clone();
-        if let Some(cache) = &cache {
-            cache.attach(&obs);
-        }
-        let inner = ShardedEngine::with_obs(evaluator, shards, placement, obs);
+        let inner = ShardedEngine::with_obs(SccEvaluator::new(db), shards, placement, obs);
         inner.set_rebalance_config(rebalance);
-        SharedEngine { db, inner, cache }
-    }
-
-    /// An engine whose shards never memoize (see
-    /// [`SccEvaluator::memo_free`]) — the oracle configuration of the
-    /// differential equivalence suite.
-    pub fn memo_free(db: &'a Database, shards: usize) -> Self {
-        SharedEngine {
-            db,
-            inner: ShardedEngine::with_placement(
-                SccEvaluator::memo_free(db),
-                shards,
-                Placement::default(),
-            ),
-            cache: None,
-        }
-    }
-
-    /// Closure-cache counters (shared across all shards), if this
-    /// engine memoizes.
-    pub fn memo_stats(&self) -> Option<MemoStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        SharedEngine { db, inner }
     }
 
     /// One skew-correction pass: detect a hot shard from the per-shard
@@ -421,8 +328,8 @@ impl<'a> SharedEngine<'a> {
     }
 
     /// The observability registry this engine records into: `engine_*`
-    /// counters, submit/lock-wait/migration/rebalance histograms,
-    /// `memo_*` cache counters, and the trace ring.
+    /// counters, submit/lock-wait/migration/rebalance histograms, and
+    /// the trace ring.
     pub fn obs(&self) -> &ObsRegistry {
         self.inner.obs()
     }

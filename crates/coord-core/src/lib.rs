@@ -28,8 +28,8 @@
 //!   form,
 //! * [`selector`] — pluggable selection among coordinating sets,
 //! * [`differential`] — memoized closure evaluation: per-sweep delta
-//!   joins along the condensation plus a content-addressed cross-run
-//!   verdict cache (DBSP-style incremental view maintenance),
+//!   joins along the condensation (DBSP-style incremental view
+//!   maintenance),
 //! * [`engine`] — a Youtopia-style online evaluation loop: a thin
 //!   adapter wiring the SCC algorithm into the `coord-engine` service
 //!   crate's incremental, sharded machinery,
@@ -95,7 +95,7 @@ pub mod single_connected;
 pub mod testkit;
 pub mod unify;
 
-pub use differential::{ClosureCache, GroundWork, MemoStats};
+pub use differential::GroundWork;
 pub use error::CoordError;
 pub use instance::QuerySet;
 pub use outcome::FoundSet;

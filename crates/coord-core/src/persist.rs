@@ -172,14 +172,13 @@ impl<'a> DurableSharedEngine<'a> {
     /// the whole durable stack — one [`ObsRegistry::snapshot`] then
     /// covers submit latency, WAL append/sync, snapshot rotations,
     /// migrations, rebalance passes, per-shard `shard_pending` /
-    /// `engine_inflight` gauges, the closure cache's `memo_*` counters,
-    /// and the database's `db_*` probe counters plus the
-    /// `db_probe_nanos` histogram. Every submit also opens a
-    /// request-scoped trace ticket ([`coord_obs::TraceCtx`]) at the
-    /// durable entry point, so lock-wait, evaluation, storage probes,
-    /// memo lookups and WAL append/sync events in the trace ring all
-    /// carry that submit's trace id — [`coord_obs::TraceAnalyzer`]
-    /// turns the ring into per-request latency breakdowns. Pass
+    /// `engine_inflight` gauges, and the database's `db_*` probe
+    /// counters plus the `db_probe_nanos` histogram. Every submit also
+    /// opens a request-scoped trace ticket ([`coord_obs::TraceCtx`]) at
+    /// the durable entry point, so lock-wait, evaluation, storage probes
+    /// and WAL append/sync events in the trace ring all carry that
+    /// submit's trace id — [`coord_obs::TraceAnalyzer`] turns the ring
+    /// into per-request latency breakdowns. Pass
     /// [`ObsRegistry::disabled`] for near-zero-cost instruments.
     pub fn open_with_obs(
         db: &'a Database,
@@ -189,13 +188,9 @@ impl<'a> DurableSharedEngine<'a> {
         obs: ObsRegistry,
     ) -> Result<Self, CoordError> {
         db.attach_obs(&obs);
-        let evaluator = SccEvaluator::new(db);
-        if let Some(cache) = evaluator.closure_cache() {
-            cache.attach(&obs);
-        }
         let inner = coord_store::DurableShardedEngine::open_with_obs(
             dir,
-            evaluator,
+            SccEvaluator::new(db),
             shards,
             EntangledQueryCodec,
             options,
@@ -276,9 +271,9 @@ impl<'a> DurableSharedEngine<'a> {
     }
 
     /// The observability registry threaded through the whole durable
-    /// stack: `engine_*`/`store_*`/`memo_*` counters, submit and WAL
+    /// stack: `engine_*`/`store_*`/`db_*` counters, submit and WAL
     /// latency histograms, and the trace ring. One
-    /// [`ObsRegistry::snapshot`] covers engine, store, and cache.
+    /// [`ObsRegistry::snapshot`] covers engine, store, and database.
     pub fn obs(&self) -> &ObsRegistry {
         self.inner.engine().obs()
     }

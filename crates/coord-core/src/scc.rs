@@ -32,10 +32,7 @@
 
 use crate::bruteforce;
 use crate::combined::ground_assembled;
-use crate::differential::{
-    bindings_from_grounding, closure_key, delta_unify, digest_query, grounding_from_bindings,
-    scratch_closure, CachedVerdict, ClosureCache, ClosureMemo, GroundWork,
-};
+use crate::differential::{delta_unify, scratch_closure, ClosureMemo, GroundWork};
 use crate::error::CoordError;
 use crate::graphs::{coordination_graph_counted, safety_violations_counted, HeadIndex};
 use crate::instance::QuerySet;
@@ -47,7 +44,6 @@ use crate::unify::UnifyCounter;
 use coord_db::Database;
 use coord_graph::{condensation, Condensation, DiGraph, NodeId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Statistics gathered during a run (mirrors the measurements of
 /// Figures 4–6).
@@ -245,7 +241,6 @@ pub struct SccCoordinator<'a> {
     selector: Box<dyn Selector + 'a>,
     bruteforce_cutoff: usize,
     evaluation: Evaluation,
-    cache: Option<Arc<ClosureCache>>,
 }
 
 impl<'a> SccCoordinator<'a> {
@@ -256,7 +251,6 @@ impl<'a> SccCoordinator<'a> {
             selector: Box::new(MaxSize),
             bruteforce_cutoff: 0,
             evaluation: Evaluation::default(),
-            cache: None,
         }
     }
 
@@ -267,26 +261,15 @@ impl<'a> SccCoordinator<'a> {
             selector: Box::new(selector),
             bruteforce_cutoff: 0,
             evaluation: Evaluation::default(),
-            cache: None,
         }
     }
 
     /// Disable differential evaluation: every closure is re-unified and
-    /// re-rewritten from scratch, and the cross-run cache (if any) is
-    /// neither read nor written. The results are byte-identical to the
+    /// re-rewritten from scratch. The results are byte-identical to the
     /// default — this exists as the baseline the equivalence suite and
     /// the ablation bench compare against.
     pub fn with_from_scratch_evaluation(mut self) -> Self {
         self.evaluation = Evaluation::FromScratch;
-        self
-    }
-
-    /// Attach a cross-run [`ClosureCache`]: closures whose member
-    /// contents were already decided against this database answer from
-    /// the cache without unification or a database query. Ignored under
-    /// [`Evaluation::FromScratch`].
-    pub fn with_closure_cache(mut self, cache: Arc<ClosureCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -440,16 +423,6 @@ impl<'a> SccCoordinator<'a> {
         // One head index shared by every component's unification pass.
         let head_index = HeadIndex::build(&qs);
 
-        // Per-query content digests for the cross-run cache, computed
-        // once per run (the cache is ignored under from-scratch
-        // evaluation, which must remain a true baseline).
-        let cache = match self.evaluation {
-            Evaluation::Differential => self.cache.as_deref(),
-            Evaluation::FromScratch => None,
-        };
-        let digests: Option<Vec<u128>> =
-            cache.map(|_| qs.queries().iter().map(digest_query).collect());
-
         let ctx = SweepCtx {
             db: self.db,
             qs: &qs,
@@ -457,8 +430,6 @@ impl<'a> SccCoordinator<'a> {
             cond: &cond,
             removed_set: &removed_set,
             mode: self.evaluation,
-            cache,
-            digests: digests.as_deref(),
         };
 
         // Per-component state: whether it failed, and the set of component
@@ -485,9 +456,6 @@ impl<'a> SccCoordinator<'a> {
 
         stats.db_queries = state.db_queries;
         stats.ground_work = state.ground.total();
-        if let Some(cache) = cache {
-            cache.record_work(stats.ground_work);
-        }
         // Candidate sets in component-id order — exactly the sequential
         // discovery order.
         let found: Vec<FoundSet> = state.found_per.into_iter().flatten().collect();
@@ -511,8 +479,6 @@ struct SweepCtx<'a> {
     cond: &'a Condensation,
     removed_set: &'a [bool],
     mode: Evaluation,
-    cache: Option<&'a ClosureCache>,
-    digests: Option<&'a [u128]>,
 }
 
 /// Mutable per-component results of a sweep, committed in id order.
@@ -521,8 +487,7 @@ struct SweepState {
     closures: Vec<BTreeSet<usize>>,
     /// Memoized closure of each successfully grounded component —
     /// what predecessors delta-join against. `None` for failed
-    /// components and for cross-run cache hits (which skip unification
-    /// entirely; predecessors fall back to a counted scratch pass).
+    /// components, and throughout under [`Evaluation::FromScratch`].
     memos: Vec<Option<ClosureMemo>>,
     found_per: Vec<Option<FoundSet>>,
     db_queries: usize,
@@ -690,7 +655,7 @@ fn sweep_groups(
 /// `found` describes the verdict; `closure` is empty on failure so
 /// predecessors merging it see the same sets the sequential sweep built.
 /// `memo` is the closure's reusable unification state (absent on
-/// failures, cross-run cache hits and from-scratch evaluation).
+/// failures and from-scratch evaluation).
 struct ComponentEval {
     failed: bool,
     closure: BTreeSet<usize>,
@@ -708,12 +673,11 @@ struct ComponentEval {
 /// — which is what keeps their per-closure candidates and stats identical.
 ///
 /// Under the default [`Evaluation::Differential`] mode the closure is
-/// built as a delta join against the successors' memos (falling back to
-/// a counted scratch pass when a live successor carries no memo — i.e.
-/// it was answered by the cross-run cache); under
-/// [`Evaluation::FromScratch`] every closure is re-unified in full.
-/// Either way the assembled conjunctive query is isomorphic and the
-/// verdict byte-identical (see [`crate::differential`]).
+/// built as a delta join against the successors' memos (a sink, having
+/// none, is unified from scratch); under [`Evaluation::FromScratch`]
+/// every closure is re-unified in full. Either way the assembled
+/// conjunctive query is isomorphic and the verdict byte-identical (see
+/// [`crate::differential`]).
 fn eval_component(
     ctx: &SweepCtx<'_>,
     failed: &[bool],
@@ -731,8 +695,7 @@ fn eval_component(
         work,
     };
 
-    // Removed queries cannot participate. (Removal depends on the whole
-    // batch, not just this closure, so this verdict is never cached.)
+    // Removed queries cannot participate.
     if ctx
         .cond
         .members(c)
@@ -742,8 +705,7 @@ fn eval_component(
         return Ok(failure(work));
     }
 
-    // Merge successor closures; fail if any successor failed. (Also not
-    // cached: the failure belongs to the successor's closure.)
+    // Merge successor closures; fail if any successor failed.
     let mut succs: BTreeSet<usize> = BTreeSet::new();
     for succ in ctx.cond.dag.successors(NodeId(c)) {
         succs.insert(succ.index());
@@ -764,44 +726,6 @@ fn eval_component(
         .collect();
     member_queries.sort_unstable();
 
-    // Cross-run cache: a closure with these exact member contents may
-    // already have a verdict against this database. Hits skip
-    // unification and the database query entirely (and produce no memo
-    // — a predecessor then takes the counted scratch path).
-    let cache_key = match (ctx.cache, ctx.digests) {
-        (Some(cache), Some(digests)) => {
-            let member_digests: Vec<u128> =
-                member_queries.iter().map(|q| digests[q.index()]).collect();
-            let key = closure_key(&member_digests);
-            if let Some(verdict) = cache.lookup(key) {
-                return Ok(match verdict {
-                    CachedVerdict::Failed => failure(work),
-                    CachedVerdict::Found { bindings } => {
-                        let grounding = grounding_from_bindings(ctx.qs, &member_queries, &bindings);
-                        ComponentEval {
-                            failed: false,
-                            closure,
-                            queried_db: false,
-                            found: Some(FoundSet {
-                                queries: member_queries,
-                                grounding,
-                            }),
-                            memo: None,
-                            work,
-                        }
-                    }
-                });
-            }
-            Some((key, member_digests))
-        }
-        _ => None,
-    };
-    let cache_verdict = |verdict: CachedVerdict| {
-        if let (Some(cache), Some((key, md))) = (ctx.cache, &cache_key) {
-            cache.insert(*key, md.clone().into_boxed_slice(), verdict);
-        }
-    };
-
     // Unify the closure: every postcondition with its unique head —
     // differentially against successor memos where possible.
     let memo = match ctx.mode {
@@ -809,9 +733,15 @@ fn eval_component(
             scratch_closure(ctx.qs, ctx.head_index, &member_queries, &mut work)
         }
         Evaluation::Differential => {
-            let succ_memos: Vec<&ClosureMemo> =
-                succs.iter().filter_map(|&s| memos[s].as_ref()).collect();
-            if !succ_memos.is_empty() && succ_memos.len() == succs.len() {
+            if succs.is_empty() {
+                scratch_closure(ctx.qs, ctx.head_index, &member_queries, &mut work)
+            } else {
+                // No successor failed (checked above), and a component
+                // that grounds under this mode always commits its memo.
+                let succ_memos: Vec<&ClosureMemo> = succs
+                    .iter()
+                    .map(|&s| memos[s].as_ref().expect("live successor carries a memo"))
+                    .collect();
                 let mut own: Vec<QueryId> = ctx
                     .cond
                     .members(c)
@@ -827,45 +757,34 @@ fn eval_component(
                     &succ_memos,
                     &mut work,
                 )
-            } else {
-                scratch_closure(ctx.qs, ctx.head_index, &member_queries, &mut work)
             }
         }
     };
     let Some(mut memo) = memo else {
-        cache_verdict(CachedVerdict::Failed);
         return Ok(failure(work));
     };
 
     // One conjunctive query to the database for this component.
     let cq = memo.assemble();
     match ground_assembled(ctx.db, ctx.qs, &member_queries, &mut memo.subst, &cq)? {
-        Some(grounding) => {
-            cache_verdict(CachedVerdict::Found {
-                bindings: Arc::new(bindings_from_grounding(ctx.qs, &member_queries, &grounding)),
-            });
-            Ok(ComponentEval {
-                failed: false,
-                closure,
-                queried_db: true,
-                found: Some(FoundSet {
-                    queries: member_queries,
-                    grounding,
-                }),
-                memo: match ctx.mode {
-                    Evaluation::Differential => Some(memo),
-                    Evaluation::FromScratch => None,
-                },
-                work,
-            })
-        }
-        None => {
-            cache_verdict(CachedVerdict::Failed);
-            Ok(ComponentEval {
-                queried_db: true,
-                ..failure(work)
-            })
-        }
+        Some(grounding) => Ok(ComponentEval {
+            failed: false,
+            closure,
+            queried_db: true,
+            found: Some(FoundSet {
+                queries: member_queries,
+                grounding,
+            }),
+            memo: match ctx.mode {
+                Evaluation::Differential => Some(memo),
+                Evaluation::FromScratch => None,
+            },
+            work,
+        }),
+        None => Ok(ComponentEval {
+            queried_db: true,
+            ..failure(work)
+        }),
     }
 }
 

@@ -20,32 +20,6 @@
 //! superset is sound: extra queries were already stable (their own
 //! components were evaluated when they last changed), and the evaluator
 //! sees every query the true component contains.
-//!
-//! # Memo invalidation protocol
-//!
-//! Evaluators may memoize per-component results across evaluations (the
-//! algorithm crate's evaluator caches closure verdicts keyed by content
-//! digests of the member queries). The engine guarantees exactly one
-//! invalidation signal and relies on content addressing for the rest:
-//!
-//! * **Submit** — a new query changes its component's membership, hence
-//!   the content key of every closure containing it: stale entries are
-//!   simply never looked up again. No explicit invalidation needed.
-//! * **Retire** — answered queries leave the pending set forever; the
-//!   engine calls [`ComponentEvaluator::note_departed`] so caches can
-//!   reclaim the dead entries eagerly (an optimization — the entries
-//!   could never be hit again by a correct content key).
-//! * **Migration / rebalance / [`IncrementalEngine::extract_related`]**
-//!   — queries stay live and unchanged, and every shard's evaluator is
-//!   a clone sharing one cache, so moved components hit the same
-//!   entries on their new shard. No signal is sent, deliberately.
-//! * **Rollback** — a rejected submit (evaluator error) leaves the
-//!   pending set untouched; any entries the failed evaluation inserted
-//!   describe real closure contents and stay valid.
-//! * **WAL replay** — recovery re-inserts pending queries without
-//!   evaluating (`insert_pending`), so a recovered engine starts with a
-//!   fresh, empty cache and rebuilds memos deterministically on first
-//!   touch; replayed answers never consult a stale cache.
 
 use crate::index::{AtomIndex, KeyPattern, Polarity};
 use crate::metrics::{EngineMetrics, ShardStats};
@@ -92,16 +66,6 @@ pub trait ComponentEvaluator<Q> {
     /// of the coordinating-set members plus the delivery, or `None` if no
     /// set coordinates yet.
     fn evaluate(&self, queries: &[Q]) -> EvalVerdict<Self::Delivery, Self::Error>;
-
-    /// Hook: `queries` were answered and permanently retired from the
-    /// pending set. Evaluators that memoize across evaluations (see the
-    /// memo invalidation protocol in the module docs) use this to drop
-    /// cache entries naming the departed queries; the default does
-    /// nothing. Only *retirement* triggers this — migration between
-    /// shards and [`IncrementalEngine::extract_related`] keep queries
-    /// live, and memo caches are shared by every clone of an evaluator,
-    /// so moving a query never invalidates anything.
-    fn note_departed(&self, _queries: &[Q]) {}
 }
 
 /// Result of one submit.
@@ -616,7 +580,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
                 }
             }
         }
-        self.evaluator.note_departed(&out);
         out
     }
 }

@@ -466,7 +466,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q> + Clone> ShardedEngine<Q, V>
 
     /// A service recording into an explicit observability registry —
     /// shared with other layers (the durable store threads one registry
-    /// through engine, WAL and cache), or [`Registry::disabled`] to
+    /// through engine, WAL and database), or [`Registry::disabled`] to
     /// compile the histograms and tracer down to a branch per call.
     pub fn with_obs(evaluator: V, shards: usize, placement: Placement, registry: Registry) -> Self {
         assert!(shards > 0, "at least one shard required");

@@ -44,10 +44,9 @@ pub fn partner_query(i: usize, partners: &[usize]) -> EntangledQuery {
 /// A cycle of these unifies every member's `x` into one class, so the
 /// combined body demands one pool tuple carrying every member's tag —
 /// unsatisfiable for cycles of length ≥ 2 (pool tags are per-user
-/// distinct). The grounding *fails* rather than the unification, which
-/// makes such cycles exercise the cached-failure path of the
-/// differential layer: the verdict costs one database query the first
-/// time and none afterwards.
+/// distinct). The grounding *fails* rather than the unification, so
+/// every evaluation of such a cycle costs one (fruitless) database
+/// query.
 pub fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery {
     let mut b = QueryBuilder::new(format!("c{i}"));
     for &p in partners {
@@ -59,13 +58,12 @@ pub fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery 
         .expect("workload query is well-formed")
 }
 
-/// An unsatisfiable-core workload for the cross-run closure cache: a
-/// [`contending_partner_query`] cycle of `k` members (one SCC whose
-/// grounding always fails; pick `k` above the engine's small-component
-/// cutoff so the SCC path runs) plus `spokes` independent
-/// [`partner_query`] chains of length 2 hanging off users
-/// `k, k+1, …` — each spoke requires a cycle member, so every spoke
-/// submit re-confronts the engine with the same failed cycle closure.
+/// An unsatisfiable-core workload: a [`contending_partner_query`] cycle
+/// of `k` members (one SCC whose grounding always fails; pick `k` above
+/// the engine's small-component cutoff so the SCC path runs) plus
+/// `spokes` independent [`partner_query`] chains of length 2 hanging off
+/// users `k, k+1, …` — each spoke requires a cycle member, so the online
+/// engine re-probes the failed cycle once per spoke.
 /// Returns `(cycle, spokes)` in arrival order.
 pub fn unsat_cycle_with_spokes(
     k: usize,

@@ -6,11 +6,11 @@
 //! re-nests each trace's begin/end pairs into [`SpanNode`] trees
 //! (per-thread stacks — span guards nest strictly on a thread), and
 //! computes a [`LatencyBreakdown`] per trace: where the root span's
-//! wall time went, split into lock-wait / evaluate / db-probe / memo /
+//! wall time went, split into lock-wait / evaluate / db-probe /
 //! wal-append / wal-sync / other. Nested phases are accounted
 //! *exclusively* (a storage probe's nanos are subtracted from the
 //! enclosing evaluate span; a WAL fsync's from its append), so for a
-//! complete trace the seven phases sum to exactly the root span's wall
+//! complete trace the six phases sum to exactly the root span's wall
 //! nanos — and never more.
 //!
 //! An `end` event whose `begin` was overwritten by ring overflow is an
@@ -71,12 +71,10 @@ pub fn orphaned_end_count(events: &[TraceEvent]) -> u64 {
 pub struct LatencyBreakdown {
     /// Time blocked on contended shard locks (`lock_wait` instants).
     pub lock_wait: u64,
-    /// Closure evaluation, excluding the probe and memo time inside it.
+    /// Closure evaluation, excluding the probe time inside it.
     pub evaluate: u64,
     /// Database `find_one`/`find_all` probe time (`db_probe` instants).
     pub db_probe: u64,
-    /// Closure-cache lookup time (`cache_hit`/`cache_miss` instants).
-    pub memo: u64,
     /// WAL append time, excluding the fsync inside it.
     pub wal_append: u64,
     /// WAL fsync time (`wal_sync` instants).
@@ -90,11 +88,10 @@ pub struct LatencyBreakdown {
 }
 
 /// The phase names, in [`LatencyBreakdown::phases`] order.
-pub const PHASES: [&str; 7] = [
+pub const PHASES: [&str; 6] = [
     "lock_wait",
     "evaluate",
     "db_probe",
-    "memo",
     "wal_append",
     "wal_sync",
     "other",
@@ -102,12 +99,11 @@ pub const PHASES: [&str; 7] = [
 
 impl LatencyBreakdown {
     /// `(name, nanos)` for every phase, in [`PHASES`] order.
-    pub fn phases(&self) -> [(&'static str, u64); 7] {
+    pub fn phases(&self) -> [(&'static str, u64); 6] {
         [
             ("lock_wait", self.lock_wait),
             ("evaluate", self.evaluate),
             ("db_probe", self.db_probe),
-            ("memo", self.memo),
             ("wal_append", self.wal_append),
             ("wal_sync", self.wal_sync),
             ("other", self.other),
@@ -265,22 +261,20 @@ impl TraceAnalyzer {
         let span = |kind: &str| b.span_nanos.get(kind).copied().unwrap_or(0);
         let lock_wait = instant("lock_wait");
         let db_probe = instant("db_probe");
-        let memo = instant("cache_hit") + instant("cache_miss");
         let wal_sync = instant("wal_sync");
-        let evaluate = span("evaluate").saturating_sub(db_probe + memo);
+        let evaluate = span("evaluate").saturating_sub(db_probe);
         let wal_append = span("wal_append").saturating_sub(wal_sync);
         let critical_path_nanos = if complete {
             b.root_closed_nanos.unwrap_or(0)
         } else {
             0
         };
-        let accounted = lock_wait + evaluate + db_probe + memo + wal_append + wal_sync;
+        let accounted = lock_wait + evaluate + db_probe + wal_append + wal_sync;
         let other = critical_path_nanos.saturating_sub(accounted);
         LatencyBreakdown {
             lock_wait,
             evaluate,
             db_probe,
-            memo,
             wal_append,
             wal_sync,
             other,
@@ -409,19 +403,18 @@ mod tests {
 
     #[test]
     fn breakdown_attributes_nested_phases_exclusively() {
-        // submit[1000] { lock_wait(50) evaluate[400] { db_probe(100)
-        // cache_miss(20) } wal_append[300] { wal_sync(200) } }
+        // submit[1000] { lock_wait(50) evaluate[400] { db_probe(100) }
+        // wal_append[300] { wal_sync(200) } }
         let events = vec![
             ev(0, "submit", TracePhase::Begin, 0, 1),
             ev(1, "lock_wait", TracePhase::Instant, 50, 1),
             ev(2, "evaluate", TracePhase::Begin, 0, 1),
             ev(3, "db_probe", TracePhase::Instant, 100, 1),
-            ev(4, "cache_miss", TracePhase::Instant, 20, 1),
-            ev(5, "evaluate", TracePhase::End, 400, 1),
-            ev(6, "wal_append", TracePhase::Begin, 0, 1),
-            ev(7, "wal_sync", TracePhase::Instant, 200, 1),
-            ev(8, "wal_append", TracePhase::End, 300, 1),
-            ev(9, "submit", TracePhase::End, 1000, 1),
+            ev(4, "evaluate", TracePhase::End, 400, 1),
+            ev(5, "wal_append", TracePhase::Begin, 0, 1),
+            ev(6, "wal_sync", TracePhase::Instant, 200, 1),
+            ev(7, "wal_append", TracePhase::End, 300, 1),
+            ev(8, "submit", TracePhase::End, 1000, 1),
         ];
         let a = TraceAnalyzer::from_events(&events, 0);
         assert_eq!(a.traces().len(), 1);
@@ -430,12 +423,11 @@ mod tests {
         let b = &t.breakdown;
         assert_eq!(b.lock_wait, 50);
         assert_eq!(b.db_probe, 100);
-        assert_eq!(b.memo, 20);
-        assert_eq!(b.evaluate, 400 - 120);
+        assert_eq!(b.evaluate, 400 - 100);
         assert_eq!(b.wal_sync, 200);
         assert_eq!(b.wal_append, 300 - 200);
         assert_eq!(b.critical_path_nanos, 1000);
-        assert_eq!(b.other, 1000 - 50 - 280 - 100 - 20 - 100 - 200);
+        assert_eq!(b.other, 1000 - 50 - 300 - 100 - 100 - 200);
         assert_eq!(b.phase_sum(), 1000, "phases sum to the root wall time");
         // The span tree nests evaluate and wal_append under submit.
         assert_eq!(t.roots.len(), 1);

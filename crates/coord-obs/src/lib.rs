@@ -38,13 +38,13 @@
 //! (gap-free unless events were dropped), `at_ns` (nanoseconds since
 //! the tracer was created), `kind` (`submit`, `evaluate`, `migrate`,
 //! `rebalance`, `wal_append`, `wal_sync`, `snapshot_rotation`,
-//! `cache_hit`, `cache_miss`, `lock_wait`, `db_probe`, …), `phase`
+//! `lock_wait`, `db_probe`, …), `phase`
 //! (`begin` / `end` / `instant`), `arg` (the span duration in
 //! nanoseconds on `end` events, a free slot otherwise), `trace` (the
 //! request id; 0 = unattributed) and `thread` (a dense per-process
 //! thread ordinal). One submit's journey reads as the `begin`/`end`
-//! pairs nested between its `submit` span: evaluation, WAL append,
-//! sync, and any cache events in between.
+//! pairs nested between its `submit` span: evaluation, WAL append and
+//! sync, with the probe and lock-wait instants in between.
 //!
 //! # Request-scoped tracing
 //!
@@ -52,11 +52,11 @@
 //! untangles them. Each submit allocates one [`TraceCtx`] (a
 //! [`Tracer::ticket`] at the stack's entry point), installs it as the
 //! thread-local current context, and every layer below — shard
-//! lock-wait, closure evaluation, storage probes, memo lookups, WAL
-//! append/sync — stamps its events with it. [`TraceAnalyzer`] rebuilds
+//! lock-wait, closure evaluation, storage probes, WAL append/sync —
+//! stamps its events with it. [`TraceAnalyzer`] rebuilds
 //! per-trace span trees from the ring and attributes each root span's
 //! wall time into a [`LatencyBreakdown`] (lock-wait / evaluate /
-//! db-probe / memo / wal-append / wal-sync / other, summing to exactly
+//! db-probe / wal-append / wal-sync / other, summing to exactly
 //! the critical-path nanos for a complete trace), with a top-K
 //! slow-trace JSON report next to the snapshot exporters. The
 //! [`Tracer::set_slow_query_log`] flight recorder copies any trace

@@ -1,7 +1,7 @@
 //! The metrics registry: named counters, gauges, and histograms, plus
 //! the shared tracer. One registry spans a whole engine stack — the
 //! durable sharded engine threads a single handle through its shards,
-//! WAL store, and closure cache, so one [`Registry::snapshot`] shows a
+//! WAL store, and database, so one [`Registry::snapshot`] shows a
 //! submit's full journey.
 
 use crate::hist::{Histogram, HistogramSnapshot};

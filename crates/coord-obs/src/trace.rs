@@ -12,7 +12,7 @@
 //! passes it explicitly ([`Tracer::instant_in`], [`Tracer::begin_in`])
 //! or installs it as the **thread-local current context**
 //! ([`TraceCtx::enter`]) so layers with no parameter to spare — the
-//! database's probe accounting, the closure cache, the WAL writer —
+//! database's probe accounting, the WAL writer —
 //! pick it up through [`TraceCtx::current`]. One synchronous submit
 //! runs on one thread, so the thread-local is exactly the causal scope.
 
@@ -518,7 +518,7 @@ mod tests {
         let t = Tracer::with_capacity(16);
         {
             let span = t.begin("submit");
-            t.instant("cache_hit", 7);
+            t.instant("lock_wait", 7);
             span.finish();
         }
         let (events, dropped) = t.events();
@@ -528,7 +528,7 @@ mod tests {
             kinds,
             vec![
                 ("submit", TracePhase::Begin),
-                ("cache_hit", TracePhase::Instant),
+                ("lock_wait", TracePhase::Instant),
                 ("submit", TracePhase::End),
             ]
         );

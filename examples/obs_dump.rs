@@ -6,9 +6,9 @@
 //!
 //! One registry is threaded through the whole stack
 //! ([`DurableSharedEngine`] → WAL/snapshot store → sharded engine →
-//! closure cache), so a single `snapshot()` covers submit latency, WAL
-//! append/sync timings, snapshot rotations, migrations, and memo
-//! hit/miss counters — and every submit opens a request-scoped trace
+//! database), so a single `snapshot()` covers submit latency, WAL
+//! append/sync timings, snapshot rotations, migrations, and database
+//! probe counters — and every submit opens a request-scoped trace
 //! ticket, so the ring attributes each event to the submit that caused
 //! it.
 //!
@@ -38,8 +38,8 @@ fn main() {
     for q in fig4_queries(40) {
         engine.submit(q).unwrap();
     }
-    // …and an unsatisfiable contending cycle plus spokes, whose cached
-    // failed closure gives the memo counters real hit traffic.
+    // …and an unsatisfiable contending cycle plus spokes: every spoke
+    // re-probes the failed cycle, so `db_find_one` carries real traffic.
     let (cycle, spokes) = unsat_cycle_with_spokes(8, 6);
     for q in cycle.into_iter().chain(spokes) {
         engine.submit(q).unwrap();

@@ -25,7 +25,7 @@
 //! * [`obs`] — zero-dependency observability: a metrics registry with
 //!   lock-free counters/gauges/latency histograms, a span-style event
 //!   tracer with a fixed-capacity ring, and JSON/Prometheus exporters.
-//!   One registry threads through engine, store, and closure cache.
+//!   One registry threads through engine, store, and database.
 //! * [`sat`] — 3SAT, DPLL, and the paper's hardness reductions.
 //! * [`gen`] — social-network and workload generators for the experiments.
 //!

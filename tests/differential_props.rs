@@ -2,10 +2,7 @@
 //! layer: memoized evaluation must be **byte-identical** to from-scratch
 //! evaluation — same candidate sets, same groundings, same best set —
 //! on random batch workloads, online submit/retire interleavings, and
-//! under cache-hostile interleavings of migration, rollback and
-//! rebalancing.
-
-use std::sync::Arc;
+//! under interleavings of migration, rollback and rebalancing.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +13,7 @@ use social_coordination::core::engine::{
 use social_coordination::core::graphs::is_safe;
 use social_coordination::core::scc::SccCoordinator;
 use social_coordination::core::testkit::RebuildEngine;
-use social_coordination::core::{ClosureCache, EntangledQuery, QueryBuilder, QuerySet};
+use social_coordination::core::{EntangledQuery, QueryBuilder, QuerySet};
 use social_coordination::gen::workloads::{
     fig4_queries, fig5_queries, forest_queries, interleave_arrivals, partner_query, pool_db,
     unsat_cycle_with_spokes,
@@ -78,9 +75,7 @@ proptest! {
 
     /// Memoized batch evaluation ≡ from-scratch evaluation on random
     /// chain / cycle / forest / scale-free workloads, across the sequential and
-    /// the parallel sweep, with and without a cross-run cache — and a
-    /// second cache-warmed run (all closure verdicts served from the
-    /// cache) still reproduces the from-scratch answers byte-for-byte.
+    /// the parallel sweep.
     #[test]
     fn memoized_batch_equals_from_scratch(
         shape in 0usize..4,
@@ -96,7 +91,7 @@ proptest! {
             .run(&queries)
             .unwrap();
 
-        // Default differential evaluation, no cross-run cache.
+        // Default differential evaluation.
         let diff = SccCoordinator::new(&db).run(&queries).unwrap();
         assert_outcomes_equal(&diff, &scratch, "differential/sequential")?;
 
@@ -108,18 +103,6 @@ proptest! {
         // The parallel sweep builds memos the same way.
         let par = SccCoordinator::new(&db).run_parallel(&queries, 3).unwrap();
         assert_outcomes_equal(&par, &scratch, "differential/parallel")?;
-
-        // Cross-run cache: a cold run fills it, a warm run answers from
-        // it. Warm runs skip grounding probes, so compare answers only.
-        let cache = Arc::new(ClosureCache::new());
-        let cached = SccCoordinator::new(&db).with_closure_cache(Arc::clone(&cache));
-        let cold = cached.run(&queries).unwrap();
-        assert_outcomes_equal(&cold, &scratch, "cached/cold")?;
-        let warm = cached.run(&queries).unwrap();
-        prop_assert_eq!(&warm.found, &scratch.found, "cached/warm candidates");
-        prop_assert_eq!(warm.best_names(), scratch.best_names(), "cached/warm best");
-        let warm_par = cached.run_parallel(&queries, 3).unwrap();
-        prop_assert_eq!(&warm_par.found, &scratch.found, "cached/warm parallel");
     }
 }
 
@@ -182,9 +165,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A memoized online engine delivers, submit by submit, exactly the
-    /// answers of (a) a memo-free engine and (b) the from-scratch
-    /// `RebuildEngine`, over random submit/retire interleavings — and
-    /// all three end with the same pending set.
+    /// answers of the from-scratch `RebuildEngine`, over random
+    /// submit/retire interleavings — and both end with the same pending
+    /// set.
     #[test]
     fn online_delta_reevaluation_equals_full(
         sizes in prop::collection::vec(1usize..=9, 2..=5),
@@ -194,39 +177,27 @@ proptest! {
         let arrivals = interleave_arrivals(groups(&sizes), seed);
 
         let mut memoized = CoordinationEngine::new(&db);
-        let mut memo_free = CoordinationEngine::memo_free(&db);
         let mut rebuild = RebuildEngine::new(&db);
 
         for (i, q) in arrivals.iter().enumerate() {
             let a = memoized.submit(q.clone()).unwrap();
-            let b = memo_free.submit(q.clone()).unwrap();
-            let c = rebuild.submit(q.clone()).unwrap();
-            let a = sorted_answers(a.answers);
+            let b = rebuild.submit(q.clone()).unwrap();
             prop_assert_eq!(
-                &a,
+                &sorted_answers(a.answers),
                 &sorted_answers(b.answers),
-                "memoized vs memo-free diverged at submit {} (seed {})", i, seed
-            );
-            prop_assert_eq!(
-                &a,
-                &sorted_answers(c.answers),
                 "memoized vs rebuild diverged at submit {} (seed {})", i, seed
             );
         }
         let pending = sorted_query_names(memoized.pending().iter().copied());
-        prop_assert_eq!(
-            &pending,
-            &sorted_query_names(memo_free.pending().iter().copied())
-        );
         prop_assert_eq!(&pending, &sorted_query_names(rebuild.pending().iter()));
-        prop_assert_eq!(memoized.delivered(), memo_free.delivered());
         prop_assert_eq!(memoized.delivered(), rebuild.delivered());
     }
 
-    /// Cache-invalidation fuzz: a memoized sharded engine under random
-    /// migrations (rebalance passes), rejected-submit rollbacks (unsafe
-    /// duplicate heads) and retires stays byte-identical to a memo-free
-    /// sequential engine.
+    /// Placement fuzz (the name dates from the cross-run verdict cache
+    /// this suite once guarded): a sharded engine under random migrations
+    /// (rebalance passes), rejected-submit rollbacks (unsafe duplicate
+    /// heads) and retires stays byte-identical to the from-scratch
+    /// sequential `RebuildEngine`.
     #[test]
     fn cache_survives_migration_rollback_and_rebalance(
         sizes in prop::collection::vec(2usize..=8, 2..=4),
@@ -249,7 +220,7 @@ proptest! {
             Placement::RoundRobin,
             RebalanceConfig { skew_threshold: 0.34, min_window_load: 8, max_moves: 8 },
         );
-        let mut sequential = CoordinationEngine::memo_free(&db);
+        let mut sequential = RebuildEngine::new(&db);
 
         for (i, q) in arrivals.iter().enumerate() {
             let a = sharded.submit(q.clone()).unwrap();
@@ -262,8 +233,7 @@ proptest! {
             if (i + 1) % poison_every == 0 {
                 // An intrinsically unsafe submit: both engines must
                 // refuse it, and the sharded engine must roll back the
-                // component merge it performed on the way in — without
-                // poisoning any cached closure verdict.
+                // component merge it performed on the way in.
                 let group = (i + 1) % sizes.len();
                 let poison = unsafe_poison(100 * group);
                 prop_assert!(sharded.submit(poison.clone()).is_err());
@@ -275,20 +245,23 @@ proptest! {
         }
         prop_assert_eq!(
             sorted_query_names(sharded.pending().iter()),
-            sorted_query_names(sequential.pending().iter().copied())
+            sorted_query_names(sequential.pending().iter())
         );
         prop_assert_eq!(sharded.delivered(), sequential.delivered());
     }
 }
 
 // ---------------------------------------------------------------------
-// Deterministic cross-run cache behaviour on an unsatisfiable core.
+// Deterministic re-evaluation cost on an unsatisfiable core.
 // ---------------------------------------------------------------------
 
-/// A failed cycle's verdict is cached: every spoke submit re-confronts
-/// the engine with the same unsatisfiable 7-member cycle, and the
-/// memoized engine answers from the verdict cache without re-probing the
-/// database, while a memo-free twin pays one grounding probe per spoke.
+/// The price of keeping no verdict between submits. (The name dates from
+/// the cross-run verdict cache, deleted because it lost end to end on the
+/// one workload built to hit it; `/root/TESTS_AT_FLOOR.txt` pins the
+/// name.) Every spoke submit re-confronts the engine with the same
+/// unsatisfiable 7-member cycle, and the engine re-probes it: one failed
+/// grounding probe per submit from the seventh cycle member on — exactly
+/// what the from-scratch `RebuildEngine` pays.
 #[test]
 fn failed_cycle_verdict_is_served_from_cache() {
     const SPOKES: usize = 5;
@@ -296,34 +269,25 @@ fn failed_cycle_verdict_is_served_from_cache() {
 
     // Twin databases: probe statistics are per-database, and the two
     // engines must not pollute each other's counters.
-    let memo_db = pool_db(64);
-    let plain_db = pool_db(64);
-    let mut memoized = CoordinationEngine::new(&memo_db);
-    let mut memo_free = CoordinationEngine::memo_free(&plain_db);
-    assert!(memoized.memo_stats().is_some());
-    assert!(memo_free.memo_stats().is_none());
+    let engine_db = pool_db(64);
+    let rebuild_db = pool_db(64);
+    let mut engine = CoordinationEngine::new(&engine_db);
+    let mut rebuild = RebuildEngine::new(&rebuild_db);
 
     for q in cycle.iter().chain(spokes.iter()) {
-        let a = memoized.submit(q.clone()).unwrap();
-        let b = memo_free.submit(q.clone()).unwrap();
+        let a = engine.submit(q.clone()).unwrap();
+        let b = rebuild.submit(q.clone()).unwrap();
         assert_eq!(sorted_answers(a.answers), sorted_answers(b.answers));
     }
     // Nothing coordinates: the cycle is unsatisfiable and the spokes
     // depend on it.
-    assert_eq!(memoized.delivered(), 0);
-    assert_eq!(memoized.pending().len(), 7 + SPOKES);
+    assert_eq!(engine.delivered(), 0);
+    assert_eq!(engine.pending().len(), 7 + SPOKES);
 
-    // The memoized engine probed the cycle once and then served every
-    // spoke's re-evaluation from the cached Failed verdict.
-    let stats = memoized.memo_stats().unwrap();
-    assert!(
-        stats.hits >= SPOKES as u64,
-        "expected ≥{SPOKES} cache hits, got {stats:?}"
-    );
-    let memo_probes = memo_db.stats().find_one_count();
-    let plain_probes = plain_db.stats().find_one_count();
-    assert!(
-        plain_probes >= memo_probes + SPOKES as u64,
-        "memo-free twin should pay ≥1 extra probe per spoke: memoized {memo_probes}, memo-free {plain_probes}"
-    );
+    // The first six arrivals take the bruteforce path and find no
+    // matching to ground; closing the cycle costs one probe, and so does
+    // every spoke after it (the spokes themselves fail on their failed
+    // successor without probing).
+    assert_eq!(engine_db.stats().find_one_count(), 1 + SPOKES as u64);
+    assert_eq!(rebuild_db.stats().find_one_count(), 1 + SPOKES as u64);
 }

@@ -9,6 +9,7 @@ use social_coordination::core::persist::{
     DurabilityOptions, DurableSharedEngine, EntangledQueryCodec,
 };
 use social_coordination::core::scc::SccCoordinator;
+use social_coordination::core::testkit::RebuildEngine;
 use social_coordination::core::EntangledQuery;
 use social_coordination::db::Database;
 use social_coordination::gen::workloads::{interleave_arrivals, partner_query, pool_db};
@@ -209,13 +210,14 @@ proptest! {
             .contains(&"q999".to_string()));
     }
 
-    /// The memo/WAL crash window: the keystone submit coordinates the
-    /// chain, which invalidates the evaluator's cached closure verdicts
-    /// (`note_departed`) *before* the crash destroys the commit record.
-    /// Recovery must not depend on the lost memo state: the replayed
-    /// engine starts from a fresh cache, reaches the same pending set,
-    /// and re-coordinating the keystone yields answers byte-identical
-    /// both to the original acknowledgment and to a memo-free twin.
+    /// The ack/WAL crash window (the name dates from the cross-run
+    /// verdict cache, whose invalidation once sat in it): the keystone
+    /// submit coordinates and retires the chain in memory *before* the
+    /// crash destroys the commit record. Recovery must not depend on
+    /// anything the lost process held: the replayed engine reaches the
+    /// same pending set, and re-coordinating the keystone yields answers
+    /// byte-identical both to the original acknowledgment and to a
+    /// from-scratch `RebuildEngine` twin.
     #[test]
     fn crash_between_memo_invalidation_and_wal_commit_replays_identically(
         size in 7usize..=10,
@@ -245,7 +247,7 @@ proptest! {
             let mut answers = r.answers;
             answers.sort_by(|x, y| x.query.cmp(&y.query));
             (wal_before, answers)
-        }; // crash — after the ack, after memo invalidation
+        }; // crash — after the ack
 
         // Destroy the keystone's commit record: truncate the WAL back to
         // its pre-submit length.
@@ -262,8 +264,8 @@ proptest! {
         prop_assert!((wal_before as usize) < full.len());
         std::fs::write(&wal, &full[..wal_before as usize]).unwrap();
 
-        // Recover (fresh engine, fresh memo state): the whole chain is
-        // pending again, as if the keystone had never arrived.
+        // Recover (fresh engine): the whole chain is pending again, as
+        // if the keystone had never arrived.
         let recovered = open_single_writer(&db, dir.path(), None);
         recovered.validate_invariants();
         let mut expected: Vec<String> = sorted_names(chain[..size - 1].iter());
@@ -277,8 +279,8 @@ proptest! {
             "recovery must replay exactly the pre-keystone pending set"
         );
 
-        // A memo-free twin that never crashed and never cached anything.
-        let mut twin = CoordinationEngine::memo_free(&db);
+        // A from-scratch twin that never crashed.
+        let mut twin = RebuildEngine::new(&db);
         for q in &chain[..size - 1] {
             twin.submit(q.clone()).unwrap();
         }
@@ -289,7 +291,7 @@ proptest! {
         let mut scratch = scratch.answers;
         scratch.sort_by(|x, y| x.query.cmp(&y.query));
         prop_assert_eq!(&replayed, &original, "replay diverged from the lost ack");
-        prop_assert_eq!(&replayed, &scratch, "replay diverged from memo-free evaluation");
+        prop_assert_eq!(&replayed, &scratch, "replay diverged from from-scratch evaluation");
     }
 }
 

@@ -15,8 +15,8 @@ use social_coordination::store::{DurabilityOptions, SyncPolicy};
 
 /// The tentpole acceptance check: one `Registry::snapshot()` from one
 /// live `DurableSharedEngine` run reports the submit-latency histogram,
-/// WAL append/sync timings, snapshot rotations, and the closure cache's
-/// memo hit rate.
+/// WAL append/sync timings, snapshot rotations, and the database's
+/// probe counters.
 #[test]
 fn one_snapshot_covers_the_whole_durable_stack() {
     let db = pool_db(2_000);
@@ -31,7 +31,8 @@ fn one_snapshot_covers_the_whole_durable_stack() {
         engine.submit(q).unwrap();
     }
     let (cycle, spokes) = unsat_cycle_with_spokes(8, 6);
-    let extra = (cycle.len() + spokes.len()) as u64;
+    let spoke_count = spokes.len() as u64;
+    let extra = cycle.len() as u64 + spoke_count;
     for q in cycle.into_iter().chain(spokes) {
         engine.submit(q).unwrap();
     }
@@ -59,12 +60,11 @@ fn one_snapshot_covers_the_whole_durable_stack() {
     let rotation = snap.histogram("snapshot_rotation_nanos").unwrap();
     assert_eq!(rotation.count, rotations);
 
-    // The memo counters carry real traffic: the failed cycle closure is
-    // cached once, each spoke arrival hits it.
-    assert!(snap.counter("memo_hits").unwrap() > 0);
-    assert!(snap.counter("memo_misses").unwrap() > 0);
-    let rate = snap.hit_rate("memo_hits", "memo_misses").unwrap();
-    assert!(rate > 0.0 && rate < 1.0);
+    // The database's probe counters carry real traffic: no verdict is
+    // kept between submits, so each spoke arrival re-probes the failed
+    // cycle closure.
+    assert!(snap.counter("db_find_one").unwrap() >= spoke_count);
+    assert!(snap.counter("memo_hits").is_none());
 
     // Engine counters flowed into the same registry.
     assert_eq!(snap.counter("engine_submits").unwrap(), n as u64 + extra);

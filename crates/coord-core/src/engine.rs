@@ -28,6 +28,7 @@ use crate::semantics::Grounding;
 use coord_db::{Atom, Database, Symbol, Term, Value};
 use coord_engine::{ComponentEvaluator, CoordinationQuery, IncrementalEngine, ShardedEngine};
 use coord_obs::Registry as ObsRegistry;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use coord_engine::{
     EngineMetrics, MetricsSnapshot, Placement, RebalanceConfig, RebalanceReport, Rebalancer,
@@ -139,6 +140,8 @@ impl ComponentEvaluator<EntangledQuery> for SccEvaluator<'_> {
 pub struct CoordinationEngine<'a> {
     db: &'a Database,
     inner: IncrementalEngine<EntangledQuery, SccEvaluator<'a>>,
+    /// The id handed to the engine by the latest submit.
+    last_id: u64,
 }
 
 impl<'a> CoordinationEngine<'a> {
@@ -147,12 +150,13 @@ impl<'a> CoordinationEngine<'a> {
         CoordinationEngine {
             db,
             inner: IncrementalEngine::new(SccEvaluator::new(db)),
+            last_id: 0,
         }
     }
 
     /// Queries currently buffered (unsatisfied coordination requirements).
     pub fn pending(&self) -> Vec<&EntangledQuery> {
-        self.inner.pending().collect()
+        self.inner.pending().map(|(_, q)| q).collect()
     }
 
     /// Total queries answered and retired so far.
@@ -180,7 +184,8 @@ impl<'a> CoordinationEngine<'a> {
     /// and the error returned; previously pending queries are unaffected.
     pub fn submit(&mut self, query: EntangledQuery) -> Result<SubmitResult, CoordError> {
         query.validate(self.db)?;
-        let outcome = self.inner.submit(query)?;
+        self.last_id += 1;
+        let outcome = self.inner.submit(self.last_id, query)?;
         Ok(SubmitResult {
             answers: outcome.delivery.unwrap_or_default(),
         })
@@ -228,6 +233,8 @@ pub(crate) fn answer_for(qs: &QuerySet, q: QueryId, grounding: &Grounding) -> Qu
 pub struct SharedEngine<'a> {
     db: &'a Database,
     inner: ShardedEngine<EntangledQuery, SccEvaluator<'a>>,
+    /// The id the next submit hands the engine.
+    next_id: AtomicU64,
 }
 
 /// The default shard count of the concurrent engines: one per available
@@ -275,7 +282,11 @@ impl<'a> SharedEngine<'a> {
     ) -> Self {
         let inner = ShardedEngine::with_obs(SccEvaluator::new(db), shards, placement, obs);
         inner.set_rebalance_config(rebalance);
-        SharedEngine { db, inner }
+        SharedEngine {
+            db,
+            inner,
+            next_id: AtomicU64::new(0),
+        }
     }
 
     /// One skew-correction pass: detect a hot shard from the per-shard
@@ -290,7 +301,8 @@ impl<'a> SharedEngine<'a> {
     /// Submit a query under its component shard's lock.
     pub fn submit(&self, query: EntangledQuery) -> Result<SubmitResult, CoordError> {
         query.validate(self.db)?;
-        let outcome = self.inner.submit(query)?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.inner.submit(id, query)?;
         Ok(SubmitResult {
             answers: outcome.delivery.unwrap_or_default(),
         })
@@ -304,7 +316,7 @@ impl<'a> SharedEngine<'a> {
     /// Clones of all pending queries (a moving snapshot under
     /// concurrent submits).
     pub fn pending(&self) -> Vec<EntangledQuery> {
-        self.inner.pending()
+        self.inner.pending().into_iter().map(|(_, q)| q).collect()
     }
 
     /// Total delivered answers.

@@ -217,7 +217,8 @@ impl<'a> DurableSharedEngine<'a> {
 
     /// Clones of all pending queries.
     pub fn pending(&self) -> Vec<EntangledQuery> {
-        self.inner.engine().pending()
+        let pending = self.inner.engine().pending();
+        pending.into_iter().map(|(_, q)| q).collect()
     }
 
     /// Total delivered answers.

@@ -20,6 +20,13 @@
 //! superset is sound: extra queries were already stable (their own
 //! components were evaluated when they last changed), and the evaluator
 //! sees every query the true component contains.
+//!
+//! Every pending query carries a `u64` id chosen by the caller at submit
+//! (the durable layer passes its log seq, the bare facades a counter).
+//! It must be unique among pending queries and is otherwise opaque: it
+//! travels with the query through migrations and comes back with the
+//! query when it retires or is extracted, so callers name retired
+//! queries by id, not by value.
 
 use crate::index::{AtomIndex, KeyPattern, Polarity};
 use crate::metrics::{EngineMetrics, ShardStats};
@@ -74,9 +81,10 @@ pub struct SubmitOutcome<Q, D> {
     /// The delivery produced by a coordinating set, or `None` while the
     /// submitted query stays pending.
     pub delivery: Option<D>,
-    /// The queries answered and removed from the pending set (possibly
-    /// including the one just submitted).
-    pub retired: Vec<Q>,
+    /// The queries answered and removed from the pending set, each with
+    /// the id it was submitted under (possibly including the one just
+    /// submitted).
+    pub retired: Vec<(u64, Q)>,
 }
 
 impl<Q, D> SubmitOutcome<Q, D> {
@@ -93,9 +101,11 @@ type RelatedSelection<Q> = (
     Vec<KeyPattern<<Q as CoordinationQuery>::Rel, <Q as CoordinationQuery>::Cst>>,
 );
 
-/// One pending query with its cached key patterns (cached so removal
-/// un-indexes exactly what insertion indexed).
+/// One pending query with its caller-assigned id and its cached key
+/// patterns (cached so removal un-indexes exactly what insertion
+/// indexed).
 struct Entry<Q: CoordinationQuery> {
+    id: u64,
     query: Q,
     provides: Vec<KeyPattern<Q::Rel, Q::Cst>>,
     requires: Vec<KeyPattern<Q::Rel, Q::Cst>>,
@@ -185,12 +195,12 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
         self.live
     }
 
-    /// Pending queries in slot order.
-    pub fn pending(&self) -> impl Iterator<Item = &Q> {
+    /// Pending queries with their ids, in slot order.
+    pub fn pending(&self) -> impl Iterator<Item = (u64, &Q)> {
         self.slots
             .iter()
             .filter_map(|s| s.as_ref())
-            .map(|e| &e.query)
+            .map(|e| (e.id, &e.query))
     }
 
     /// Total queries answered and retired.
@@ -215,8 +225,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     ///
     /// On evaluator error the query is rejected and the pending set is
     /// left untouched (evaluation happens *before* the state commits).
+    /// `id` names the query while it is pending and when it retires.
     // lint: scans-slabs
-    pub fn submit(&mut self, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
+    pub fn submit(&mut self, id: u64, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
         EngineMetrics::add(&self.metrics.submits, 1);
         let provides = query.provides();
         let requires = query.requires();
@@ -270,7 +281,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
         for &t in &tokens {
             self.slots[t].as_mut().expect("member token is live").cost += 1;
         }
-        let token = self.insert(query, provides, requires);
+        let token = self.insert(id, query, provides, requires);
         self.slots[token].as_mut().expect("just inserted").cost += 1;
         for &c in &candidates {
             self.link(token, c);
@@ -304,12 +315,12 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// are always co-sharded, so migrated queries cannot newly coordinate
     /// until a later submit touches their component.
     // lint: scans-slabs
-    pub fn insert_pending(&mut self, query: Q) {
+    pub fn insert_pending(&mut self, id: u64, query: Q) {
         let provides = query.provides();
         let requires = query.requires();
         let (candidates, examined) = self.index.candidates(&provides, &requires);
         EngineMetrics::add(&self.metrics.pairings_checked, examined);
-        let token = self.insert(query, provides, requires);
+        let token = self.insert(id, query, provides, requires);
         for &c in &candidates {
             self.link(token, c);
         }
@@ -409,12 +420,12 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
         self.select_related(seed).1
     }
 
-    /// Remove and return every query in a component holding a key related
-    /// to `seed` — *transitively*: keys of extracted queries join the
-    /// working set, so all holders of every affected key leave together
-    /// (the invariant cross-shard routing relies on).
+    /// Remove and return, with its id, every query in a component holding
+    /// a key related to `seed` — *transitively*: keys of extracted
+    /// queries join the working set, so all holders of every affected
+    /// key leave together (the invariant cross-shard routing relies on).
     // lint: scans-slabs
-    pub fn extract_related(&mut self, seed: &[KeyPattern<Q::Rel, Q::Cst>]) -> Vec<Q> {
+    pub fn extract_related(&mut self, seed: &[KeyPattern<Q::Rel, Q::Cst>]) -> Vec<(u64, Q)> {
         let (selected, _keys) = self.select_related(seed);
 
         // Selected tokens are whole components: drop them wholesale.
@@ -430,7 +441,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
             self.unindex(t, &e);
             self.free.push(t);
             self.live -= 1;
-            out.push(e.query);
+            out.push((e.id, e.query));
         }
         out
     }
@@ -449,6 +460,10 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
             .filter_map(|(t, s)| s.as_ref().map(|_| t))
             .collect();
         assert_eq!(live_tokens.len(), self.live, "live count drifted");
+        let mut ids: HashSet<u64> = HashSet::new();
+        for (id, _) in self.pending() {
+            assert!(ids.insert(id), "id {id} pending twice");
+        }
         let freed: HashSet<usize> = self.free.iter().copied().collect();
         assert_eq!(freed.len(), self.free.len(), "free list has duplicates");
         for &t in &live_tokens {
@@ -474,6 +489,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
 
     fn insert(
         &mut self,
+        id: u64,
         query: Q,
         provides: Vec<KeyPattern<Q::Rel, Q::Cst>>,
         requires: Vec<KeyPattern<Q::Rel, Q::Cst>>,
@@ -497,6 +513,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
             self.index.insert(token, Polarity::Requires, k);
         }
         self.slots[token] = Some(Entry {
+            id,
             query,
             provides,
             requires,
@@ -536,7 +553,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// members of the affected components: survivors are reset to
     /// singletons and re-linked through the index — work bounded by the
     /// component size, not the pending-set size.
-    fn retire(&mut self, retired: &[usize]) -> Vec<Q> {
+    fn retire(&mut self, retired: &[usize]) -> Vec<(u64, Q)> {
         let roots: BTreeSet<usize> = retired.iter().map(|&t| self.uf.find(t)).collect();
         let mut affected: Vec<usize> = Vec::new();
         for r in &roots {
@@ -555,7 +572,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
             self.unindex(t, &e);
             self.free.push(t);
             self.live -= 1;
-            out.push(e.query);
+            out.push((e.id, e.query));
         }
 
         if !survivors.is_empty() {
@@ -659,15 +676,15 @@ pub(crate) mod tests {
     fn chain_coordinates_when_complete() {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
         // q0 → q1 → q2; nothing coordinates until q2 (free) arrives.
-        let r0 = engine.submit(chain_query(0, Some(1))).unwrap();
+        let r0 = engine.submit(0, chain_query(0, Some(1))).unwrap();
         assert!(!r0.coordinated());
-        let r1 = engine.submit(chain_query(1, Some(2))).unwrap();
+        let r1 = engine.submit(1, chain_query(1, Some(2))).unwrap();
         assert!(!r1.coordinated());
         assert_eq!(engine.pending_count(), 2);
         assert_eq!(engine.component_count(), 1);
         engine.validate_invariants();
 
-        let r2 = engine.submit(chain_query(2, None)).unwrap();
+        let r2 = engine.submit(2, chain_query(2, None)).unwrap();
         assert!(r2.coordinated());
         assert_eq!(r2.retired.len(), 3);
         assert_eq!(engine.pending_count(), 0);
@@ -678,15 +695,15 @@ pub(crate) mod tests {
     #[test]
     fn disjoint_components_stay_disjoint() {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
-        engine.submit(chain_query(0, Some(1))).unwrap();
-        engine.submit(chain_query(10, Some(11))).unwrap();
+        engine.submit(0, chain_query(0, Some(1))).unwrap();
+        engine.submit(10, chain_query(10, Some(11))).unwrap();
         assert_eq!(engine.component_count(), 2);
         // Completing the second chain retires it without touching the
         // first.
-        let r = engine.submit(chain_query(11, None)).unwrap();
+        let r = engine.submit(11, chain_query(11, None)).unwrap();
         assert!(r.coordinated());
         assert_eq!(engine.pending_count(), 1);
-        assert_eq!(engine.pending().next().unwrap().name, "q0");
+        assert_eq!(engine.pending().next().unwrap().1.name, "q0");
         engine.validate_invariants();
     }
 
@@ -697,10 +714,10 @@ pub(crate) mod tests {
         // queries even as pending grows.
         for i in 0..30 {
             engine
-                .submit(chain_query(10 * i, Some(10 * i + 1)))
+                .submit(2 * i as u64, chain_query(10 * i, Some(10 * i + 1)))
                 .unwrap();
             engine
-                .submit(chain_query(10 * i + 1, Some(10 * i + 2)))
+                .submit(2 * i as u64 + 1, chain_query(10 * i + 1, Some(10 * i + 2)))
                 .unwrap();
         }
         assert_eq!(engine.pending_count(), 60);
@@ -729,14 +746,13 @@ pub(crate) mod tests {
         }
         let mut engine = IncrementalEngine::new(FailOn("bad"));
         engine
-            .submit(TestQuery::new(
-                "ok",
-                vec![("R", Some(1))],
-                vec![("R", Some(2))],
-            ))
+            .submit(
+                0,
+                TestQuery::new("ok", vec![("R", Some(1))], vec![("R", Some(2))]),
+            )
             .unwrap();
         let err = engine
-            .submit(TestQuery::new("bad", vec![("R", Some(2))], vec![]))
+            .submit(1, TestQuery::new("bad", vec![("R", Some(2))], vec![]))
             .unwrap_err();
         assert!(err.contains("bad"));
         assert_eq!(engine.pending_count(), 1);
@@ -745,11 +761,10 @@ pub(crate) mod tests {
         // The survivor is untouched and can still link with a later
         // arrival.
         engine
-            .submit(TestQuery::new(
-                "later",
-                vec![("R", Some(3))],
-                vec![("R", Some(1))],
-            ))
+            .submit(
+                2,
+                TestQuery::new("later", vec![("R", Some(3))], vec![("R", Some(1))]),
+            )
             .unwrap();
         assert_eq!(engine.component_count(), 1);
     }
@@ -783,39 +798,36 @@ pub(crate) mod tests {
         // After hub (+done0) retire, left and right no longer share a
         // partner → two singleton components.
         engine
-            .submit(TestQuery::new(
-                "left",
-                vec![("R", Some(1))],
-                vec![("H", Some(0))],
-            ))
+            .submit(
+                0,
+                TestQuery::new("left", vec![("R", Some(1))], vec![("H", Some(0))]),
+            )
             .unwrap();
         engine
-            .submit(TestQuery::new(
-                "right",
-                vec![("R", Some(2))],
-                vec![("H", Some(0))],
-            ))
+            .submit(
+                1,
+                TestQuery::new("right", vec![("R", Some(2))], vec![("H", Some(0))]),
+            )
             .unwrap();
         engine
-            .submit(TestQuery::new(
-                "done0",
-                vec![("D", Some(0))],
-                vec![("H", Some(0))],
-            ))
+            .submit(
+                2,
+                TestQuery::new("done0", vec![("D", Some(0))], vec![("H", Some(0))]),
+            )
             .unwrap();
         // Requiring the same key does not link queries by itself — the
         // three waiters are separate components until the hub provides it.
         assert_eq!(engine.component_count(), 3);
         let r = engine
-            .submit(TestQuery::new("hub", vec![("H", Some(0))], vec![]))
+            .submit(3, TestQuery::new("hub", vec![("H", Some(0))], vec![]))
             .unwrap();
         assert!(r.coordinated());
         assert_eq!(
             r.retired
                 .iter()
-                .map(|q| q.name.as_str())
+                .map(|(id, q)| (*id, q.name.as_str()))
                 .collect::<Vec<_>>(),
-            vec!["done0", "hub"]
+            vec![(2, "done0"), (3, "hub")]
         );
         assert_eq!(engine.pending_count(), 2);
         // Survivors re-partitioned: left and right are now separate
@@ -829,8 +841,8 @@ pub(crate) mod tests {
     fn slots_are_recycled_after_retirement() {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
         for round in 0..5 {
-            engine.submit(chain_query(0, Some(1))).unwrap();
-            let r = engine.submit(chain_query(1, None)).unwrap();
+            engine.submit(2 * round, chain_query(0, Some(1))).unwrap();
+            let r = engine.submit(2 * round + 1, chain_query(1, None)).unwrap();
             assert!(r.coordinated(), "round {round}");
             engine.validate_invariants();
         }
@@ -844,27 +856,26 @@ pub(crate) mod tests {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
         // x holds keys A and B; y holds only B; z is unrelated.
         engine
-            .submit(TestQuery::new(
-                "x",
-                vec![("A", Some(1))],
-                vec![("B", Some(1))],
-            ))
+            .submit(
+                0,
+                TestQuery::new("x", vec![("A", Some(1))], vec![("B", Some(1))]),
+            )
             .unwrap();
         engine
-            .submit(TestQuery::new("y", vec![], vec![("B", Some(1))]))
+            .submit(1, TestQuery::new("y", vec![], vec![("B", Some(1))]))
             .unwrap();
         engine
-            .submit(TestQuery::new(
-                "z",
-                vec![("C", Some(9))],
-                vec![("C", Some(8))],
-            ))
+            .submit(
+                2,
+                TestQuery::new("z", vec![("C", Some(9))], vec![("C", Some(8))]),
+            )
             .unwrap();
         // Seeding with key A must transitively drag y along (via B).
         let moved = engine.extract_related(&[("A", Some(1))]);
-        let mut names: Vec<&str> = moved.iter().map(|q| q.name.as_str()).collect();
+        let mut names: Vec<(u64, &str)> =
+            moved.iter().map(|(id, q)| (*id, q.name.as_str())).collect();
         names.sort_unstable();
-        assert_eq!(names, vec!["x", "y"]);
+        assert_eq!(names, vec![(0, "x"), (1, "y")]);
         assert_eq!(engine.pending_count(), 1);
         engine.validate_invariants();
     }
@@ -874,11 +885,11 @@ pub(crate) mod tests {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
         // A 3-member chain: each submit evaluates the growing component,
         // so costs accumulate 1, 2, 3 across members → 6 total.
-        engine.submit(chain_query(0, Some(1))).unwrap();
-        engine.submit(chain_query(1, Some(2))).unwrap();
-        engine.submit(chain_query(2, Some(3))).unwrap();
+        engine.submit(0, chain_query(0, Some(1))).unwrap();
+        engine.submit(1, chain_query(1, Some(2))).unwrap();
+        engine.submit(2, chain_query(2, Some(3))).unwrap();
         // A never-evaluated singleton has cost 1 (its own submit).
-        engine.submit(chain_query(50, Some(51))).unwrap();
+        engine.submit(50, chain_query(50, Some(51))).unwrap();
         let mut groups = engine.component_groups();
         groups.sort_by_key(|g| g.size);
         assert_eq!(groups.len(), 2);
@@ -887,7 +898,7 @@ pub(crate) mod tests {
         assert!(groups[1].keys.contains(&("R", Some(0))));
         assert!(groups[1].keys.contains(&("R", Some(3))));
         // insert_pending (a migration arrival) starts cost back at 0.
-        engine.insert_pending(chain_query(90, None));
+        engine.insert_pending(90, chain_query(90, None));
         let fresh = engine
             .component_groups()
             .into_iter()
@@ -901,11 +912,11 @@ pub(crate) mod tests {
         let mut engine = IncrementalEngine::new(SaturationEvaluator);
         // A free query inserted as already-pending must NOT coordinate on
         // insertion (that is the migration contract)…
-        engine.insert_pending(chain_query(1, None));
+        engine.insert_pending(1, chain_query(1, None));
         assert_eq!(engine.pending_count(), 1);
         assert_eq!(engine.delivered(), 0);
         // …but the next submit touching its component evaluates it.
-        let r = engine.submit(chain_query(0, Some(1))).unwrap();
+        let r = engine.submit(0, chain_query(0, Some(1))).unwrap();
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 2);
     }

@@ -616,15 +616,15 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         self.metrics.delivered.get()
     }
 
-    /// Clones of all pending queries (shard by shard; a moving snapshot
-    /// under concurrent submits).
-    pub fn pending(&self) -> Vec<Q> {
+    /// Clones of all pending queries with their ids (shard by shard; a
+    /// moving snapshot under concurrent submits).
+    pub fn pending(&self) -> Vec<(u64, Q)> {
         let mut out = Vec::new();
         for s in &self.shards {
             out.extend(
                 lockrank::ranked(LockRank::ShardEngine, s.engine.lock())
                     .pending()
-                    .cloned(),
+                    .map(|(id, q)| (id, q.clone())),
             );
         }
         out
@@ -661,16 +661,18 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
 
     /// Submit a query: route it to the shard owning its keys (migrating
     /// bridged components first if it spans shards), then run the
-    /// incremental submit under that shard's lock only.
-    pub fn submit(&self, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
-        self.submit_with_shard(query).1
+    /// incremental submit under that shard's lock only. `id` names the
+    /// query while it is pending — across every migration — and when it
+    /// retires.
+    pub fn submit(&self, id: u64, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
+        self.submit_with_shard(id, query).1
     }
 
     /// Like [`Self::submit`], additionally reporting which shard ran
     /// the evaluation. The durable layer routes the accepted submit's
     /// commit record to that shard's WAL stream, so the per-shard
     /// stream mapping stays correct as components move between shards.
-    pub fn submit_with_shard(&self, query: Q) -> ShardedSubmit<Q, V> {
+    pub fn submit_with_shard(&self, id: u64, query: Q) -> ShardedSubmit<Q, V> {
         // One TraceCtx per submit: allocated here unless an enclosing
         // layer (the durable engine) already installed the request's
         // context on this thread, in which case the ticket nests.
@@ -681,19 +683,19 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let mut migrated: MigrationRecord<Q> = Vec::new();
         let target = self.claim(&qkeys, &mut migrated, true);
         let (shard, outcome) =
-            self.with_owned_shard(&qkeys, target, &mut migrated, true, |e| e.submit(query));
+            self.with_owned_shard(&qkeys, target, &mut migrated, true, |e| e.submit(id, query));
         (shard, self.finish(&qkeys, migrated, outcome))
     }
 
     /// Insert a query that is known to be stable-pending — recovered
     /// from the durable store's log, where it demonstrably did not
     /// coordinate — routing it like a submit but skipping evaluation.
-    pub fn insert_pending(&self, query: Q) {
+    pub fn insert_pending(&self, id: u64, query: Q) {
         let qkeys = route_keys(&query);
         let mut migrated: MigrationRecord<Q> = Vec::new();
         let target = self.claim(&qkeys, &mut migrated, true);
         self.with_owned_shard(&qkeys, target, &mut migrated, false, |e| {
-            e.insert_pending(query);
+            e.insert_pending(id, query);
         });
     }
 
@@ -896,13 +898,13 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             {
                 let mut tgt =
                     lockrank::ranked(LockRank::ShardEngine, self.shards[target].engine.lock());
-                for q in moved {
+                for (id, q) in moved {
                     for k in route_keys(&q) {
                         if !moved_keys.contains(&k) {
                             moved_keys.push(k);
                         }
                     }
-                    tgt.insert_pending(q);
+                    tgt.insert_pending(id, q);
                 }
                 self.shards[target]
                     .pending_gauge
@@ -1096,7 +1098,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             Ok(out) => {
                 if !out.retired.is_empty() {
                     let mut router = lockrank::ranked(LockRank::Router, self.router.write());
-                    for q in &out.retired {
+                    for (_, q) in &out.retired {
                         for k in route_keys(q) {
                             router.unregister(&k);
                         }
@@ -1145,7 +1147,7 @@ mod tests {
         // Four disjoint waiting pairs → round-robin over all shards.
         for g in 0..4 {
             engine
-                .submit(chain_query(100 * g, Some(100 * g + 1)))
+                .submit(2 * g as u64, chain_query(100 * g, Some(100 * g + 1)))
                 .unwrap();
         }
         assert_eq!(engine.pending_count(), 4);
@@ -1153,7 +1155,9 @@ mod tests {
         assert!(stats.iter().all(|s| s.submits == 1), "{stats:?}");
         // Completing each chain coordinates within its shard.
         for g in 0..4 {
-            let r = engine.submit(chain_query(100 * g + 1, None)).unwrap();
+            let r = engine
+                .submit(2 * g as u64 + 1, chain_query(100 * g + 1, None))
+                .unwrap();
             assert!(r.coordinated());
         }
         assert_eq!(engine.pending_count(), 0);
@@ -1164,8 +1168,8 @@ mod tests {
     fn bridging_query_migrates_components_to_one_shard() {
         let engine = ShardedEngine::new(SaturationEvaluator, 2);
         // Two disjoint waiters on different shards…
-        engine.submit(chain_query(0, Some(1))).unwrap();
-        engine.submit(chain_query(10, Some(11))).unwrap();
+        engine.submit(7, chain_query(0, Some(1))).unwrap();
+        engine.submit(8, chain_query(10, Some(11))).unwrap();
         assert_eq!(engine.pending_count(), 2);
         // …bridged by a query that requires both: it provides R(1)
         // (wanted by q0) and requires R(11) (provided by nobody yet) plus
@@ -1175,11 +1179,19 @@ mod tests {
             vec![("R", Some(1)), ("R", Some(11))],
             vec![("R", Some(10))],
         );
-        let r = engine.submit(bridge).unwrap();
+        let r = engine.submit(9, bridge).unwrap();
         // Everything is now mutually satisfied: q0 needs R(1) ✓ (bridge),
         // q10 needs R(11) ✓ (bridge), bridge needs R(10) ✓ (q10).
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 3);
+        // The migrated query retired under the id it was submitted with.
+        let mut retired: Vec<(u64, &str)> = r
+            .retired
+            .iter()
+            .map(|(id, q)| (*id, q.name.as_str()))
+            .collect();
+        retired.sort_unstable();
+        assert_eq!(retired, vec![(7, "q0"), (8, "q10"), (9, "bridge")]);
         assert_eq!(engine.pending_count(), 0);
         assert_eq!(engine.metrics().snapshot().migrations, 1);
         // All routing state was released, no marks linger.
@@ -1193,18 +1205,16 @@ mod tests {
         // Two queries requiring the same (unprovided) key share a route
         // key and must co-shard.
         engine
-            .submit(TestQuery::new(
-                "a",
-                vec![("A", Some(1))],
-                vec![("X", Some(9))],
-            ))
+            .submit(
+                0,
+                TestQuery::new("a", vec![("A", Some(1))], vec![("X", Some(9))]),
+            )
             .unwrap();
         engine
-            .submit(TestQuery::new(
-                "b",
-                vec![("B", Some(1))],
-                vec![("X", Some(9))],
-            ))
+            .submit(
+                1,
+                TestQuery::new("b", vec![("B", Some(1))], vec![("X", Some(9))]),
+            )
             .unwrap();
         {
             let router = engine.router.read();
@@ -1243,8 +1253,8 @@ mod tests {
         std::thread::scope(|s| {
             let e1 = &engine;
             let e2 = &engine;
-            let t1 = s.spawn(move || e1.submit(chain_query(0, Some(1))));
-            let t2 = s.spawn(move || e2.submit(chain_query(100, Some(101))));
+            let t1 = s.spawn(move || e1.submit(0, chain_query(0, Some(1))));
+            let t2 = s.spawn(move || e2.submit(1, chain_query(100, Some(101))));
             t1.join().unwrap().expect("first submitter");
             t2.join().unwrap().expect("second submitter");
         });
@@ -1268,12 +1278,12 @@ mod tests {
             }
         }
         let engine = ShardedEngine::new(RejectBridge, 2);
-        engine.submit(chain_query(0, Some(1))).unwrap(); // shard 0
-        engine.submit(chain_query(10, Some(11))).unwrap(); // shard 1
-                                                           // A bridge touching both groups, rejected by the evaluator: the
-                                                           // phase-1 merge it forced must be undone.
+        engine.submit(7, chain_query(0, Some(1))).unwrap(); // shard 0
+        engine.submit(8, chain_query(10, Some(11))).unwrap(); // shard 1
+                                                              // A bridge touching both groups, rejected by the evaluator: the
+                                                              // phase-1 merge it forced must be undone.
         let bridge = TestQuery::new("bridge", vec![("R", Some(1)), ("R", Some(11))], vec![]);
-        engine.submit(bridge).unwrap_err();
+        engine.submit(9, bridge).unwrap_err();
         assert_eq!(engine.pending_count(), 2);
         assert_eq!(engine.metrics().snapshot().migrations, 1);
         let per_shard: Vec<usize> = engine
@@ -1286,15 +1296,27 @@ mod tests {
             2,
             "merge not rolled back: {per_shard:?}"
         );
+        // Moved out and back, each query is still pending under its id.
+        let ids: Vec<Vec<(u64, String)>> = engine
+            .shards
+            .iter()
+            .map(|s| {
+                s.engine
+                    .lock()
+                    .pending()
+                    .map(|(id, q)| (id, q.name.clone()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(ids, vec![vec![(7, "q0".into())], vec![(8, "q10".into())]]);
         // Routing reflects the split: reaching group 0 afterwards needs
         // no further migration.
         let stats_before = engine.metrics().snapshot().migrations;
         engine
-            .submit(TestQuery::new(
-                "w0",
-                vec![("R", Some(99))],
-                vec![("R", Some(0))],
-            ))
+            .submit(
+                10,
+                TestQuery::new("w0", vec![("R", Some(99))], vec![("R", Some(0))]),
+            )
             .unwrap();
         assert_eq!(
             engine.metrics().snapshot().migrations,
@@ -1315,7 +1337,7 @@ mod tests {
             }
         }
         let engine = ShardedEngine::new(AlwaysFail, 2);
-        engine.submit(chain_query(0, Some(1))).unwrap_err();
+        engine.submit(0, chain_query(0, Some(1))).unwrap_err();
         assert_eq!(engine.pending_count(), 0);
         assert!(engine.router.read().keys.is_empty());
     }
@@ -1325,12 +1347,12 @@ mod tests {
         let engine = ShardedEngine::new(SaturationEvaluator, 2);
         // A free query inserted as already-pending must NOT coordinate on
         // insertion (the recovery contract)…
-        engine.insert_pending(chain_query(1, None));
-        engine.insert_pending(chain_query(100, Some(101)));
+        engine.insert_pending(0, chain_query(1, None));
+        engine.insert_pending(1, chain_query(100, Some(101)));
         assert_eq!(engine.pending_count(), 2);
         assert_eq!(engine.delivered(), 0);
         // …but a later submit touching its component evaluates it.
-        let r = engine.submit(chain_query(0, Some(1))).unwrap();
+        let r = engine.submit(2, chain_query(0, Some(1))).unwrap();
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 2);
         assert_eq!(engine.pending_count(), 1);
@@ -1341,7 +1363,7 @@ mod tests {
         let engine = ShardedEngine::new(SaturationEvaluator, 4);
         // Recovery inserts chain members one by one; all must co-shard.
         for i in 0..5 {
-            engine.insert_pending(chain_query(i, Some(i + 1)));
+            engine.insert_pending(i as u64, chain_query(i, Some(i + 1)));
         }
         let active: Vec<usize> = engine
             .shards
@@ -1350,7 +1372,7 @@ mod tests {
             .filter(|&n| n > 0)
             .collect();
         assert_eq!(active, vec![5], "chain split across shards");
-        let r = engine.submit(chain_query(5, None)).unwrap();
+        let r = engine.submit(5, chain_query(5, None)).unwrap();
         assert!(r.coordinated());
         assert_eq!(r.retired.len(), 6);
     }
@@ -1361,7 +1383,9 @@ mod tests {
         // Build a heavy component on one shard: a chain that every new
         // member re-evaluates.
         for i in 0..6 {
-            engine.submit(chain_query(i, Some(i + 1))).unwrap();
+            engine
+                .submit(i as u64, chain_query(i, Some(i + 1)))
+                .unwrap();
         }
         let loads: Vec<u64> = engine
             .shard_stats()
@@ -1371,8 +1395,9 @@ mod tests {
         let hot = usize::from(loads[0] <= loads[1]);
         // Fresh unrelated components must land on the colder shard.
         for g in 0..3 {
+            let i = 1000 + 10 * g;
             engine
-                .submit(chain_query(1000 + 10 * g, Some(1000 + 10 * g + 1)))
+                .submit(i as u64, chain_query(i, Some(i + 1)))
                 .unwrap();
         }
         let stats = engine.shard_stats();
@@ -1389,19 +1414,18 @@ mod tests {
         // pinning extra traffic on shard 0's groups creates real skew.
         let engine = ShardedEngine::with_placement(SaturationEvaluator, 2, Placement::RoundRobin);
         // Four waiting groups: 0 and 2 land on shard 0, 1 and 3 on 1.
+        // Each query's id is its chain index, so a retired (id, query)
+        // pair shows whether the id survived the move.
+        let submit = |i: i64, next: Option<i64>| engine.submit(i as u64, chain_query(i, next));
         for g in 0..4i64 {
-            engine
-                .submit(chain_query(100 * g, Some(100 * g + 1)))
-                .unwrap();
+            submit(100 * g, Some(100 * g + 1)).unwrap();
         }
         // Grow the shard-0 groups into long chains: every submit
         // re-evaluates the whole component, so shard 0's load and the
         // groups' observed cost climb together.
         for g in [0i64, 2] {
             for i in 1..8 {
-                engine
-                    .submit(chain_query(100 * g + i, Some(100 * g + i + 1)))
-                    .unwrap();
+                submit(100 * g + i, Some(100 * g + i + 1)).unwrap();
             }
         }
         engine.set_rebalance_config(RebalanceConfig {
@@ -1441,9 +1465,14 @@ mod tests {
         // …and every group still coordinates exactly as before: the
         // routing table followed the move.
         for (g, len) in [(0i64, 8i64), (1, 1), (2, 8), (3, 1)] {
-            let r = engine.submit(chain_query(100 * g + len, None)).unwrap();
+            let r = submit(100 * g + len, None).unwrap();
             assert!(r.coordinated(), "group {g} lost by the rebalance");
             assert_eq!(r.retired.len() as i64, len + 1, "group {g}");
+            assert!(
+                r.retired.iter().all(|(id, q)| q.name == format!("q{id}")),
+                "group {g} retired under foreign ids: {:?}",
+                r.retired
+            );
         }
         assert_eq!(engine.pending_count(), 0);
 
@@ -1464,18 +1493,16 @@ mod tests {
         // Two unrelated queries holding (R,10) and (R,11) on distinct
         // shards — the same key patterns a retired group once held.
         engine
-            .submit(TestQuery::new(
-                "a",
-                vec![("R", Some(10))],
-                vec![("A", Some(0))],
-            ))
+            .submit(
+                0,
+                TestQuery::new("a", vec![("R", Some(10))], vec![("A", Some(0))]),
+            )
             .unwrap(); // shard 0
         engine
-            .submit(TestQuery::new(
-                "b",
-                vec![("R", Some(11))],
-                vec![("B", Some(0))],
-            ))
+            .submit(
+                1,
+                TestQuery::new("b", vec![("R", Some(11))], vec![("B", Some(0))]),
+            )
             .unwrap(); // shard 1
         let stale_seed = vec![("R", Some(10)), ("R", Some(11))];
         // The move relocates only shard 0's resident (a); b's key must
@@ -1489,11 +1516,10 @@ mod tests {
         // b is still reachable through its key: a partner requiring
         // R(11) routes to it and coordinates.
         let r = engine
-            .submit(TestQuery::new(
-                "c",
-                vec![("B", Some(0))],
-                vec![("R", Some(11))],
-            ))
+            .submit(
+                2,
+                TestQuery::new("c", vec![("B", Some(0))], vec![("R", Some(11))]),
+            )
             .unwrap();
         assert!(r.coordinated(), "b lost by the stale-seed rebalance");
         assert_eq!(r.retired.len(), 2);
@@ -1502,13 +1528,13 @@ mod tests {
     #[test]
     fn rebalance_group_follows_stale_keys_and_skips_gone_groups() {
         let engine = ShardedEngine::with_placement(SaturationEvaluator, 2, Placement::RoundRobin);
-        engine.submit(chain_query(0, Some(1))).unwrap(); // shard 0
+        engine.submit(0, chain_query(0, Some(1))).unwrap(); // shard 0
         let keys = vec![("R", Some(0)), ("R", Some(1))];
         // Moving to its own shard is a no-op.
         assert_eq!(engine.rebalance_group(&keys, 0), 0);
         // A real move relocates the whole group.
         assert_eq!(engine.rebalance_group(&keys, 1), 1);
-        let r = engine.submit(chain_query(1, None)).unwrap();
+        let r = engine.submit(1, chain_query(1, None)).unwrap();
         assert!(r.coordinated());
         // Keys of a retired group are gone: skipped, not panicked.
         assert_eq!(engine.rebalance_group(&keys, 0), 0);
@@ -1553,17 +1579,16 @@ mod tests {
             2,
             Placement::RoundRobin,
         );
-        engine.submit(chain_query(0, Some(1))).unwrap(); // shard 0
-        engine.submit(chain_query(10, Some(11))).unwrap(); // shard 1
+        engine.submit(0, chain_query(0, Some(1))).unwrap(); // shard 0
+        engine.submit(1, chain_query(10, Some(11))).unwrap(); // shard 1
         std::thread::scope(|s| {
             // Pin shard 0 with a long evaluation…
             let e = &engine;
             let slow = s.spawn(move || {
-                e.submit(TestQuery::new(
-                    "slow",
-                    vec![("R", Some(1))],
-                    vec![("R", Some(2))],
-                ))
+                e.submit(
+                    2,
+                    TestQuery::new("slow", vec![("R", Some(1))], vec![("R", Some(2))]),
+                )
             });
             while !started.load(Ordering::SeqCst) {
                 std::thread::yield_now();
@@ -1571,11 +1596,10 @@ mod tests {
             // …so the bridge's migration marks both groups' keys and
             // then blocks waiting for shard 0.
             let bridge = s.spawn(move || {
-                e.submit(TestQuery::new(
-                    "bridge",
-                    vec![("R", Some(2)), ("R", Some(11))],
-                    vec![],
-                ))
+                e.submit(
+                    3,
+                    TestQuery::new("bridge", vec![("R", Some(2)), ("R", Some(11))], vec![]),
+                )
             });
             while e.metrics().snapshot().migrations < 1 {
                 std::thread::yield_now();
@@ -1585,11 +1609,10 @@ mod tests {
             // R(10) belongs to the frozen closure, so this submitter
             // backs off on the marks and parks on the gate.
             let parked = s.spawn(move || {
-                e.submit(TestQuery::new(
-                    "parked",
-                    vec![("R", Some(99))],
-                    vec![("R", Some(10))],
-                ))
+                e.submit(
+                    4,
+                    TestQuery::new("parked", vec![("R", Some(99))], vec![("R", Some(10))]),
+                )
             });
             while e.metrics().snapshot().migration_backoffs == 0 {
                 std::thread::yield_now();

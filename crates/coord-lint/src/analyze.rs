@@ -11,7 +11,7 @@
 //!
 //! * the end of the brace scope holding its `let` binding,
 //! * the end of the statement, for an expression temporary
-//!   (`self.registry.lock().confirm(seq)`),
+//!   (`self.registry.lock().insert(seq, entry)`),
 //! * the closing brace of the `match`/`if let` block it heads
 //!   (`match x.try_lock() { … }`), or
 //! * an explicit `drop(name)`.

@@ -5,12 +5,9 @@ use crate::error::StoreError;
 
 /// Encodes and decodes one query type for the WAL and snapshots.
 ///
-/// Encoding must be **deterministic** (the same query always produces
-/// the same bytes): the durable engines use the encoded form as the
-/// query's identity when mapping a retired query back to the sequence
-/// number of the submit that logged it. Two structurally equal queries
-/// may share an encoding — retiring either is then equivalent, which
-/// keeps the reconstructed pending multiset exact.
+/// The one contract is the round trip: `decode(encode(q)) == q`. The
+/// bytes are never used as an identity — a pending query is named by
+/// its submit's seq — so equal queries may share an encoding.
 pub trait QueryCodec<Q> {
     /// Append the query's encoding to `out`.
     fn encode(&self, query: &Q, out: &mut Vec<u8>);

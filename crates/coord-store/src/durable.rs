@@ -19,15 +19,20 @@
 //! re-indexes it with `insert_pending` — which is why the `durability`
 //! bench measures replay *faster* than live submission.
 //!
-//! ## The retired-seq registry
+//! ## Query ids and the registry
 //!
-//! The engine retires queries by value, not by any stable id, so the
-//! wrapper keeps a registry mapping each pending query's encoding to the
-//! seqs that submitted it (a multiset: duplicate queries pop oldest
-//! first — retiring either duplicate reconstructs the same pending
-//! multiset). The registry entry is made *before* the engine apply, so a
-//! concurrent submit on another thread that retires the query always
-//! finds its seq.
+//! A submit's seq is also its query's id in the engine: the engine
+//! carries it across migrations and names each retired query by it, so
+//! a commit record's retired list is read straight off the engine's
+//! outcome — nothing is looked up by value, and byte-identical queries
+//! keep distinct seqs. The wrapper's registry maps each pending seq to
+//! its encoding (the snapshot payload) and whether its record is
+//! appended. An entry is inserted *after* the engine applied the submit
+//! and *before* its record is appended: a rejected submit never touches
+//! the registry, a snapshot never captures a query the engine does not
+//! hold, and a query applied but not yet inserted has its record
+//! appended in the post-rotation epoch. A query that retires in its own
+//! submit is never inserted.
 //!
 //! ## Acknowledgment window (closed)
 //!
@@ -37,18 +42,17 @@
 //! is simply ignored, and the unlogged query was never acknowledged —
 //! but a *delivered* coordination could mention a partner whose commit
 //! record was lost with the crash. The wrapper now enforces a
-//! **per-coordination flush barrier**: the registry tracks, per seq,
-//! whether the submit's commit record has been appended, a retire only
-//! pops seqs whose record is on its stream (waiting out the short
-//! append-in-flight window of a concurrent partner), and a delivering
-//! submit syncs every stream before acknowledging (under any policy
-//! stronger than [`SyncPolicy::Never`]). So at the moment a
-//! coordination is delivered, every partner's commit record is appended
-//! — and as durable as the deliverer's own record. The one residual
-//! caveat: if a partner's *append itself failed* (a [`StoreError`]
-//! already surfaced to that partner's submitter), its seq is released
-//! rather than blocking the retirer forever — that degraded-durability
-//! state is explicit on both sides.
+//! **per-coordination flush barrier**: a retire takes a partner's seq
+//! out of the registry only once its entry is present and logged
+//! (waiting out the short apply-to-append window of a concurrent
+//! partner), and a delivering submit syncs every stream before
+//! acknowledging (under any policy stronger than [`SyncPolicy::Never`]).
+//! So at the moment a coordination is delivered, every partner's commit
+//! record is appended — and as durable as the deliverer's own record.
+//! The one residual caveat: if a partner's *append itself failed* (a
+//! [`StoreError`] already surfaced to that partner's submitter), its
+//! entry is marked logged anyway rather than blocking the retirer
+//! forever — that degraded-durability state is explicit on both sides.
 //!
 //! ## Single writer: strict prefix
 //!
@@ -80,9 +84,10 @@ use coord_engine::{
 };
 use coord_obs::Registry as ObsRegistry;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Durability configuration for [`DurableShardedEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -113,118 +118,32 @@ impl DurabilityOptions {
     }
 }
 
-/// One registered pending query: its encoding plus where its submit
-/// stands. Submits *reserve* an entry before the engine apply
-/// (so a racing retire on another thread always finds the seq) and
-/// confirm it afterwards; snapshots skip unconfirmed entries — a
-/// reserved entry may belong to a submit the engine is about to reject,
-/// and capturing it would resurrect a query no uninterrupted run ever
-/// held. `logged` flips once the submit's commit record is appended to
-/// its stream (or its append definitively failed): the ack-window
-/// barrier only lets a retire pop logged entries, so a delivered
-/// coordination can never name a partner whose record is still in
-/// flight.
+/// One registered pending query: its encoding (the snapshot payload)
+/// and whether its commit record is appended to its stream (or its
+/// append definitively failed). Every entry is a query the engine holds
+/// — it is inserted only after the engine applied the submit.
 struct RegistryEntry {
     bytes: Vec<u8>,
-    applied: bool,
     logged: bool,
 }
 
-/// Pending-set bookkeeping: seq → encoding (the
-/// snapshot payload) and encoding → seqs (retired-query lookup).
-#[derive(Default)]
-struct Registry {
-    live: BTreeMap<u64, RegistryEntry>,
-    by_bytes: HashMap<Vec<u8>, VecDeque<u64>>,
-}
+/// Pending-set bookkeeping: seq → entry.
+type Registry = BTreeMap<u64, RegistryEntry>;
 
-impl Registry {
-    fn insert(&mut self, seq: u64, bytes: Vec<u8>, applied: bool, logged: bool) {
-        self.by_bytes
-            .entry(bytes.clone())
-            .or_default()
-            .push_back(seq);
-        self.live.insert(
-            seq,
-            RegistryEntry {
-                bytes,
-                applied,
-                logged,
-            },
-        );
-    }
-
-    /// Mark a reserved seq as applied by the engine (snapshots may now
-    /// capture it).
-    fn confirm(&mut self, seq: u64) {
-        if let Some(entry) = self.live.get_mut(&seq) {
-            entry.applied = true;
+/// Take every seq in `waiting` whose entry is present and logged out of
+/// the registry, leaving in `waiting` the seqs a retire must still wait
+/// for: absent (its submitter sits between engine apply and insert) or
+/// unlogged (its append is in flight). Waiting instead of taking is the
+/// acknowledgment-window barrier: a coordination is never delivered
+/// naming a partner whose record might never reach the log.
+fn take_logged(registry: &mut Registry, waiting: &mut Vec<u64>) {
+    waiting.retain(|seq| {
+        let logged = registry.get(seq).is_some_and(|e| e.logged);
+        if logged {
+            registry.remove(seq);
         }
-    }
-
-    /// Mark a seq's commit record as appended to its stream (no-op if
-    /// the entry was already retired — a submit that coordinated
-    /// immediately pops its own entry before appending).
-    fn mark_logged(&mut self, seq: u64) {
-        if let Some(entry) = self.live.get_mut(&seq) {
-            entry.logged = true;
-        }
-    }
-
-    /// Pop the oldest **applied and logged** live seq whose query has
-    /// this encoding (`own_seq` — the retiring submit's own reservation
-    /// — is exempt from the logged requirement: its record is appended,
-    /// with the retire list, right after). Reserved (unapplied) seqs
-    /// are never taken: they may belong to a concurrent submit the
-    /// engine is about to reject, and retiring one would leave the
-    /// applied duplicate's seq in the registry with no engine copy
-    /// behind it — which a snapshot or replay would then resurrect.
-    /// Applied-but-unlogged seqs are not taken either — that is the
-    /// acknowledgment-window barrier: the caller waits out the
-    /// partner's in-flight append instead of delivering a coordination
-    /// whose partner might never reach the log.
-    fn retire(&mut self, bytes: &[u8], own_seq: Option<u64>) -> Option<u64> {
-        let seqs = self.by_bytes.get(bytes)?;
-        let pos = seqs.iter().position(|s| {
-            self.live
-                .get(s)
-                .is_some_and(|e| e.applied && (e.logged || own_seq == Some(*s)))
-        })?;
-        let seqs = self.by_bytes.get_mut(bytes).expect("checked above");
-        let seq = seqs.remove(pos).expect("position in bounds");
-        if seqs.is_empty() {
-            self.by_bytes.remove(bytes);
-        }
-        self.live.remove(&seq);
-        Some(seq)
-    }
-
-    /// Remove a specific reserved seq (a rejected submit).
-    fn remove(&mut self, seq: u64) {
-        if let Some(entry) = self.live.remove(&seq) {
-            if let Some(seqs) = self.by_bytes.get_mut(&entry.bytes) {
-                seqs.retain(|&s| s != seq);
-                if seqs.is_empty() {
-                    self.by_bytes.remove(&entry.bytes);
-                }
-            }
-        }
-    }
-
-    /// Applied entries only: a reserved-but-unconfirmed entry's record
-    /// (if the submit is accepted at all) will land in the post-rotation
-    /// epoch, so skipping it here loses nothing.
-    fn capture(&self) -> Vec<(u64, Vec<u8>)> {
-        self.live
-            .iter()
-            .filter(|(_, e)| e.applied)
-            .map(|(s, e)| (*s, e.bytes.clone()))
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.live.len()
-    }
+        !logged
+    });
 }
 
 /// A [`ShardedEngine`] with one WAL stream per shard and a shared
@@ -276,13 +195,19 @@ where
     ) -> Result<Self, StoreError> {
         let recovered = CoordStore::open_with_obs(dir, options.store_options(shards), obs.clone())?;
         let inner = ShardedEngine::with_obs(evaluator, shards, Placement::default(), obs);
-        let mut registry = Registry::default();
-        for (seq, bytes) in &recovered.live {
+        let mut registry = Registry::new();
+        for (seq, bytes) in recovered.live {
             // Replay never re-evaluates: pending survivors are routed
             // and re-indexed only (the log proved they did not
             // coordinate before the crash).
-            inner.insert_pending(codec.decode(bytes)?);
-            registry.insert(*seq, bytes.clone(), true, true);
+            inner.insert_pending(seq, codec.decode(&bytes)?);
+            registry.insert(
+                seq,
+                RegistryEntry {
+                    bytes,
+                    logged: true,
+                },
+            );
         }
         Ok(DurableShardedEngine {
             inner,
@@ -316,78 +241,78 @@ where
         let _ticket = self.inner.obs().tracer().ticket("submit");
         let mut qbytes = Vec::new();
         self.codec.encode(&query, &mut qbytes);
-        // Reserve the seq *before* the engine apply so a concurrent
-        // submit that retires this query can always find its seq; the
-        // reservation is unapplied, so a concurrent snapshot will not
-        // capture it (the submit might still be rejected).
+        // The seq is the query's id in the engine, so the engine names
+        // this query by it if a later submit retires it.
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        lockrank::ranked(LockRank::Registry, self.registry.lock()).insert(
-            seq,
-            qbytes.clone(),
-            false,
-            false,
-        );
-        let (shard, outcome) = match self.inner.submit_with_shard(query) {
-            (_, Err(e)) => {
-                lockrank::ranked(LockRank::Registry, self.registry.lock()).remove(seq);
-                return Err(DurableError::Engine(e));
-            }
+        let (shard, outcome) = match self.inner.submit_with_shard(seq, query) {
+            (_, Err(e)) => return Err(DurableError::Engine(e)),
             (shard, Ok(o)) => (shard, o),
         };
-        let mut retired = Vec::with_capacity(outcome.retired.len());
-        lockrank::ranked(LockRank::Registry, self.registry.lock()).confirm(seq);
-        for q in &outcome.retired {
-            let mut b = Vec::new();
-            self.codec.encode(q, &mut b);
-            // The retired query was in the engine, so a matching
-            // *applied* entry exists — or its submitter sits in the
-            // short window between engine apply and confirm, or between
-            // confirm and its append. Wait those windows out (without
-            // holding the registry lock) rather than pop a reserved
-            // entry that may belong to a submit about to be rejected,
-            // or deliver a coordination naming a partner whose commit
-            // record never reached its stream. The waited-on submit
-            // never waits on us in turn — its own retire targets were
-            // applied strictly before it applied — so the wait graph
-            // follows engine-apply order and cannot cycle.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            let s = loop {
-                if let Some(s) =
-                    lockrank::ranked(LockRank::Registry, self.registry.lock()).retire(&b, Some(seq))
-                {
-                    break s;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "retired query has no applied+logged registry entry"
+        let retired: Vec<u64> = outcome.retired.iter().map(|(s, _)| *s).collect();
+        // Register this query (unless it retired at once) and take every
+        // retired partner out of the registry. A partner not yet logged
+        // sits in the short window between its engine apply and its
+        // append: wait it out (without holding the registry lock) rather
+        // than deliver a coordination naming a partner whose commit
+        // record never reached its stream. The waited-on submit never
+        // waits on us in turn — its own retire targets were applied
+        // strictly before it applied — so the wait graph follows
+        // engine-apply order and cannot cycle.
+        let mut waiting: Vec<u64> = retired.iter().copied().filter(|&s| s != seq).collect();
+        {
+            let mut registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
+            if !retired.contains(&seq) {
+                registry.insert(
+                    seq,
+                    RegistryEntry {
+                        bytes: qbytes.clone(),
+                        logged: false,
+                    },
                 );
-                std::thread::yield_now();
-            };
-            retired.push(s);
+            }
+            take_logged(&mut registry, &mut waiting);
         }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !waiting.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "retired partner seqs {waiting:?} never logged"
+            );
+            std::thread::yield_now();
+            take_logged(
+                &mut lockrank::ranked(LockRank::Registry, self.registry.lock()),
+                &mut waiting,
+            );
+        }
+        let delivered = !retired.is_empty();
         let appended = self.store.append_commit(
             shard,
             &CommitRecord {
                 seq,
                 query: qbytes,
-                retired: retired.clone(),
+                retired,
             },
         );
         // Release waiters either way: on success the record is on its
         // stream; on failure the submit is about to surface a store
         // error (the documented applied-but-not-durable state) and no
         // record will ever come — blocking a retirer forever would turn
-        // one stream's fault into a service-wide stall.
-        lockrank::ranked(LockRank::Registry, self.registry.lock()).mark_logged(seq);
+        // one stream's fault into a service-wide stall. (No entry if
+        // the query retired in its own submit.)
+        if let Some(entry) =
+            lockrank::ranked(LockRank::Registry, self.registry.lock()).get_mut(&seq)
+        {
+            entry.logged = true;
+        }
         appended?;
         // Per-coordination flush barrier: partners' records are
-        // *appended* (the retire loop waited for that); make them as
+        // *appended* (the retire wait made sure of that); make them as
         // durable as this record before acknowledging the delivery.
         // Only `EveryN` needs the explicit sync — under `EveryRecord`
-        // every partner append already synced itself before its
-        // `mark_logged`, and under `Never` nothing is ever synced, so
+        // every partner append already synced itself before it was
+        // marked logged, and under `Never` nothing is ever synced, so
         // there is nothing to strengthen.
-        if !retired.is_empty() && matches!(self.store.options().sync, SyncPolicy::EveryN(_)) {
+        if delivered && matches!(self.store.options().sync, SyncPolicy::EveryN(_)) {
             self.store.sync_all()?;
         }
         if self.store.snapshot_due() {
@@ -419,7 +344,8 @@ where
     // lint: acquires(registry)
     fn capture(&self) -> (u64, Vec<(u64, Vec<u8>)>) {
         let registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
-        (self.next_seq.load(Ordering::SeqCst), registry.capture())
+        let entries = registry.iter().map(|(s, e)| (*s, e.bytes.clone()));
+        (self.next_seq.load(Ordering::SeqCst), entries.collect())
     }
 
     /// The last *background* snapshot failure (a rotation triggered by
@@ -461,20 +387,19 @@ where
     }
 
     /// Check the wrapped engine's invariants plus the registry mirror
-    /// (one registry entry per pending query). Quiescent only: a submit
-    /// in flight on another thread holds a reserved entry the engine
-    /// does not have yet.
+    /// (the registry's seqs are exactly the engine's pending ids).
+    /// Quiescent only: a submit in flight on another thread may have
+    /// been applied by the engine but not yet registered.
     ///
     /// # Panics
     /// Panics with a description if an invariant is violated.
     pub fn validate_invariants(&self) {
         self.inner.validate_invariants();
-        let pending = self.inner.pending_count();
-        assert_eq!(
-            lockrank::ranked(LockRank::Registry, self.registry.lock()).len(),
-            pending,
-            "registry drifted from the pending set"
-        );
+        let mut ids: Vec<u64> = self.inner.pending().into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        let registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
+        let seqs: Vec<u64> = registry.keys().copied().collect();
+        assert_eq!(seqs, ids, "registry drifted from the pending set");
     }
 }
 
@@ -662,9 +587,8 @@ mod tests {
     }
 
     /// Regression: a snapshot racing a submit that the engine later
-    /// *rejects* must not capture the reserved (unapplied) registry
-    /// entry — otherwise recovery resurrects a query whose submitter
-    /// was told `Err`.
+    /// *rejects* must not capture the rejected query — otherwise
+    /// recovery resurrects a query whose submitter was told `Err`.
     #[test]
     fn snapshot_during_rejected_submit_does_not_resurrect_it() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -715,8 +639,8 @@ mod tests {
                 while !started.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
-                // `bad` is reserved in the registry but not applied:
-                // the snapshot must skip it.
+                // `bad` is mid-evaluation, not applied: the snapshot
+                // must skip it.
                 e.snapshot().unwrap();
                 release.store(true, Ordering::SeqCst);
                 rejected.join().unwrap();
@@ -735,22 +659,105 @@ mod tests {
         assert_eq!(e.engine().pending_count(), 0, "rejected submit resurrected");
     }
 
-    /// The acknowledgment-window barrier at the registry level: an
-    /// applied entry whose commit record is still in flight cannot be
-    /// popped by a concurrent retirer — only by its own submit.
+    /// The acknowledgment-window barrier at the registry level: an entry
+    /// whose commit record is still in flight cannot be taken by a
+    /// retirer, and neither can a seq not registered yet; a logged one
+    /// can.
     #[test]
     fn registry_retire_waits_for_logged_entries() {
-        let mut r = Registry::default();
-        r.insert(1, b"q".to_vec(), true, false); // applied, append in flight
-        assert_eq!(r.retire(b"q", None), None, "unlogged entry popped");
-        assert_eq!(r.retire(b"q", Some(1)), Some(1), "own seq is exempt");
-        r.insert(2, b"q".to_vec(), true, false);
-        assert_eq!(r.retire(b"q", None), None);
-        r.mark_logged(2);
-        assert_eq!(r.retire(b"q", None), Some(2));
-        // Reserved (unapplied) entries stay untouchable either way.
-        r.insert(3, b"q".to_vec(), false, true);
-        assert_eq!(r.retire(b"q", None), None);
+        let entry = |logged| RegistryEntry {
+            bytes: b"q".to_vec(),
+            logged,
+        };
+        let mut r = Registry::new();
+        r.insert(1, entry(false)); // append in flight
+        r.insert(2, entry(true));
+        let mut waiting = vec![1, 2, 3]; // 3: applied, not yet registered
+        take_logged(&mut r, &mut waiting);
+        assert_eq!(waiting, vec![1, 3], "unlogged or absent entry taken");
+        assert_eq!(r.keys().copied().collect::<Vec<_>>(), vec![1]);
+        r.get_mut(&1).unwrap().logged = true;
+        r.insert(3, entry(true));
+        take_logged(&mut r, &mut waiting);
+        assert!(waiting.is_empty() && r.is_empty());
+    }
+
+    /// A retire record names the seq the engine retired, never a
+    /// byte-identical duplicate's: of two identical pending queries the
+    /// newer one retires (in its own submit), and the record says so.
+    #[test]
+    fn retire_record_names_the_seq_the_engine_retired() {
+        #[derive(Clone)]
+        struct RetireNewerDuplicate;
+        impl ComponentEvaluator<MiniQuery> for RetireNewerDuplicate {
+            type Delivery = ();
+            type Error = String;
+            fn evaluate(&self, queries: &[MiniQuery]) -> Result<Option<(Vec<usize>, ())>, String> {
+                // The arrival comes last in the evaluated batch.
+                let (arrival, pending) = queries.split_last().expect("batch holds the arrival");
+                Ok(pending.contains(arrival).then(|| (vec![pending.len()], ())))
+            }
+        }
+        let dir = TempDir::new("durable-dup-retire");
+        // Provides what it requires, so the two copies share a component.
+        let dup = || mini("dup", &[("K", 1)], &[("K", 1)]);
+        let e = open_one(&dir, RetireNewerDuplicate, None);
+        assert!(!e.submit(dup()).unwrap().coordinated());
+        assert!(e.submit(dup()).unwrap().coordinated());
+        let wal =
+            crate::wal::read_wal(&dir.path().join(format!("wal-{:020}-{:04}.log", 0, 0))).unwrap();
+        let records: Vec<CommitRecord> = wal
+            .records
+            .iter()
+            .map(|payload| CommitRecord::decode(payload).unwrap())
+            .collect();
+        let (s0, s1) = (records[0].seq, records[1].seq);
+        assert!(s0 < s1);
+        assert_eq!(
+            records[1].retired,
+            vec![s1],
+            "retire named the older duplicate"
+        );
+        let pending: Vec<u64> = e.engine().pending().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(pending, vec![s0]);
+        e.validate_invariants();
+    }
+
+    /// A background rotation that fails does not fail the submit that
+    /// triggered it: the error is parked for `take_snapshot_error`, the
+    /// old epoch stays authoritative, and the next due rotation retries.
+    #[test]
+    fn failed_background_rotation_is_reported_and_retried() {
+        let dir = TempDir::new("durable-rotation-error");
+        {
+            let e = open_one(&dir, Saturation, Some(2));
+            // A directory where the next epoch's tmp snapshot goes makes
+            // the rotation's open fail.
+            let blocker = dir.path().join(format!("snap-{:020}.bin.tmp", 1));
+            std::fs::create_dir(&blocker).unwrap();
+            for i in 0..3 {
+                e.submit(chain(10 * i, Some(10 * i + 1))).unwrap();
+            }
+            assert!(e.take_snapshot_error().is_some(), "rotation failure lost");
+            assert!(
+                e.take_snapshot_error().is_none(),
+                "error not cleared on read"
+            );
+            assert_eq!(e.store().epoch(), 0);
+            std::fs::remove_dir(&blocker).unwrap();
+            e.submit(chain(30, Some(31))).unwrap();
+            assert!(e.take_snapshot_error().is_none());
+            assert_eq!(e.store().epoch(), 1, "rotation not retried");
+            e.submit(chain(40, Some(41))).unwrap();
+        }
+        let e = open_one(&dir, Saturation, Some(2));
+        assert!(e.recovery_report().had_snapshot);
+        let pending = e.engine().pending().into_iter().map(|(_, q)| q.name);
+        assert_eq!(
+            names(pending.collect()),
+            names((0..5).map(|i| format!("q{}", 10 * i)).collect())
+        );
+        e.validate_invariants();
     }
 
     /// A rebalance pass between submits is invisible to durability:

@@ -17,9 +17,11 @@
 //! * [`durable`] — [`DurableShardedEngine`], the durable layer over the
 //!   sharded engine (one shard + one submitter = the single-writer
 //!   durable engine): submit → apply → log one atomic commit record →
-//!   acknowledge; recovery replays `snapshot + log tail` with
-//!   `insert_pending` (no re-evaluation), so replay is *faster* than
-//!   live submission — the `durability` bench asserts it.
+//!   acknowledge; each submit's seq is its query's id in the engine, so
+//!   the record's retired seqs come straight from the engine; recovery
+//!   replays `snapshot + log tail` with `insert_pending` (no
+//!   re-evaluation), so replay is *faster* than live submission — the
+//!   `durability` bench asserts it.
 //!
 //! `coord_core::persist` wires the entangled-query codec in and exposes
 //! `DurableSharedEngine` so service callers opt into durability with

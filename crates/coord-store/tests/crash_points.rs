@@ -34,7 +34,7 @@ fn pending_names(engine: &Engine) -> Vec<String> {
         .engine()
         .pending()
         .into_iter()
-        .map(|q| q.name)
+        .map(|(_, q)| q.name)
         .collect();
     names.sort_unstable();
     names
@@ -217,8 +217,8 @@ proptest! {
         for q in &arrivals[prefix_submits..] {
             let a = engine.submit(q.clone()).unwrap();
             let b = reference.submit(q.clone()).unwrap();
-            let mut ra: Vec<String> = a.retired.iter().map(|x| x.name.clone()).collect();
-            let mut rb: Vec<String> = b.retired.iter().map(|x| x.name.clone()).collect();
+            let mut ra: Vec<String> = a.retired.iter().map(|(_, x)| x.name.clone()).collect();
+            let mut rb: Vec<String> = b.retired.iter().map(|(_, x)| x.name.clone()).collect();
             ra.sort_unstable();
             rb.sort_unstable();
             prop_assert_eq!(ra, rb, "post-recovery retirement diverged");

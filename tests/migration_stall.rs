@@ -101,13 +101,13 @@ fn unrelated_submitters_proceed_while_a_migration_waits() {
 
     // Round-robin placement: three disjoint waiters on shards 0, 1, 2.
     engine
-        .submit(q("a", vec![("R", Some(0))], vec![("R", Some(1))]))
+        .submit(0, q("a", vec![("R", Some(0))], vec![("R", Some(1))]))
         .unwrap(); // shard 0
     engine
-        .submit(q("b", vec![("R", Some(10))], vec![("R", Some(11))]))
+        .submit(1, q("b", vec![("R", Some(10))], vec![("R", Some(11))]))
         .unwrap(); // shard 1
     engine
-        .submit(q("c", vec![("Y", Some(0))], vec![("Y", Some(999))]))
+        .submit(2, q("c", vec![("Y", Some(0))], vec![("Y", Some(999))]))
         .unwrap(); // shard 2
 
     std::thread::scope(|s| {
@@ -116,7 +116,7 @@ fn unrelated_submitters_proceed_while_a_migration_waits() {
         let slow_engine = Arc::clone(&engine);
         let slow = s.spawn(move || {
             slow_engine
-                .submit(q("slow", vec![("R", Some(1))], vec![("R", Some(2))]))
+                .submit(3, q("slow", vec![("R", Some(1))], vec![("R", Some(2))]))
                 .unwrap()
         });
         let spin_deadline = Instant::now() + Duration::from_secs(30);
@@ -133,7 +133,10 @@ fn unrelated_submitters_proceed_while_a_migration_waits() {
         let bridge_engine = Arc::clone(&engine);
         let bridge = s.spawn(move || {
             bridge_engine
-                .submit(q("bridge", vec![("R", Some(2)), ("R", Some(11))], vec![]))
+                .submit(
+                    4,
+                    q("bridge", vec![("R", Some(2)), ("R", Some(11))], vec![]),
+                )
                 .unwrap()
         });
         while engine.metrics().snapshot().migrations < 1 {
@@ -155,7 +158,10 @@ fn unrelated_submitters_proceed_while_a_migration_waits() {
         s.spawn(move || {
             for i in 0..8 {
                 let r = unrelated_engine
-                    .submit(q("u", vec![("Y", Some(100 + i))], vec![("Y", Some(0))]))
+                    .submit(
+                        100 + i as u64,
+                        q("u", vec![("Y", Some(100 + i))], vec![("Y", Some(0))]),
+                    )
                     .unwrap();
                 assert!(!r.coordinated());
             }
@@ -185,7 +191,7 @@ fn unrelated_submitters_proceed_while_a_migration_waits() {
         let mut names: Vec<String> = bridge_result
             .retired
             .iter()
-            .map(|x| x.name.clone())
+            .map(|(_, x)| x.name.clone())
             .collect();
         names.sort_unstable();
         assert_eq!(names, vec!["a", "b", "bridge", "slow"]);
@@ -263,22 +269,22 @@ fn unrelated_submitters_proceed_while_a_rollback_waits() {
     // shards 2, 3, 0, and v (the rollback's roadblock) → shard 1,
     // co-resident with b.
     engine
-        .submit(q("a", vec![("R", Some(0))], vec![("R", Some(1))]))
+        .submit(5, q("a", vec![("R", Some(0))], vec![("R", Some(1))]))
         .unwrap();
     engine
-        .submit(q("b", vec![("R", Some(10))], vec![("R", Some(11))]))
+        .submit(6, q("b", vec![("R", Some(10))], vec![("R", Some(11))]))
         .unwrap();
     engine
-        .submit(q("f2", vec![("Z", Some(2))], vec![("Z", Some(99))]))
+        .submit(7, q("f2", vec![("Z", Some(2))], vec![("Z", Some(99))]))
         .unwrap(); // shard 2 — the unrelated submitters' anchor
     engine
-        .submit(q("f3", vec![("Z", Some(3))], vec![("Z", Some(98))]))
+        .submit(8, q("f3", vec![("Z", Some(3))], vec![("Z", Some(98))]))
         .unwrap(); // shard 3
     engine
-        .submit(q("f0", vec![("Z", Some(4))], vec![("Z", Some(97))]))
+        .submit(9, q("f0", vec![("Z", Some(4))], vec![("Z", Some(97))]))
         .unwrap(); // shard 0
     engine
-        .submit(q("v", vec![("V", Some(0))], vec![("V", Some(99))]))
+        .submit(10, q("v", vec![("V", Some(0))], vec![("V", Some(99))]))
         .unwrap(); // shard 1
 
     std::thread::scope(|s| {
@@ -287,7 +293,10 @@ fn unrelated_submitters_proceed_while_a_rollback_waits() {
         let bridge_engine = Arc::clone(&engine);
         let bridge = s.spawn(move || {
             bridge_engine
-                .submit(q("bridge", vec![("R", Some(1)), ("R", Some(11))], vec![]))
+                .submit(
+                    11,
+                    q("bridge", vec![("R", Some(1)), ("R", Some(11))], vec![]),
+                )
                 .unwrap_err()
         });
         let spin_deadline = Instant::now() + Duration::from_secs(30);
@@ -302,7 +311,7 @@ fn unrelated_submitters_proceed_while_a_rollback_waits() {
         let wake_engine = Arc::clone(&engine);
         let wake = s.spawn(move || {
             wake_engine
-                .submit(q("wake", vec![("V", Some(99))], vec![("V", Some(0))]))
+                .submit(12, q("wake", vec![("V", Some(99))], vec![("V", Some(0))]))
                 .unwrap()
         });
         while !wake_entered.load(Ordering::SeqCst) {
@@ -328,7 +337,10 @@ fn unrelated_submitters_proceed_while_a_rollback_waits() {
         s.spawn(move || {
             for i in 0..8 {
                 let r = unrelated_engine
-                    .submit(q("u", vec![("Z", Some(200 + i))], vec![("Z", Some(2))]))
+                    .submit(
+                        200 + i as u64,
+                        q("u", vec![("Z", Some(200 + i))], vec![("Z", Some(2))]),
+                    )
                     .unwrap();
                 assert!(!r.coordinated());
             }
@@ -372,7 +384,7 @@ fn unrelated_submitters_proceed_while_a_rollback_waits() {
     // was restored along with the move.
     let before = engine.metrics().snapshot().migrations;
     engine
-        .submit(q("w", vec![("R", Some(11))], vec![("R", Some(10))]))
+        .submit(13, q("w", vec![("R", Some(11))], vec![("R", Some(10))]))
         .unwrap();
     assert_eq!(engine.metrics().snapshot().migrations, before);
 }

@@ -8,15 +8,12 @@
 //! * **preprocessing pays**: a workload whose suffix is doomed (an
 //!   unmatchable postcondition deep in the chain) is cut before any
 //!   database work.
-//! * **algorithm vs exhaustive**: the SCC algorithm against brute force
-//!   on the same (small) safe instances.
 //! * **indexing matters** (the `analysis` section, asserted while
 //!   measuring and gated in CI via `--quick`): candidate enumeration
 //!   through the shared (relation, first-arg constant) index performs
 //!   ≥ 10× fewer atom-unifiability tests than the all-pairs sweep at
 //!   n = 100, and grows near-linearly from n = 20 to n = 100.
 
-use coord_core::bruteforce;
 use coord_core::scc::{preprocess, SccCoordinator};
 use coord_gen::workloads::{fig4_queries, partner_query, pool_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -141,37 +138,5 @@ fn bench_preprocessing_cut(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scc_vs_bruteforce(c: &mut Criterion) {
-    let db = pool_db(100);
-    let mut group = c.benchmark_group("ablation_scc_vs_bruteforce");
-    group.sample_size(if quick_mode() { 3 } else { 10 });
-    for n in [6, 10, 14] {
-        let queries = fig4_queries(n);
-        group.bench_with_input(BenchmarkId::new("scc", n), &queries, |b, qs| {
-            b.iter(|| {
-                SccCoordinator::new(&db)
-                    .run(qs)
-                    .unwrap()
-                    .best()
-                    .map(coord_core::FoundSet::len)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("bruteforce", n), &queries, |b, qs| {
-            b.iter(|| {
-                bruteforce::max_coordinating_set(&db, qs)
-                    .unwrap()
-                    .best
-                    .map(|f| f.len())
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_cycle_vs_list,
-    bench_preprocessing_cut,
-    bench_scc_vs_bruteforce
-);
+criterion_group!(benches, bench_cycle_vs_list, bench_preprocessing_cut);
 criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! Shared driver for the storage experiment: the `storage` bench (the
 //! CI flat-cost gate) and the `reproduce --only storage` trajectory
-//! section (`BENCH_storage.json`) run the **same** chain, table sizes,
-//! advice call and gates through this module, so the two cannot drift
-//! apart.
+//! section (`BENCH_storage.json`) run the **same** chain, table sizes
+//! and gates through this module, so the two cannot drift apart.
 //!
 //! Workload: the Figure 4 list chain over a Slashdot-scale activity
 //! table `A(id, topic, day)` whose topic pool and day range both have
@@ -13,7 +12,6 @@
 //! counters), not wall clock: counters are deterministic.
 
 use coord_core::engine::{CoordinationEngine, QueryAnswer};
-use coord_core::scc::preprocess;
 use coord_core::EntangledQuery;
 use coord_db::{BackendKind, Database, Symbol};
 use coord_gen::workloads::{activity_chain_queries, activity_db, ACTIVITY_TABLE};
@@ -34,9 +32,6 @@ pub fn sizes(quick: bool) -> &'static [usize] {
 /// Drive the activity chain through the online engine and return
 /// (per-submit probe work, submit-by-submit answer transcript).
 pub fn drive(db: &Database, queries: &[EntangledQuery]) -> (f64, Vec<Vec<QueryAnswer>>) {
-    // Advise composite patterns exactly as batch coordination does; the
-    // row store ignores the hint.
-    preprocess(db, queries).expect("workload preprocesses");
     db.stats().reset();
     let mut engine = CoordinationEngine::new(db);
     let mut transcript = Vec::new();
@@ -52,8 +47,8 @@ pub fn drive(db: &Database, queries: &[EntangledQuery]) -> (f64, Vec<Vec<QueryAn
 /// while measured:
 ///
 /// * **flat cost**: with composite indexes active (advised by
-///   `preprocess`), per-submit probe work grows ≤ 2× while the table
-///   grows 100×;
+///   `preprocess` on every submit's evaluation), per-submit probe work
+///   grows ≤ 2× while the table grows 100×;
 /// * **the contrast is real**: the plain row store's per-submit work
 ///   grows ≥ 3× over the same span (≈√100 = 10× expected);
 /// * **results stay identical**: every backend's submit-by-submit

@@ -17,8 +17,8 @@ use crate::unify::{atoms_unifiable, Substitution};
 use coord_db::{Atom, Database};
 
 /// Hard cap on instance size: the subset enumeration materializes 2^n
-/// masks, so 20 queries (1M subsets) is the sensible ceiling. Public so
-/// the SCC coordinator's small-instance fast path can cap its cutoff.
+/// masks, so 20 queries (1M subsets) is the sensible ceiling. Both
+/// searches panic above it.
 pub const MAX_QUERIES: usize = 20;
 
 /// Result of an exhaustive search.
@@ -36,7 +36,7 @@ pub struct BruteForceResult {
 /// (the `EntangledMax` problem of Definition 5 — NP-hard per Theorem 2,
 /// hence the exponential strategy).
 ///
-/// Panics if more than 25 queries are supplied.
+/// Panics if more than [`MAX_QUERIES`] queries are supplied.
 pub fn max_coordinating_set(
     db: &Database,
     queries: &[EntangledQuery],

@@ -35,13 +35,6 @@ pub use coord_engine::{
     ShardStatsSnapshot,
 };
 
-/// Components at or below this size are evaluated with the exhaustive
-/// search instead of the full SCC algorithm — the regime where the
-/// `ablation_scc_vs_bruteforce` bench shows brute force winning (12µs vs
-/// 30µs at n = 6). Online components are mostly tiny, so this is the
-/// engine's common case.
-pub const SMALL_COMPONENT_CUTOFF: usize = 6;
-
 /// An answer delivered to a coordinated query: for each variable, its
 /// chosen value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,8 +84,11 @@ impl CoordinationQuery for EntangledQuery {
     }
 }
 
-/// The component evaluator wiring the SCC Coordination Algorithm (with
-/// the small-instance brute-force fast path) into the service crate.
+/// The component evaluator wiring the SCC Coordination Algorithm into the
+/// service crate. Every component, whatever its size, is delivered the
+/// selector's best closure `R(q)` (§4) — never the global maximum
+/// coordinating set, which is Theorem 2's NP-hard problem — so an answer
+/// does not depend on how many other queries share the component.
 /// It keeps no state between evaluations: each one is a fresh sweep over
 /// the component's pending queries, so clones (one per shard in the
 /// sharded engine) are interchangeable and component migration between
@@ -117,9 +113,7 @@ impl ComponentEvaluator<EntangledQuery> for SccEvaluator<'_> {
         &self,
         queries: &[EntangledQuery],
     ) -> Result<Option<(Vec<usize>, Vec<QueryAnswer>)>, CoordError> {
-        let outcome = SccCoordinator::new(self.db)
-            .with_bruteforce_cutoff(SMALL_COMPONENT_CUTOFF)
-            .run(queries)?;
+        let outcome = SccCoordinator::new(self.db).run(queries)?;
         let Some(best) = outcome.best() else {
             return Ok(None);
         };

@@ -30,7 +30,6 @@
 //! component does is proportional to the batch (`qs.total_vars()`) or
 //! quadratic in its closure.
 
-use crate::bruteforce;
 use crate::combined::ground_assembled;
 use crate::differential::{delta_unify, scratch_closure, ClosureMemo, GroundWork};
 use crate::error::CoordError;
@@ -70,8 +69,7 @@ pub struct SccStats {
     /// merges, body-atom rewrites and fragment staleness checks. Under
     /// the default differential evaluation this grows ~O(n·Δ) on a list
     /// workload where from-scratch evaluation pays Σ|closure| ≈ n²/2
-    /// (gated by the scaling tests and the ablation bench). Zero on the
-    /// bruteforce fast path, which never builds closures.
+    /// (gated by the scaling tests and the ablation bench).
     pub ground_work: u64,
 }
 
@@ -109,19 +107,6 @@ pub struct Preprocessed {
     pub unify_calls: u64,
 }
 
-/// Check safety (Definition 2), reporting the first violation as the
-/// error the coordination algorithms raise.
-fn check_safety(qs: &QuerySet, counter: &mut UnifyCounter) -> Result<(), CoordError> {
-    if let Some(v) = safety_violations_counted(qs, counter).first() {
-        let q = qs.query(v.query);
-        return Err(CoordError::UnsafeSet {
-            query: q.name().to_string(),
-            postcondition: format!("{:?}", q.postconditions()[v.post_idx]),
-        });
-    }
-    Ok(())
-}
-
 /// Run validation, the safety check, preprocessing and graph construction
 /// (steps 1–2 of the algorithm; no database queries are issued beyond
 /// schema validation).
@@ -132,8 +117,8 @@ pub fn preprocess(db: &Database, queries: &[EntangledQuery]) -> Result<Preproces
     // Advise storage about the multi-column equality patterns the body
     // atoms will probe (constant positions; variables stay unbound at
     // probe time in the common workloads). Backends with composite
-    // indexes materialize them up front instead of paying the adaptive
-    // observation window; everyone else ignores the hint.
+    // indexes materialize them here, the only place they are built;
+    // everyone else ignores the hint.
     for q in queries {
         for atom in q.body() {
             let cols: Vec<usize> = atom
@@ -151,8 +136,15 @@ pub fn preprocess(db: &Database, queries: &[EntangledQuery]) -> Result<Preproces
 
     let mut counter = UnifyCounter::new();
 
-    // Safety check (Definition 2). The algorithm's guarantees require it.
-    check_safety(&qs, &mut counter)?;
+    // Safety check (Definition 2). The algorithm's guarantees require it;
+    // the first violation is the error.
+    if let Some(v) = safety_violations_counted(&qs, &mut counter).first() {
+        let q = qs.query(v.query);
+        return Err(CoordError::UnsafeSet {
+            query: q.name().to_string(),
+            postcondition: format!("{:?}", q.postconditions()[v.post_idx]),
+        });
+    }
 
     // Preprocessing: iteratively remove queries that have a postcondition
     // no remaining head can satisfy.
@@ -239,7 +231,6 @@ impl SccOutcome {
 pub struct SccCoordinator<'a> {
     db: &'a Database,
     selector: Box<dyn Selector + 'a>,
-    bruteforce_cutoff: usize,
     evaluation: Evaluation,
 }
 
@@ -249,7 +240,6 @@ impl<'a> SccCoordinator<'a> {
         SccCoordinator {
             db,
             selector: Box::new(MaxSize),
-            bruteforce_cutoff: 0,
             evaluation: Evaluation::default(),
         }
     }
@@ -259,7 +249,6 @@ impl<'a> SccCoordinator<'a> {
         SccCoordinator {
             db,
             selector: Box::new(selector),
-            bruteforce_cutoff: 0,
             evaluation: Evaluation::default(),
         }
     }
@@ -273,74 +262,10 @@ impl<'a> SccCoordinator<'a> {
         self
     }
 
-    /// Enable the small-instance fast path: [`SccCoordinator::run`]
-    /// delegates to [`bruteforce::max_coordinating_set`] for instances of
-    /// at most `cutoff` queries, where the exhaustive search's constant
-    /// factor beats graph construction + per-component database queries
-    /// (the `ablation_scc_vs_bruteforce` bench: 12µs vs 30µs at n = 6).
-    /// The online engine evaluates mostly tiny components and runs with
-    /// this enabled.
-    ///
-    /// The default is 0 (always the paper's algorithm): the fast path
-    /// returns the same maximum-size coordinating set (or the same
-    /// `UnsafeSet` error), but reports only that one candidate in
-    /// [`SccOutcome::found`] and leaves the graph-shaped fields of
-    /// [`SccStats`] at zero — and a global maximum can exceed the
-    /// maximum closure `R(q)` on non-unique instances, so callers
-    /// pinning the paper's exact per-closure behavior must opt in.
-    ///
-    /// # Panics
-    /// Panics if `cutoff` exceeds [`bruteforce::MAX_QUERIES`] — the
-    /// exhaustive search refuses larger instances, so a bigger cutoff
-    /// could never be honored.
-    pub fn with_bruteforce_cutoff(mut self, cutoff: usize) -> Self {
-        assert!(
-            cutoff <= bruteforce::MAX_QUERIES,
-            "bruteforce cutoff {cutoff} exceeds the exhaustive-search cap"
-        );
-        self.bruteforce_cutoff = cutoff;
-        self
-    }
-
     /// Run the full algorithm on `queries`.
     pub fn run(&self, queries: &[EntangledQuery]) -> Result<SccOutcome, CoordError> {
-        if !queries.is_empty() && queries.len() <= self.bruteforce_cutoff {
-            return self.run_small(queries);
-        }
         let pre = preprocess(self.db, queries)?;
         self.run_preprocessed(pre)
-    }
-
-    /// The small-instance fast path: validation and the safety check as
-    /// usual (so unsafe sets raise the same error), then one exhaustive
-    /// search instead of graph construction plus per-component database
-    /// queries.
-    fn run_small(&self, queries: &[EntangledQuery]) -> Result<SccOutcome, CoordError> {
-        let qs = QuerySet::new(queries.to_vec());
-        qs.validate(self.db)?;
-        let mut counter = UnifyCounter::new();
-        check_safety(&qs, &mut counter)?;
-
-        let result = bruteforce::max_coordinating_set(self.db, queries)?;
-        // One grounding = one conjunctive query to the database. Counted
-        // from the search's own tally, not the shared `Database` stats —
-        // those are global and would absorb concurrent callers' queries.
-        let db_queries = result.matchings_tried as usize;
-
-        let found: Vec<FoundSet> = result.best.into_iter().collect();
-        let best = self.selector.choose(&found);
-        let stats = SccStats {
-            db_queries,
-            candidates: found.len(),
-            unify_calls: counter.calls(),
-            ..SccStats::default()
-        };
-        Ok(SccOutcome {
-            qs,
-            found,
-            best,
-            stats,
-        })
     }
 
     /// Run the database phase on a preprocessed instance.
@@ -374,9 +299,6 @@ impl<'a> SccCoordinator<'a> {
         queries: &[EntangledQuery],
         threads: usize,
     ) -> Result<SccOutcome, CoordError> {
-        if !queries.is_empty() && queries.len() <= self.bruteforce_cutoff {
-            return self.run_small(queries);
-        }
         let pre = preprocess(self.db, queries)?;
         self.run_preprocessed_parallel(pre, threads)
     }
@@ -981,94 +903,6 @@ mod tests {
         let out = SccCoordinator::new(&db).run(&fh_queries()).unwrap();
         assert!(out.stats.db_queries <= out.stats.components);
         assert_eq!(db.stats().find_one_count() as usize, out.stats.db_queries);
-    }
-
-    #[test]
-    fn bruteforce_fast_path_matches_full_algorithm_on_chains() {
-        // Below the cutoff the fast path must find the same maximum-size
-        // set as the paper's algorithm (chains have no size ties and no
-        // cross-closure unions, so the global maximum IS the maximum
-        // closure).
-        let db = pool_db_small();
-        for n in 1..=6 {
-            let queries: Vec<EntangledQuery> = (0..n)
-                .map(|i| {
-                    let next = if i + 1 < n { vec![i + 1] } else { vec![] };
-                    chain_q(i, &next)
-                })
-                .collect();
-            let slow = SccCoordinator::new(&db).run(&queries).unwrap();
-            let fast = SccCoordinator::new(&db)
-                .with_bruteforce_cutoff(6)
-                .run(&queries)
-                .unwrap();
-            assert_eq!(
-                slow.best_names(),
-                fast.best_names(),
-                "n = {n}: fast path diverged"
-            );
-            let best = fast.best().unwrap();
-            check_coordinating_set(&db, &fast.qs, &best.queries, &best.grounding).unwrap();
-        }
-    }
-
-    #[test]
-    fn bruteforce_fast_path_rejects_unsafe_sets_identically() {
-        let mut db = Database::new();
-        db.create_table("T", &["id"]).unwrap();
-        db.insert("T", vec![Value::int(1)]).unwrap();
-        let a = QueryBuilder::new("a")
-            .head("R", |x| x.constant("u").var("p"))
-            .body("T", |x| x.var("p"))
-            .build()
-            .unwrap();
-        let b = QueryBuilder::new("b")
-            .head("R", |x| x.constant("u").var("q"))
-            .body("T", |x| x.var("q"))
-            .build()
-            .unwrap();
-        let c = QueryBuilder::new("c")
-            .postcondition("R", |x| x.constant("u").var("r"))
-            .head("R", |x| x.constant("me").var("r"))
-            .body("T", |x| x.var("r"))
-            .build()
-            .unwrap();
-        let err = SccCoordinator::new(&db)
-            .with_bruteforce_cutoff(6)
-            .run(&[a, b, c])
-            .unwrap_err();
-        assert!(matches!(err, CoordError::UnsafeSet { .. }));
-    }
-
-    #[test]
-    fn cutoff_leaves_larger_instances_on_the_paper_algorithm() {
-        // Above the cutoff the full algorithm runs and reports its usual
-        // per-component stats.
-        let db = fh_db();
-        let out = SccCoordinator::new(&db)
-            .with_bruteforce_cutoff(2)
-            .run(&fh_queries())
-            .unwrap();
-        assert_eq!(out.stats.components, 3);
-        assert_eq!(out.best_names(), vec!["qC", "qG"]);
-    }
-
-    fn pool_db_small() -> Database {
-        let mut db = Database::new();
-        db.create_table("T", &["id"]).unwrap();
-        db.insert("T", vec![Value::int(7)]).unwrap();
-        db
-    }
-
-    fn chain_q(i: usize, next: &[usize]) -> EntangledQuery {
-        let mut b = QueryBuilder::new(format!("q{i}"));
-        for &n in next {
-            b = b.postcondition("R", |a| a.constant(format!("u{n}")).var("x"));
-        }
-        b.head("R", |a| a.constant(format!("u{i}")).var("x"))
-            .body("T", |a| a.var("x"))
-            .build()
-            .unwrap()
     }
 
     #[test]

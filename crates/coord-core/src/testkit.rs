@@ -6,7 +6,7 @@
 //! (no feature flag), like `coord_store::testkit`: integration tests and
 //! benches of other crates need it.
 
-use crate::engine::{answer_for, SubmitResult, SMALL_COMPONENT_CUTOFF};
+use crate::engine::{answer_for, SubmitResult};
 use crate::error::CoordError;
 use crate::graphs::coordination_graph;
 use crate::instance::QuerySet;
@@ -19,10 +19,10 @@ use coord_graph::reach::weakly_connected_components;
 /// over all pending queries on every submit and evaluates the new
 /// query's weakly connected component. Kept as the baseline the
 /// `online_throughput` bench and the engine property tests compare the
-/// incremental path against. Uses the same evaluation configuration
-/// (SCC algorithm with the small-instance cutoff) so the two paths are
-/// behaviorally identical on workloads whose key-level candidates match
-/// exactly the unifiable pairs.
+/// incremental path against. Uses the same evaluation (the SCC
+/// algorithm, from scratch instead of differentially) so the two paths
+/// are behaviorally identical on workloads whose key-level candidates
+/// match exactly the unifiable pairs.
 pub struct RebuildEngine<'a> {
     db: &'a Database,
     pending: Vec<EntangledQuery>,
@@ -83,7 +83,6 @@ impl<'a> RebuildEngine<'a> {
             component.iter().map(|&i| self.pending[i].clone()).collect();
 
         let outcome = match SccCoordinator::new(self.db)
-            .with_bruteforce_cutoff(SMALL_COMPONENT_CUTOFF)
             .with_from_scratch_evaluation()
             .run(&comp_queries)
         {

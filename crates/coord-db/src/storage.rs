@@ -8,14 +8,11 @@
 //!   column (insertion-ordered `Vec<Tuple>` + `indexes[c][v]` buckets).
 //! * [`CompositeStore`] — a [`RowStore`] plus *multi-column* hash
 //!   indexes with an exact bucket per value combination, collapsing a
-//!   `min(bucket)` scan into a point lookup. An index is built either
-//!   when the batch path advises its pattern up front
-//!   ([`Storage::ensure_index`], called by `coord_core::scc::preprocess`)
-//!   or adaptively, once the pattern has been probed
-//!   [`COMPOSITE_BUILD_THRESHOLD`] times. The adaptive path is not
-//!   redundant with the advice: the online engine evaluates components
-//!   of at most six queries on a fast path that never runs `preprocess`,
-//!   so there sighting-counting is the only thing that ever builds one.
+//!   `min(bucket)` scan into a point lookup. An index is built only when
+//!   its pattern is advised ([`Storage::ensure_index`], called by
+//!   `coord_core::scc::preprocess` for every body atom of every batch and
+//!   every online evaluation); an unadvised pattern is served from
+//!   column buckets exactly as on [`RowStore`].
 //!
 //! ## The determinism contract
 //!
@@ -40,10 +37,6 @@ use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, RwLock};
-
-/// Probe count after which [`CompositeStore`] materializes an index for
-/// an observed multi-column pattern.
-pub const COMPOSITE_BUILD_THRESHOLD: u32 = 4;
 
 /// How a [`Scan`] is being served — recorded by the evaluator as index
 /// hit/miss counters.
@@ -254,29 +247,26 @@ impl Storage for RowStore {
 }
 
 // ---------------------------------------------------------------------
-// CompositeStore: RowStore + adaptive multi-column hash indexes.
+// CompositeStore: RowStore + advised multi-column hash indexes.
 // ---------------------------------------------------------------------
 
-/// Observed-or-built state for one multi-column pattern.
-#[derive(Debug)]
-enum PatternState {
-    /// Seen this many probes; builds at [`COMPOSITE_BUILD_THRESHOLD`].
-    Counting(u32),
-    /// Materialized: exact bucket per value combination. Buckets sit
-    /// behind `Arc` so scans own them without holding the lock; inserts
-    /// copy-on-write via [`Arc::make_mut`].
-    Built(HashMap<Vec<Value>, Arc<Vec<usize>>>),
-}
+/// One materialized multi-column index: an exact bucket per value
+/// combination. Buckets sit behind `Arc` so scans own them without
+/// holding the lock; inserts copy-on-write via [`Arc::make_mut`].
+type PatternIndex = HashMap<Vec<Value>, Arc<Vec<usize>>>;
 
-/// A [`RowStore`] that additionally materializes exact multi-column
-/// hash indexes for the bound-column patterns the workload actually
-/// probes (adaptively after [`COMPOSITE_BUILD_THRESHOLD`] sightings, or
-/// immediately via [`Storage::ensure_index`]).
+/// A [`RowStore`] that additionally materializes an exact multi-column
+/// hash index for every bound-column pattern advised through
+/// [`Storage::ensure_index`]. Scans of other patterns use the column
+/// buckets, so `ConsistentCoordinator`, which does not advise, probes
+/// this backend just as it probes a [`RowStore`] (no test, bench or
+/// benchmark workload runs that pairing: the benchmark uses the default
+/// row store throughout).
 #[derive(Debug)]
 pub struct CompositeStore {
     base: RowStore,
-    /// Pattern (ascending column ids, length ≥ 2) → state.
-    patterns: RwLock<HashMap<Vec<usize>, PatternState>>,
+    /// Pattern (ascending column ids, length ≥ 2) → its index.
+    patterns: RwLock<HashMap<Vec<usize>, PatternIndex>>,
 }
 
 impl CompositeStore {
@@ -288,7 +278,7 @@ impl CompositeStore {
         }
     }
 
-    fn build_index(&self, cols: &[usize]) -> HashMap<Vec<Value>, Arc<Vec<usize>>> {
+    fn build_index(&self, cols: &[usize]) -> PatternIndex {
         let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         for rid in 0..self.base.len() {
             let key: Vec<Value> = cols
@@ -300,42 +290,18 @@ impl CompositeStore {
         map.into_iter().map(|(k, v)| (k, Arc::new(v))).collect()
     }
 
-    /// The exact bucket for `bound` if a composite index covers its
-    /// column set: `None` means "no index (yet)", `Some` with an empty
-    /// bucket means "indexed, no matching rows". Counts the pattern
-    /// sighting and builds the index at the threshold.
+    /// The exact bucket for `bound` if an advised index covers its
+    /// column set: `None` means "no index", `Some` with an empty bucket
+    /// means "indexed, no matching rows". Takes the read lock only.
     fn composite_bucket(
         &self,
         cols: &[usize],
         bound: &[(usize, Value)],
     ) -> Option<Arc<Vec<usize>>> {
-        let key = || -> Vec<Value> { bound.iter().map(|(_, v)| v.clone()).collect() };
-        // Fast path: pattern already built — read lock only.
-        {
-            let guard = self.patterns.read().unwrap();
-            match guard.get(cols) {
-                Some(PatternState::Built(map)) => {
-                    return Some(map.get(&key()).cloned().unwrap_or_default());
-                }
-                Some(PatternState::Counting(_)) | None => {}
-            }
-        }
-        // Slow path (only until the pattern is built): count, maybe build.
-        let mut guard = self.patterns.write().unwrap();
-        let state = guard
-            .entry(cols.to_vec())
-            .or_insert(PatternState::Counting(0));
-        if let PatternState::Counting(n) = state {
-            *n += 1;
-            if *n < COMPOSITE_BUILD_THRESHOLD {
-                return None;
-            }
-            *state = PatternState::Built(self.build_index(cols));
-        }
-        match state {
-            PatternState::Built(map) => Some(map.get(&key()).cloned().unwrap_or_default()),
-            PatternState::Counting(_) => unreachable!("pattern built above"),
-        }
+        let guard = self.patterns.read().unwrap();
+        let index = guard.get(cols)?;
+        let key: Vec<Value> = bound.iter().map(|(_, v)| v.clone()).collect();
+        Some(index.get(&key).cloned().unwrap_or_default())
     }
 }
 
@@ -354,14 +320,12 @@ impl Storage for CompositeStore {
         }
         let rid = self.base.len() - 1;
         let mut guard = self.patterns.write().unwrap();
-        for (cols, state) in guard.iter_mut() {
-            if let PatternState::Built(map) = state {
-                let key: Vec<Value> = cols
-                    .iter()
-                    .map(|&c| self.base.cell(rid, c).clone())
-                    .collect();
-                Arc::make_mut(map.entry(key).or_default()).push(rid);
-            }
+        for (cols, index) in guard.iter_mut() {
+            let key: Vec<Value> = cols
+                .iter()
+                .map(|&c| self.base.cell(rid, c).clone())
+                .collect();
+            Arc::make_mut(index.entry(key).or_default()).push(rid);
         }
         true
     }
@@ -400,32 +364,18 @@ impl Storage for CompositeStore {
             return;
         }
         // `preprocess` advises every multi-constant body atom of every
-        // batch: an already-built pattern must not cost a write lock.
-        let built = matches!(
-            self.patterns.read().unwrap().get(cols),
-            Some(PatternState::Built(_))
-        );
-        if built {
+        // evaluation: an already-built pattern must not cost a write lock.
+        if self.patterns.read().unwrap().contains_key(cols) {
             return;
         }
         let mut guard = self.patterns.write().unwrap();
-        let state = guard
+        guard
             .entry(cols.to_vec())
-            .or_insert(PatternState::Counting(0));
-        if let PatternState::Counting(_) = state {
-            *state = PatternState::Built(self.build_index(cols));
-        }
+            .or_insert_with(|| self.build_index(cols));
     }
 
     fn composite_patterns(&self) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = self
-            .patterns
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|(_, s)| matches!(s, PatternState::Built(_)))
-            .map(|(k, _)| k.clone())
-            .collect();
+        let mut out: Vec<Vec<usize>> = self.patterns.read().unwrap().keys().cloned().collect();
         out.sort();
         out
     }
@@ -491,6 +441,9 @@ mod tests {
     fn all_backends_agree_on_scans_and_estimates() {
         let row = filled(BackendKind::Row);
         let other = filled(BackendKind::Composite);
+        // One advised pattern: `[1, 2]` probes take the composite index,
+        // `[0, 2]` stays on column buckets — both access paths compared.
+        other.ensure_index(&[1, 2]);
         for bound in [
             vec![],
             vec![(1, Value::str("a"))],
@@ -498,44 +451,26 @@ mod tests {
             vec![(0, Value::int(3)), (2, Value::int(20))],
             vec![(1, Value::str("zzz"))],
         ] {
-            // Repeat so the composite store crosses its build
-            // threshold and switches access paths mid-test: matching
-            // rows must not change.
-            for _ in 0..=COMPOSITE_BUILD_THRESHOLD {
-                let verify = |s: &dyn Storage| -> Vec<usize> {
-                    s.scan(&bound)
-                        .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
-                        .collect()
-                };
-                assert_eq!(
-                    verify(row.as_ref()),
-                    verify(other.as_ref()),
-                    "composite diverged on {bound:?}"
-                );
-                assert_eq!(
-                    row.estimate(&bound),
-                    other.estimate(&bound),
-                    "composite estimate diverged on {bound:?}"
-                );
-            }
+            let verify = |s: &dyn Storage| -> Vec<usize> {
+                s.scan(&bound)
+                    .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
+                    .collect()
+            };
+            assert_eq!(
+                verify(row.as_ref()),
+                verify(other.as_ref()),
+                "composite diverged on {bound:?}"
+            );
+            assert_eq!(
+                row.estimate(&bound),
+                other.estimate(&bound),
+                "composite estimate diverged on {bound:?}"
+            );
         }
-    }
-
-    #[test]
-    fn composite_index_builds_after_threshold() {
-        let b = filled(BackendKind::Composite);
-        let bound = vec![(1, Value::str("a")), (2, Value::int(10))];
-        for i in 0..COMPOSITE_BUILD_THRESHOLD {
-            let path = b.scan(&bound).path();
-            if i + 1 < COMPOSITE_BUILD_THRESHOLD {
-                assert_eq!(path, AccessPath::ColumnIndex(1));
-            } else {
-                assert_eq!(path, AccessPath::CompositeIndex);
-            }
-        }
-        assert_eq!(b.composite_patterns(), vec![vec![1, 2]]);
-        let hits: Vec<usize> = b.scan(&bound).collect();
-        assert_eq!(hits, vec![0, 3]);
+        let advised = [(1, Value::str("a")), (2, Value::int(10))];
+        let unadvised = [(0, Value::int(3)), (2, Value::int(20))];
+        assert_eq!(other.scan(&advised).path(), AccessPath::CompositeIndex);
+        assert_eq!(other.scan(&unadvised).path(), AccessPath::ColumnIndex(0));
     }
 
     #[test]

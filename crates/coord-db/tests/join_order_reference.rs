@@ -209,8 +209,8 @@ fn build_db(kind: BackendKind, rows_a: &[(i64, i64)], rows_c: &[(i64, i64, i64)]
         db.insert("C", vec![Value::int(a), Value::int(b), Value::int(c)])
             .unwrap();
     }
-    // One pattern built up front, the rest left to the composite
-    // backend's adaptive counting: both states are on the compared path.
+    // One pattern advised (a composite index on that backend), the rest
+    // left on column buckets: both access paths are on the compared path.
     db.advise_pattern(&Symbol::new("C"), &[0, 1]);
     db
 }
@@ -235,9 +235,9 @@ proptest! {
 
     /// Same answers in the same order, same witness, same probe work —
     /// on every backend. The reference and the product each get a
-    /// database of their own: the composite backend builds indexes
-    /// adaptively from the scans it sees, so sharing one would let the
-    /// first evaluation change the second's access paths.
+    /// database of their own, built and advised identically, so the
+    /// comparison also holds for a backend whose scans change its own
+    /// access paths (no in-tree backend's do).
     #[test]
     fn compiled_join_follows_the_greedy_rule(
         spec in query_strategy(),

@@ -59,8 +59,7 @@ pub fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery 
 }
 
 /// An unsatisfiable-core workload: a [`contending_partner_query`] cycle
-/// of `k` members (one SCC whose grounding always fails; pick `k` above
-/// the engine's small-component cutoff so the SCC path runs) plus
+/// of `k` members (one SCC whose grounding always fails) plus
 /// `spokes` independent [`partner_query`] chains of length 2 hanging off
 /// users `k, k+1, …` — each spoke requires a cycle member, so the online
 /// engine re-probes the failed cycle once per spoke.

@@ -284,10 +284,10 @@ fn failed_cycle_verdict_is_served_from_cache() {
     assert_eq!(engine.delivered(), 0);
     assert_eq!(engine.pending().len(), 7 + SPOKES);
 
-    // The first six arrivals take the bruteforce path and find no
-    // matching to ground; closing the cycle costs one probe, and so does
-    // every spoke after it (the spokes themselves fail on their failed
-    // successor without probing).
+    // The first six arrivals wait on a partner that has not arrived, so
+    // preprocessing removes them unprobed; closing the cycle costs one
+    // probe, and so does every spoke after it (the spokes themselves
+    // fail on their failed successor without probing).
     assert_eq!(engine_db.stats().find_one_count(), 1 + SPOKES as u64);
     assert_eq!(rebuild_db.stats().find_one_count(), 1 + SPOKES as u64);
 }

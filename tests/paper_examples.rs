@@ -262,3 +262,62 @@ fn online_engine_coordinates_on_arrival() {
     assert_eq!(r.answers.len(), 2);
     assert!(engine.pending().is_empty());
 }
+
+/// Section 4's components-graph example submitted online: q3+q4 → q1+q2
+/// ← q5+q6. The engine delivers the selector's best closure `R(q)` — not
+/// the union of all six, which the paper's algorithm never checks — and
+/// delivers the same set whether or not a stuck stranger shares the
+/// component.
+#[test]
+fn online_answer_does_not_depend_on_component_size() {
+    let mut db = Database::new();
+    db.create_table("T", &["id"]).unwrap();
+    db.insert("T", vec![Value::int(1)]).unwrap();
+    let pair = |i: usize, j: usize, dep: Option<usize>| {
+        let mut a = QueryBuilder::new(format!("q{i}"))
+            .postcondition("R", |x| x.constant(format!("u{j}")).var("v"))
+            .head("R", |x| x.constant(format!("u{i}")).var("v"))
+            .body("T", |x| x.var("v"));
+        if let Some(d) = dep {
+            a = a.postcondition("R", |x| x.constant(format!("u{d}")).var("v"));
+        }
+        let b = QueryBuilder::new(format!("q{j}"))
+            .postcondition("R", |x| x.constant(format!("u{i}")).var("w"))
+            .head("R", |x| x.constant(format!("u{j}")).var("w"))
+            .body("T", |x| x.var("w"))
+            .build()
+            .unwrap();
+        (a.build().unwrap(), b)
+    };
+    let (q1, q2) = pair(1, 2, None);
+    let (q3, q4) = pair(3, 4, Some(1));
+    let (q5, q6) = pair(5, 6, Some(1));
+    // Waits on u1 like q3 and q5, and on a u99 who never arrives.
+    let q7 = QueryBuilder::new("q7")
+        .postcondition("R", |x| x.constant("u1").var("s"))
+        .postcondition("R", |x| x.constant("u99").var("s"))
+        .head("R", |x| x.constant("u7").var("s"))
+        .body("T", |x| x.var("s"))
+        .build()
+        .unwrap();
+
+    let six = [q1, q2, q3, q4, q5, q6];
+    let batch = SccCoordinator::new(&db).run(&six).unwrap();
+    let mut expected = batch.best_names();
+    expected.sort_unstable();
+    assert_eq!(expected, vec!["q1", "q2", "q3", "q4"]);
+
+    // q3, q4, q5, q6, q2, q1: nothing can coordinate before q1 arrives.
+    let arrivals = [2, 3, 4, 5, 1, 0].map(|i| six[i].clone());
+    for stranger in [None, Some(q7)] {
+        let mut engine = CoordinationEngine::new(&db);
+        let with_stranger = stranger.is_some();
+        let mut delivered = Vec::new();
+        for q in stranger.into_iter().chain(arrivals.iter().cloned()) {
+            let answers = engine.submit(q).unwrap().answers;
+            delivered.extend(answers.into_iter().map(|a| a.query));
+        }
+        delivered.sort_unstable();
+        assert_eq!(delivered, expected, "with the stuck q7: {with_stranger}");
+    }
+}

@@ -249,8 +249,9 @@ fn scc_parallel_equals_sequential_on_all_workloads() {
     }
 }
 
-/// The parallel sweep composes with preprocessing reuse and the
-/// bruteforce cutoff exactly like the sequential path.
+/// The parallel sweep composes with preprocessing reuse exactly like the
+/// sequential path, and a small instance takes the same path as every
+/// other.
 #[test]
 fn scc_parallel_respects_preprocessed_and_cutoff_paths() {
     let db = pool_db(200);
@@ -265,16 +266,9 @@ fn scc_parallel_respects_preprocessed_and_cutoff_paths() {
     assert_eq!(seq.found, par.found);
     assert_eq!(seq.stats, par.stats);
 
-    // Below the cutoff both delegate to the same exhaustive search.
     let small = fig4_queries(5);
-    let fast_seq = SccCoordinator::new(&db)
-        .with_bruteforce_cutoff(6)
-        .run(&small)
-        .unwrap();
-    let fast_par = SccCoordinator::new(&db)
-        .with_bruteforce_cutoff(6)
-        .run_parallel(&small, 4)
-        .unwrap();
-    assert_eq!(fast_seq.best_names(), fast_par.best_names());
-    assert_eq!(fast_seq.stats, fast_par.stats);
+    let small_seq = SccCoordinator::new(&db).run(&small).unwrap();
+    let small_par = SccCoordinator::new(&db).run_parallel(&small, 4).unwrap();
+    assert_eq!(small_seq.found, small_par.found);
+    assert_eq!(small_seq.stats, small_par.stats);
 }

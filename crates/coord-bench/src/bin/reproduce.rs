@@ -1,146 +1,126 @@
-//! Regenerate every figure of the paper's Section 6 evaluation as text
-//! series (the data recorded in EXPERIMENTS.md).
+//! Regenerate the paper's Section 6 evaluation (Figures 4–8) and the
+//! Section 3 hardness separation as text tables, and assert the counter
+//! gates of the online engine, the shard rebalancer and the storage
+//! backends while printing them. This is the one command that answers
+//! "does it still match the paper and our complexity claims" (README,
+//! "Build, test, bench").
 //!
-//! Usage: `cargo run --release -p coord-bench --bin reproduce
-//! [--quick] [--json] [--only <section>]`
+//! Usage: `cargo run --release -p coord-bench --bin reproduce --
+//! [--quick] [--only <section>]`
 //!
-//! `--quick` shrinks repetition counts for a fast smoke run. `--json`
-//! emits every series as one machine-readable JSON array on stdout
-//! instead of the aligned text tables. `--only <section>` runs a single
-//! section (`fig4` … `fig8`, `hardness`, `shard_skew`, `differential`,
-//! `trace`, `storage`) — CI uses `--only shard_skew --json`, `--only
-//! differential --json`, `--only trace --json`, and `--only storage
-//! --json` to emit the `BENCH_shard_skew.json`,
-//! `BENCH_differential.json`, `BENCH_trace.json`, and
-//! `BENCH_storage.json` trajectory artifacts.
+//! `--quick` shrinks sizes and repetition counts for a fast smoke run.
+//! `--only <section>` runs one section: `fig4` … `fig8`, `hardness`,
+//! `online`, `shard_skew` or `storage`. Any other argument exits 2 with
+//! a usage line. A gate that does not hold panics with its message.
 
-use coord_bench::{drive_phase1, measure, series_to_json, storage, Series};
+use coord_bench::{measure, Series};
 use coord_core::bruteforce;
 use coord_core::consistent::ConsistentCoordinator;
-use coord_core::engine::{Placement, RebalanceConfig, SharedEngine};
-use coord_core::persist::DurableSharedEngine;
+use coord_core::engine::{
+    CoordinationEngine, Placement, QueryAnswer, RebalanceConfig, SharedEngine, SubmitResult,
+};
 use coord_core::scc::{preprocess, SccCoordinator};
+use coord_core::testkit::RebuildEngine;
+use coord_core::EntangledQuery;
+use coord_db::{BackendKind, Database, Symbol};
+use coord_gen::networks::barabasi_albert;
 use coord_gen::social::SLASHDOT_ROWS;
 use coord_gen::workloads::{
-    fig4_queries, fig5_queries, fig7_instance, fig8_instance, pool_db, unsat_cycle_with_spokes,
-    zipf_chain_workload,
+    activity_chain_queries, activity_db, fig4_queries, fig5_queries, fig7_instance, fig8_instance,
+    partner_query, pool_db, zipf_chain_workload, ACTIVITY_TABLE,
 };
+use coord_graph::NodeId;
 use coord_sat::{dpll_solve, random_3sat, reduction1};
-use coord_store::temp::TempDir;
-use coord_store::{DurabilityOptions, SyncPolicy};
 use rand::prelude::*;
 
-/// Collects every measured series; prints tables as it goes unless the
-/// run asked for JSON, in which case one array is emitted at the end.
-struct Report {
-    json: bool,
-    only: Option<String>,
-    series: Vec<Series>,
+/// A section's `--only` name and its entry point (taking `--quick`).
+type Section = (&'static str, fn(bool));
+
+/// Every section, in run order.
+const SECTIONS: &[Section] = &[
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("hardness", hardness),
+    ("online", online),
+    ("shard_skew", shard_skew),
+    ("storage", storage),
+];
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Options {
+    quick: bool,
+    /// The one section `--only` selected; `None` runs them all.
+    only: Option<&'static str>,
 }
 
-impl Report {
-    /// Whether `--only` (if given) selects this section.
-    fn wants(&self, section: &str) -> bool {
-        self.only.as_deref().is_none_or(|only| only == section)
-    }
-
-    fn add(&mut self, series: Series) {
-        if !self.json {
-            print!("{}", series.to_table());
+/// Parse the arguments after the program name. Anything but `--quick`
+/// and `--only <section>` is an error: a mistyped flag must not start
+/// the multi-minute full evaluation.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut options = Options {
+        quick: false,
+        only: None,
+    };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => options.quick = true,
+            "--only" => {
+                let section = args.next().ok_or("--only needs a section")?;
+                let (name, _) = SECTIONS
+                    .iter()
+                    .find(|(name, _)| *name == section)
+                    .ok_or_else(|| format!("unknown --only section `{section}`"))?;
+                options.only = Some(*name);
+            }
+            _ => return Err(format!("unknown argument `{arg}`")),
         }
-        self.series.push(series);
     }
-
-    /// A commentary line (slope, paper expectation); suppressed in JSON
-    /// mode to keep stdout parseable.
-    fn note(&self, msg: std::fmt::Arguments<'_>) {
-        if !self.json {
-            println!("{msg}");
-        }
-    }
+    Ok(options)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1).cloned());
-    const SECTIONS: &[&str] = &[
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "hardness",
-        "shard_skew",
-        "differential",
-        "trace",
-        "storage",
-    ];
-    if let Some(section) = &only {
-        // A typo must fail loudly, not upload an empty artifact.
-        if !SECTIONS.contains(&section.as_str()) {
-            eprintln!("unknown --only section `{section}`; expected one of {SECTIONS:?}");
-            std::process::exit(2);
+    let options = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "{msg}\nusage: reproduce [--quick] [--only <section>]; sections: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    });
+    println!(
+        "Reproducing the evaluation of \"The Complexity of Social Coordination\"\n\
+         (VLDB 2012). One table per series; timings are means over {} runs, and\n\
+         every gate is asserted as its table is printed.\n",
+        runs(options.quick)
+    );
+    for (name, section) in SECTIONS {
+        if options.only.is_none_or(|only| only == *name) {
+            section(options.quick);
         }
     }
-    let runs: u32 = if quick { 2 } else { 10 };
+}
 
-    let mut report = Report {
-        json,
-        only,
-        series: Vec::new(),
-    };
-    report.note(format_args!(
-        "Reproducing the evaluation of \"The Complexity of Social Coordination\"\n\
-         (VLDB 2012). One table per paper figure; times are means over {runs} runs.\n"
-    ));
-
-    if report.wants("fig4") {
-        fig4(runs, quick, &mut report);
-    }
-    if report.wants("fig5") {
-        fig5(runs, quick, &mut report);
-    }
-    if report.wants("fig6") {
-        fig6(if quick { 1 } else { 3 }, quick, &mut report);
-    }
-    if report.wants("fig7") {
-        fig7(runs, quick, &mut report);
-    }
-    if report.wants("fig8") {
-        fig8(runs, quick, &mut report);
-    }
-    if report.wants("hardness") {
-        hardness(quick, &mut report);
-    }
-    if report.wants("shard_skew") {
-        shard_skew(quick, &mut report);
-    }
-    if report.wants("differential") {
-        differential(quick, &mut report);
-    }
-    if report.wants("trace") {
-        trace(quick, &mut report);
-    }
-    if report.wants("storage") {
-        storage(quick, &mut report);
-    }
-
-    if json {
-        println!("{}", series_to_json(&report.series));
+/// Repetitions per timed point.
+fn runs(quick: bool) -> u32 {
+    if quick {
+        2
+    } else {
+        10
     }
 }
 
 /// Figure 4: SCC algorithm, list structure, Slashdot-sized pool.
-fn fig4(runs: u32, quick: bool, report: &mut Report) {
+fn fig4(quick: bool) {
+    let runs = runs(quick);
     let rows = if quick { 5_000 } else { SLASHDOT_ROWS };
     let db = pool_db(rows);
     let mut series = Series::new(format!(
-        "Figure 4 — SCC algorithm, list structure ({rows}-row table)"
+        "Figure 4 — SCC algorithm, list structure ({rows}-row table), ms per run"
     ));
     for n in [10, 20, 40, 60, 80, 100] {
         let queries = fig4_queries(n);
@@ -150,19 +130,21 @@ fn fig4(runs: u32, quick: bool, report: &mut Report) {
         });
         series.push(n as u64, d.as_secs_f64() * 1e3, runs);
     }
-    let slope = series.slope();
-    report.add(series);
-    report.note(format_args!(
-        "slope ≈ {slope:.4} ms/query (paper: linear growth)\n"
-    ));
+    print!("{}", series.to_table());
+    println!(
+        "slope ≈ {:.4} ms/query (paper: linear growth)\n",
+        series.slope()
+    );
 }
 
 /// Figure 5: SCC algorithm, scale-free structure, averaged over 10 seeds.
-fn fig5(runs: u32, quick: bool, report: &mut Report) {
+fn fig5(quick: bool) {
+    let runs = runs(quick);
     let rows = if quick { 5_000 } else { SLASHDOT_ROWS };
     let db = pool_db(rows);
     let mut series = Series::new(format!(
-        "Figure 5 — SCC algorithm, scale-free structure ({rows}-row table, 10 seeds)"
+        "Figure 5 — SCC algorithm, scale-free structure ({rows}-row table, 10 seeds), \
+         ms per graph"
     ));
     for n in [10, 20, 40, 60, 80, 100] {
         let workloads: Vec<_> = (0..10u64)
@@ -177,22 +159,24 @@ fn fig5(runs: u32, quick: bool, report: &mut Report) {
         // Report the per-graph mean, matching the paper's averaging.
         series.push(n as u64, d.as_secs_f64() * 1e3 / 10.0, runs * 10);
     }
-    let slope = series.slope();
-    report.add(series);
-    report.note(format_args!(
-        "slope ≈ {slope:.4} ms/query (paper: linear, faster than Figure 4)\n"
-    ));
+    print!("{}", series.to_table());
+    println!(
+        "slope ≈ {:.4} ms/query (paper: linear, faster than Figure 4)\n",
+        series.slope()
+    );
 }
 
 /// Figure 6: graph construction + preprocessing only, 100–1000 queries.
-fn fig6(runs: u32, quick: bool, report: &mut Report) {
+fn fig6(quick: bool) {
+    let runs = if quick { 1 } else { 3 };
     let db = pool_db(1_000);
     let sizes: &[usize] = if quick {
         &[100, 400, 1000]
     } else {
         &[100, 200, 400, 600, 800, 1000]
     };
-    let mut series = Series::new("Figure 6 — graph processing time, scale-free (10 seeds)");
+    let mut series =
+        Series::new("Figure 6 — graph processing time, scale-free (10 seeds), ms per graph");
     for &n in sizes {
         let workloads: Vec<_> = (0..10u64)
             .map(|seed| fig5_queries(n, 2, &mut StdRng::seed_from_u64(seed)))
@@ -205,19 +189,21 @@ fn fig6(runs: u32, quick: bool, report: &mut Report) {
         });
         series.push(n as u64, d.as_secs_f64() * 1e3 / 10.0, runs * 10);
     }
-    report.add(series);
-    report.note(format_args!("(paper: negligible, grows very slowly)\n"));
+    print!("{}", series.to_table());
+    println!("(paper: negligible, grows very slowly)\n");
 }
 
 /// Figure 7: Consistent algorithm vs number of option values.
-fn fig7(runs: u32, quick: bool, report: &mut Report) {
+fn fig7(quick: bool) {
+    let runs = runs(quick);
     let sizes: &[usize] = if quick {
         &[100, 400, 1000]
     } else {
         &[100, 200, 400, 600, 800, 1000]
     };
-    let mut series =
-        Series::new("Figure 7 — Consistent algorithm vs #values (50 queries, complete friends)");
+    let mut series = Series::new(
+        "Figure 7 — Consistent algorithm vs #values (50 queries, complete friends), ms per run",
+    );
     for &rows in sizes {
         let (db, config, queries) = fig7_instance(50, rows);
         let coordinator = ConsistentCoordinator::new(&db, config).unwrap();
@@ -227,22 +213,24 @@ fn fig7(runs: u32, quick: bool, report: &mut Report) {
         });
         series.push(rows as u64, d.as_secs_f64() * 1e3, runs);
     }
-    let slope = series.slope();
-    report.add(series);
-    report.note(format_args!(
-        "slope ≈ {slope:.4} ms/value (paper: linear growth)\n"
-    ));
+    print!("{}", series.to_table());
+    println!(
+        "slope ≈ {:.4} ms/value (paper: linear growth)\n",
+        series.slope()
+    );
 }
 
 /// Figure 8: Consistent algorithm vs number of queries.
-fn fig8(runs: u32, quick: bool, report: &mut Report) {
+fn fig8(quick: bool) {
+    let runs = runs(quick);
     let sizes: &[usize] = if quick {
         &[10, 50, 100]
     } else {
         &[10, 20, 40, 60, 80, 100]
     };
-    let mut series =
-        Series::new("Figure 8 — Consistent algorithm vs #queries (100-tuple flights table)");
+    let mut series = Series::new(
+        "Figure 8 — Consistent algorithm vs #queries (100-tuple flights table), ms per run",
+    );
     for &n in sizes {
         let (db, config, queries) = fig8_instance(n, 100);
         let coordinator = ConsistentCoordinator::new(&db, config).unwrap();
@@ -252,20 +240,21 @@ fn fig8(runs: u32, quick: bool, report: &mut Report) {
         });
         series.push(n as u64, d.as_secs_f64() * 1e3, runs);
     }
-    let slope = series.slope();
-    report.add(series);
-    report.note(format_args!(
-        "slope ≈ {slope:.4} ms/query (paper: linear growth)\n"
-    ));
+    print!("{}", series.to_table());
+    println!(
+        "slope ≈ {:.4} ms/query (paper: linear growth)\n",
+        series.slope()
+    );
 }
 
 /// Section 3 (extra experiment): the hardness separation — DPLL vs
 /// exhaustive entangled search on the Theorem 1 reduction.
-fn hardness(quick: bool, report: &mut Report) {
+fn hardness(quick: bool) {
     let max_vars = if quick { 3 } else { 5 };
-    let mut dpll_series = Series::new("Hardness — DPLL on random 3SAT");
-    let mut bf_series =
-        Series::new("Hardness — brute-force entangled search on the Theorem 1 reduction");
+    let mut dpll_series = Series::new("Hardness — DPLL on random 3SAT, ms per formula");
+    let mut bf_series = Series::new(
+        "Hardness — brute-force entangled search on the Theorem 1 reduction, ms per formula",
+    );
     for n_vars in 2..=max_vars {
         let formulas: Vec<_> = (0..4u64)
             .map(|seed| random_3sat(n_vars, n_vars + 1, &mut StdRng::seed_from_u64(seed)))
@@ -305,26 +294,208 @@ fn hardness(quick: bool, report: &mut Report) {
         });
         bf_series.push(n_vars as u64, d2.as_secs_f64() * 1e3 / 4.0, 12);
     }
-    report.add(dpll_series);
-    report.add(bf_series);
-    report.note(format_args!(
-        "(Theorem 1: the entangled side grows exponentially; DPLL stays flat)"
-    ));
+    print!("{}{}", dpll_series.to_table(), bf_series.to_table());
+    println!("(Theorem 1: the entangled side grows exponentially; DPLL stays flat)\n");
+}
+
+/// Queries per group of the `online` workload.
+const GROUP: usize = 16;
+
+/// One group of the `online` workload, in arrival order: a BA(16, 2)
+/// digraph whose seed nodes additionally point at the keystone (the
+/// highest-index member, last), so every member's closure transitively
+/// requires it. User indices are offset so groups are disjoint.
+fn ba_group(group: usize, rng: &mut impl Rng) -> Vec<EntangledQuery> {
+    let graph = barabasi_albert(GROUP, 2, rng);
+    let keystone = GROUP - 1;
+    let offset = group * GROUP;
+    (0..GROUP)
+        .map(|i| {
+            let mut partners: Vec<usize> = graph.successors(NodeId(i)).map(NodeId::index).collect();
+            if partners.is_empty() && i != keystone {
+                partners.push(keystone);
+            }
+            partners.sort_unstable();
+            partners.dedup();
+            let partners: Vec<usize> = partners.iter().map(|&p| p + offset).collect();
+            partner_query(i + offset, &partners)
+        })
+        .collect()
+}
+
+/// Extra experiment (§7, the online setting): evaluation work of the
+/// incremental engine against the full-rebuild oracle, on `n` queries
+/// in BA groups of 16 arriving online. Phase 1 interleaves every
+/// group's non-keystones (nothing can coordinate; pending grows to
+/// 15n/16), phase 2 releases the keystones (each closes its group).
+/// This is the regime the incremental engine exists for: a large
+/// steady pending set whose arrivals each touch a tiny component.
+/// Counters only, asserted while printed:
+///
+/// * every phase-1 submit stays pending and every keystone coordinates,
+///   on both engines;
+/// * the rebuild examines Σ pending > n²/8 queries (quadratic);
+/// * the incremental engine evaluates ≤ 17 queries per submit (one
+///   group, independent of the pending-set size) and checks < n²/8
+///   candidate pairings through its index;
+/// * the incremental engine does at least 8× less evaluation work.
+fn online(quick: bool) {
+    let sizes: &[usize] = if quick { &[256] } else { &[256, 1024] };
+    let mut rebuild_series =
+        Series::new("Online — queries examined (count), full-rebuild baseline");
+    let mut incremental_series =
+        Series::new("Online — queries evaluated (count), incremental engine");
+    for &n in sizes {
+        let db = pool_db(n);
+        let mut rng = StdRng::seed_from_u64(42);
+        let groups: Vec<_> = (0..n / GROUP).map(|g| ba_group(g, &mut rng)).collect();
+        let arrivals = (0..GROUP).flat_map(|i| groups.iter().map(move |g| g[i].clone()));
+
+        let mut rebuild = RebuildEngine::new(&db);
+        let mut incremental = CoordinationEngine::new(&db);
+        for (i, q) in arrivals.enumerate() {
+            let keystone = i / groups.len() == GROUP - 1;
+            let a = rebuild.submit(q.clone()).unwrap();
+            let b = incremental.submit(q).unwrap();
+            assert_eq!(a.coordinated(), keystone, "rebuild, arrival {i} at n = {n}");
+            assert_eq!(
+                b.coordinated(),
+                keystone,
+                "incremental, arrival {i} at n = {n}"
+            );
+        }
+
+        let examined = rebuild.queries_examined();
+        let metrics = incremental.metrics();
+        let evaluated = metrics.queries_evaluated;
+        let quadratic = (n * n / 8) as u64;
+        assert!(
+            examined > quadratic,
+            "at n = {n}: rebuild examined {examined} ≤ n²/8"
+        );
+        assert!(
+            metrics.evaluated_per_submit() <= (GROUP + 1) as f64,
+            "at n = {n}: per-submit work {} exceeds the group bound",
+            metrics.evaluated_per_submit()
+        );
+        assert!(
+            metrics.pairings_checked < quadratic,
+            "at n = {n}: pairings {} not sub-quadratic",
+            metrics.pairings_checked
+        );
+        assert!(
+            evaluated * 8 < examined,
+            "at n = {n}: incremental {evaluated} vs rebuild {examined} (< 8× saving)"
+        );
+        rebuild_series.push(n as u64, examined as f64, 1);
+        incremental_series.push(n as u64, evaluated as f64, 1);
+        println!(
+            "gate ok (n = {n}): incremental evaluated {evaluated} vs rebuild {examined} \
+             ({:.1}× less, ≥ 8× required); {:.2} evaluated/submit (≤ {}); {} pairings \
+             checked (< n²/8 = {quadratic}); every keystone coordinated",
+            examined as f64 / evaluated as f64,
+            metrics.evaluated_per_submit(),
+            GROUP + 1,
+            metrics.pairings_checked,
+        );
+    }
+    print!(
+        "{}{}",
+        rebuild_series.to_table(),
+        incremental_series.to_table()
+    );
+    println!("(incremental: O(group) per submit; rebuild: O(pending))\n");
+}
+
+/// What one phase-1 drive of the `shard_skew` workload observed.
+struct SkewRun {
+    /// Hottest shard's share of the evaluation work accumulated over
+    /// the steady-state second half of phase 1 (1/shards is balanced).
+    hottest_share: f64,
+    /// Component groups moved by the rebalancer (0 when disabled).
+    groups_moved: usize,
+    /// Pending queries those groups contained.
+    queries_moved: usize,
+}
+
+/// Per-shard cumulative evaluation-work counters.
+fn eval_counts(engine: &SharedEngine<'_>) -> Vec<u64> {
+    engine
+        .shard_stats()
+        .iter()
+        .map(|s| s.eval_queries)
+        .collect()
+}
+
+/// Drive phase 1 of a skew workload: submit every query in order
+/// (asserting nothing coordinates — the keystones are withheld), hand
+/// each outcome to `observe`, and, when `rebalance_every` is set, run a
+/// rebalance pass at that cadence. The hottest-shard share is measured
+/// over the second half, after the skew has emerged and the rebalancer
+/// has had windows to react.
+fn drive_phase1(
+    engine: &SharedEngine<'_>,
+    phase1: &[EntangledQuery],
+    rebalance_every: Option<usize>,
+    mut observe: impl FnMut(&EntangledQuery, &SubmitResult),
+) -> SkewRun {
+    let mut groups_moved = 0;
+    let mut queries_moved = 0;
+    let mut at_midpoint = Vec::new();
+    for (i, q) in phase1.iter().enumerate() {
+        if i == phase1.len() / 2 {
+            at_midpoint = eval_counts(engine);
+        }
+        let r = engine.submit(q.clone()).unwrap();
+        assert!(!r.coordinated(), "phase 1 must stay pending");
+        observe(q, &r);
+        if rebalance_every.is_some_and(|every| (i + 1) % every == 0) {
+            let report = engine.rebalance();
+            groups_moved += report.groups_moved;
+            queries_moved += report.queries_moved;
+        }
+    }
+    let deltas: Vec<u64> = eval_counts(engine)
+        .iter()
+        .zip(&at_midpoint)
+        .map(|(after, before)| after.saturating_sub(*before))
+        .collect();
+    let total: u64 = deltas.iter().sum();
+    SkewRun {
+        hottest_share: deltas.iter().copied().max().unwrap_or(0) as f64 / total.max(1) as f64,
+        groups_moved,
+        queries_moved,
+    }
+}
+
+/// Answers in query order, so two engines' deliveries compare equal.
+fn sorted(mut answers: Vec<QueryAnswer>) -> Vec<QueryAnswer> {
+    answers.sort_by(|a, b| a.query.cmp(&b.query));
+    answers
 }
 
 /// Extra experiment (engine scaling): shard skew under a Zipf keystone
-/// workload — the hottest shard's share of evaluation work over the
-/// steady-state second half of phase 1, size-blind round-robin
-/// placement vs the adaptive rebalancer. Values are percentages (the
-/// balanced share on 4 shards is 25%), so the series doubles as the
-/// perf-trajectory record the CI `BENCH_shard_skew.json` step captures.
-fn shard_skew(quick: bool, report: &mut Report) {
+/// workload — `G` open partner chains whose sizes follow a Zipf(½) law
+/// arrive interleaved with their keystones withheld, so one hot
+/// component pins one shard. Round-robin placement alone vs the same
+/// with a rebalance pass every 32 submits, on 4 shards. Asserted at
+/// every case:
+///
+/// * **skew exists**: without rebalancing the hottest shard's share of
+///   evaluation work exceeds the balanced 1/4 by more than 0.05;
+/// * **the rebalancer reduces it**: at least one group moves and the
+///   hottest share drops by more than 0.05;
+/// * **results stay identical**: every phase-1 submit matches a
+///   sequential `CoordinationEngine` twin; in phase 2 every keystone
+///   delivers its whole group (`size + 1` answers) identically on both,
+///   and nothing is left pending.
+fn shard_skew(quick: bool) {
     const SHARDS: usize = 4;
     const REBALANCE_EVERY: usize = 32;
     let cases: &[(usize, usize)] = if quick {
         &[(48, 24)]
     } else {
-        &[(32, 16), (48, 24), (96, 40)]
+        &[(48, 24), (96, 40)]
     };
     let config = RebalanceConfig {
         skew_threshold: 0.3,
@@ -341,243 +512,190 @@ fn shard_skew(quick: bool, report: &mut Report) {
         let db = pool_db(100 * groups + k + 2);
         let w = zipf_chain_workload(groups, k, 42);
         let n = w.phase1.len();
-        // Same driver as the `shard_skew` bench gate, so the trajectory
-        // figure and the CI assertion cannot drift apart.
-        let run = |rebalance_every: Option<usize>| -> f64 {
-            let engine = SharedEngine::with_config(&db, SHARDS, Placement::RoundRobin, config);
-            100.0 * drive_phase1(&engine, &w.phase1, rebalance_every).hottest_share
-        };
-        baseline_series.push(n as u64, run(None), 1);
-        rebalanced_series.push(n as u64, run(Some(REBALANCE_EVERY)), 1);
+        let engine = || SharedEngine::with_config(&db, SHARDS, Placement::RoundRobin, config);
+
+        let baseline = engine();
+        let baseline_share = drive_phase1(&baseline, &w.phase1, None, |_, _| {}).hottest_share;
+        assert_eq!(baseline.pending_count(), n);
+        assert!(
+            baseline_share > 1.0 / SHARDS as f64 + 0.05,
+            "no skew to correct at n = {n}: hottest share {baseline_share:.3}"
+        );
+
+        let rebalanced = engine();
+        let mut sequential = CoordinationEngine::new(&db);
+        let run = drive_phase1(&rebalanced, &w.phase1, Some(REBALANCE_EVERY), |q, a| {
+            let b = sequential.submit(q.clone()).unwrap();
+            assert_eq!(a.answers, b.answers, "phase-1 submit diverged at n = {n}");
+        });
+        assert_eq!(rebalanced.pending_count(), n);
+        assert!(
+            run.groups_moved >= 1,
+            "rebalancer never moved a group at n = {n}"
+        );
+        assert!(
+            run.hottest_share < baseline_share - 0.05,
+            "hottest-shard share did not drop at n = {n}: \
+             baseline {baseline_share:.3} vs rebalanced {:.3}",
+            run.hottest_share
+        );
+
+        for (g, keystone) in w.keystones.iter().enumerate() {
+            let a = rebalanced.submit(keystone.clone()).unwrap();
+            let b = sequential.submit(keystone.clone()).unwrap();
+            assert!(a.coordinated(), "group {g} lost by rebalancing at n = {n}");
+            assert_eq!(a.answers.len(), w.sizes[g] + 1);
+            assert_eq!(sorted(a.answers), sorted(b.answers), "group {g} diverged");
+        }
+        assert_eq!(rebalanced.pending_count(), 0);
+        assert_eq!(sequential.pending().len(), 0);
+
+        baseline_series.push(n as u64, 100.0 * baseline_share, 1);
+        rebalanced_series.push(n as u64, 100.0 * run.hottest_share, 1);
+        println!(
+            "gate ok (n = {n}): hottest-shard eval share {baseline_share:.3} → {:.3} \
+             (> {:.2} before, drop > 0.05; {} groups moved, {} queries rerouted, \
+             {} backoffs); answers ≡ sequential engine",
+            run.hottest_share,
+            1.0 / SHARDS as f64 + 0.05,
+            run.groups_moved,
+            run.queries_moved,
+            rebalanced.metrics().migration_backoffs,
+        );
     }
-    report.add(baseline_series);
-    report.add(rebalanced_series);
-    report.note(format_args!(
-        "(adaptive rebalancing: lower is better; {:.0}% is perfectly balanced)",
+    print!(
+        "{}{}",
+        baseline_series.to_table(),
+        rebalanced_series.to_table()
+    );
+    println!(
+        "(adaptive rebalancing: lower is better; {:.0}% is perfectly balanced)\n",
         100.0 / SHARDS as f64
-    ));
+    );
 }
 
-/// Extra experiment (differential closure evaluation): grounding-work
-/// operations vs n on the list workload, memoized delta joins vs
-/// from-scratch re-evaluation. From-scratch pays Σ|closure| ≈ n²/2;
-/// differential pays ~2n − 1. Counter-based (deterministic on a 1-CPU
-/// runner), asserted while measuring, and emitted as the CI
-/// `BENCH_differential.json` trajectory artifact.
-fn differential(quick: bool, report: &mut Report) {
-    let db = pool_db(1_000);
-    let sizes: &[usize] = if quick {
-        &[20, 60, 100]
-    } else {
-        &[10, 20, 40, 60, 80, 100]
-    };
-    let mut diff_series =
-        Series::new("Differential — grounding work on the list workload, memoized delta joins");
-    let mut scratch_series =
-        Series::new("Differential — grounding work on the list workload, from-scratch baseline");
-    let work_at = |n: usize, scratch: bool| -> u64 {
-        let coordinator = SccCoordinator::new(&db);
-        let coordinator = if scratch {
-            coordinator.with_from_scratch_evaluation()
-        } else {
-            coordinator
-        };
-        let out = coordinator.run(&fig4_queries(n)).unwrap();
-        // Both evaluation modes must produce byte-identical answers.
-        assert_eq!(out.found.len(), n);
-        assert_eq!(out.best().unwrap().len(), n);
-        out.stats.ground_work
-    };
-    let mut last = (0u64, 0u64);
-    for &n in sizes {
-        let diff = work_at(n, false);
-        let scratch = work_at(n, true);
-        diff_series.push(n as u64, diff as f64, 1);
-        scratch_series.push(n as u64, scratch as f64, 1);
-        last = (diff, scratch);
-    }
-    // The same gate the ablation bench asserts: ≥ 10× saving at n = 100.
-    let (diff, scratch) = last;
-    assert!(
-        diff * 10 <= scratch,
-        "differential grounding work {diff} not ≥ 10× below from-scratch {scratch}"
-    );
-    report.add(diff_series);
-    report.add(scratch_series);
-    report.note(format_args!(
-        "(differential evaluation: ~2n−1 operations vs Σ|closure| ≈ n²/2 from scratch; \
-         {:.1}× saving at n = {})",
-        scratch as f64 / diff as f64,
-        sizes.last().unwrap(),
-    ));
-}
-
-/// Extra experiment (request-scoped tracing): contending submitter
-/// threads drive the unsat-cycle-with-spokes workload into one durable
-/// engine while every layer stamps its trace-ring events with the
-/// submitting request's trace id; `TraceAnalyzer` then attributes each
-/// request's wall time across lock-wait / evaluate / db-probe /
-/// wal-append / wal-sync / other. Emitted as the CI `BENCH_trace.json`
-/// artifact, asserting while measuring that the books balance — every
-/// complete trace's phase sum equals its root span's wall nanos, and
-/// never exceeds it — and that a deliberately ring-overflowing sub-run
-/// still retains every over-threshold trace in the slow-query log.
-fn trace(quick: bool, report: &mut Report) {
-    use coord_obs::{Registry as ObsRegistry, TraceAnalyzer, PHASES};
-
-    let rows = if quick { 2_000 } else { 5_000 };
-    let cycle_len = if quick { 6 } else { 8 };
-    let spoke_count = if quick { 24 } else { 60 };
-    const THREADS: usize = 4;
-
-    let db = pool_db(rows);
-    let dir = TempDir::new("reproduce-trace");
-    let options = DurabilityOptions {
-        sync: SyncPolicy::EveryRecord,
-        snapshot_every: Some(64),
-    };
-    let obs = ObsRegistry::new();
-    let engine =
-        DurableSharedEngine::open_with_obs(&db, dir.path(), 4, options, obs.clone()).unwrap();
-
-    // The unsatisfiable cycle establishes one hot pending component…
-    let (cycle, spokes) = unsat_cycle_with_spokes(cycle_len, spoke_count);
-    let total = (cycle.len() + spokes.len()) as u64;
-    for q in cycle {
-        engine.submit(q).unwrap();
-    }
-    // …then the spokes race in from contending submitters, every one
-    // re-confronting that component's shard: lock-wait, evaluation,
-    // probes, and WAL appends all interleave in the ring, each event
-    // stamped with its submitter's trace id.
-    std::thread::scope(|s| {
-        for chunk in spokes.chunks(spoke_count.div_ceil(THREADS)) {
-            let engine = &engine;
-            s.spawn(move || {
-                for q in chunk.iter().cloned() {
-                    engine.submit(q).unwrap();
-                }
-            });
-        }
-    });
-
-    let analyzer = TraceAnalyzer::from_tracer(&obs.tracer());
-    let mut complete = 0u32;
-    for t in analyzer.traces() {
-        if t.complete {
-            complete += 1;
-            assert_eq!(
-                t.breakdown.phase_sum(),
-                t.breakdown.critical_path_nanos,
-                "complete trace {}: phases must sum to the root span's wall nanos",
-                t.trace_id
-            );
-        } else if t.breakdown.critical_path_nanos > 0 {
-            assert!(
-                t.breakdown.phase_sum() <= t.breakdown.critical_path_nanos,
-                "trace {}: phase sum exceeds measured submit wall time",
-                t.trace_id
-            );
-        }
-    }
-    assert!(
-        complete > 0,
-        "the default ring must capture complete traces"
-    );
-
-    // Per-phase p50/p99 across complete traces; the series name spells
-    // out the x-axis (phase index) so the JSON artifact is
-    // self-describing.
-    let pct = analyzer.phase_percentiles();
-    let axis = format!("[{}, critical_path]", PHASES.join(", "));
-    let mut p50 = Series::new(format!("Tracing — per-phase p50 ns, x = phase {axis}"));
-    let mut p99 = Series::new(format!("Tracing — per-phase p99 ns, x = phase {axis}"));
-    for (i, (_, lo, hi)) in pct.iter().enumerate() {
-        p50.push(i as u64, *lo as f64, complete);
-        p99.push(i as u64, *hi as f64, complete);
-    }
-    report.add(p50);
-    report.add(p99);
-    for (name, lo, hi) in &pct {
-        report.note(format_args!("  {name:>14}: p50 {lo:>9} ns  p99 {hi:>9} ns"));
-    }
-    report.note(format_args!(
-        "({} traces reconstructed, {complete} complete, {} unattributed events, \
-         {} orphaned ends, {} dropped)",
-        analyzer.traces().len(),
-        analyzer.unattributed_events,
-        analyzer.orphaned_ends,
-        analyzer.dropped,
-    ));
-
-    // Flight-recorder sub-run: a 64-event ring overflows many times
-    // over, yet with a 1ns threshold (every root qualifies) the
-    // slow-query log must still retain every submitted trace.
-    let obs = ObsRegistry::with_trace_capacity(64);
-    obs.set_slow_query_log(1, total as usize + 8);
-    let dir = TempDir::new("reproduce-trace-slow");
-    let engine = DurableSharedEngine::open_with_obs(
-        &db,
-        dir.path(),
-        4,
-        DurabilityOptions {
-            sync: SyncPolicy::EveryRecord,
-            snapshot_every: Some(64),
-        },
-        obs.clone(),
-    )
-    .unwrap();
-    let (cycle, spokes) = unsat_cycle_with_spokes(cycle_len, spoke_count);
-    for q in cycle.into_iter().chain(spokes) {
-        engine.submit(q).unwrap();
-    }
-    let (_, ring_dropped) = obs.tracer().events();
-    assert!(
-        ring_dropped > 0,
-        "the 64-event ring must overflow during {total} submits"
-    );
-    let (recorded, discarded) = obs.tracer().slow_trace_counts();
-    assert_eq!(
-        (recorded, discarded),
-        (total, 0),
-        "slow-query log must retain every over-threshold trace despite ring overflow"
-    );
-    report.note(format_args!(
-        "(flight recorder: {recorded} slow traces retained across a ring that \
-         dropped {ring_dropped} events)"
-    ));
+/// Drive a query chain through the online engine and return
+/// (per-submit probe work, submit-by-submit answer transcript).
+fn drive_chain(db: &Database, queries: &[EntangledQuery]) -> (f64, Vec<Vec<QueryAnswer>>) {
+    db.stats().reset();
+    let mut engine = CoordinationEngine::new(db);
+    let transcript: Vec<_> = queries
+        .iter()
+        .map(|q| engine.submit(q.clone()).unwrap().answers)
+        .collect();
+    assert_eq!(engine.pending().len(), 0, "chain must fully coordinate");
+    let per_submit = db.stats().probe_work() as f64 / queries.len() as f64;
+    (per_submit, transcript)
 }
 
 /// Extra experiment (storage backends): per-submit database probe work
-/// (rows scanned + ground membership probes) on the 60-query activity
-/// chain as the table grows 100× to 10⁶ rows, one series per backend.
-/// Counter-based (deterministic on a 1-CPU runner) and gated by
-/// [`coord_bench::storage::probe_work_sweep`] exactly as the `storage`
-/// bench is — the composite backend must stay flat (≤ 2×) where
-/// single-column indexing pays √N — and emitted as the CI
-/// `BENCH_storage.json` trajectory artifact.
-fn storage(quick: bool, report: &mut Report) {
-    let sizes = storage::sizes(quick);
+/// (rows scanned + ground membership probes, `QueryStats::probe_work`)
+/// on the 60-query activity chain as the table grows 100× to 10⁶ rows,
+/// one series per backend. The activity table `A(id, topic, day)` has
+/// ≈√N topics and ≈√N days and each query body pins one (topic, day)
+/// pair, so a single-column bucket holds ≈√N rows while the composite
+/// (topic, day) bucket holds one. Asserted while printed:
+///
+/// * **flat cost**: with composite indexes (advised by `preprocess` on
+///   every evaluation) per-submit probe work grows ≤ 2×;
+/// * **the contrast is real**: the row store's grows ≥ 3× (≈√100 = 10×
+///   expected);
+/// * **results stay identical**: every backend's submit-by-submit
+///   answers are byte-identical.
+fn storage(quick: bool) {
+    const CHAIN: usize = 60;
+    let sizes: &[usize] = if quick {
+        &[10_000, 1_000_000]
+    } else {
+        &[10_000, 100_000, 1_000_000]
+    };
+    let mut reference: Option<Vec<Vec<Vec<QueryAnswer>>>> = None;
     let mut growths = Vec::new();
-    for (kind, per_size) in storage::probe_work_sweep(sizes) {
+    for kind in BackendKind::ALL {
         let mut series = Series::new(format!(
-            "Storage — per-submit probe work, {} backend ({}-query activity chain)",
-            kind.name(),
-            storage::CHAIN
+            "Storage — per-submit probe work (count), {} backend ({CHAIN}-query activity chain)",
+            kind.name()
         ));
-        for (&rows, &per_submit) in sizes.iter().zip(&per_size) {
+        let mut transcripts = Vec::new();
+        for &rows in sizes {
+            // One backend × size in memory at a time: a 10⁶-row table
+            // with per-column hash indexes is the run's largest
+            // allocation.
+            let db = activity_db(rows, kind);
+            let (per_submit, transcript) = drive_chain(&db, &activity_chain_queries(CHAIN, rows));
+            if kind == BackendKind::Composite {
+                let patterns = db
+                    .table(&Symbol::new(ACTIVITY_TABLE))
+                    .unwrap()
+                    .storage()
+                    .composite_patterns();
+                assert!(
+                    patterns.contains(&vec![1, 2]),
+                    "preprocess must advise the (topic, day) composite index, got {patterns:?}"
+                );
+            }
             series.push(rows as u64, per_submit, 1);
+            transcripts.push(transcript);
         }
-        growths.push((kind.name(), storage::growth(&per_size)));
-        report.add(series);
+        match &reference {
+            None => reference = Some(transcripts),
+            Some(reference) => assert_eq!(
+                reference,
+                &transcripts,
+                "{} answers diverged from the row store",
+                kind.name()
+            ),
+        }
+        let (first, last) = (series.points[0].y, series.points[sizes.len() - 1].y);
+        let growth = last / first.max(1.0);
+        match kind {
+            BackendKind::Composite => assert!(
+                growth <= 2.0,
+                "composite per-submit probe work grew {growth:.2}× (> 2×) \
+                 across a 100× table: {first:.0} → {last:.0}"
+            ),
+            BackendKind::Row => assert!(
+                growth >= 3.0,
+                "row-store per-submit probe work grew only {growth:.2}×; \
+                 the workload no longer stresses single-column buckets"
+            ),
+        }
+        print!("{}", series.to_table());
+        growths.push(format!("{} {growth:.2}×", kind.name()));
     }
-    report.note(format_args!(
-        "(probe-work growth across 100× rows: {}; composite indexes keep \
-         per-submit coordination cost flat)",
-        growths
-            .iter()
-            .map(|(name, g)| format!("{name} {g:.2}×"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
+    println!(
+        "gate ok: probe-work growth across 100× rows: {} (row ≥ 3×, composite ≤ 2×); \
+         answers identical across backends\n",
+        growths.join(", ")
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn parse_args_rejects_anything_but_quick_and_a_known_section() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Options {
+                quick: false,
+                only: None
+            })
+        );
+        assert_eq!(
+            parse(&["--quick", "--only", "shard_skew"]),
+            Ok(Options {
+                quick: true,
+                only: Some("shard_skew")
+            })
+        );
+        assert!(parse(&["--quik"]).is_err());
+        assert!(parse(&["--quick", "--only"]).is_err());
+        assert!(parse(&["--only", "trace"]).is_err());
+    }
 }

@@ -1,5 +1,4 @@
-//! Measurement utilities shared by the criterion benches and the
-//! `reproduce` binary.
+//! Measurement utilities for the `reproduce` binary.
 
 use std::time::{Duration, Instant};
 
@@ -8,8 +7,8 @@ use std::time::{Duration, Instant};
 pub struct MeasuredPoint {
     /// The x-axis value (number of queries, table size, ...).
     pub x: u64,
-    /// Mean wall-clock time per run, in milliseconds.
-    pub mean_ms: f64,
+    /// The measured value, in the unit its series name states.
+    pub y: f64,
     /// Number of runs averaged.
     pub runs: u32,
 }
@@ -31,48 +30,24 @@ impl Series {
     }
 
     /// Record a point.
-    pub fn push(&mut self, x: u64, mean_ms: f64, runs: u32) {
-        self.points.push(MeasuredPoint { x, mean_ms, runs });
+    pub fn push(&mut self, x: u64, y: f64, runs: u32) {
+        self.points.push(MeasuredPoint { x, y, runs });
     }
 
     /// Render the series as an aligned text table (the form the
-    /// `reproduce` binary prints and EXPERIMENTS.md records).
+    /// `reproduce` binary prints).
     pub fn to_table(&self) -> String {
         let mut out = format!(
             "## {}\n{:>10}  {:>12}  {:>6}\n",
-            self.name, "x", "mean_ms", "runs"
+            self.name, "x", "y", "runs"
         );
         for p in &self.points {
-            out.push_str(&format!(
-                "{:>10}  {:>12.3}  {:>6}\n",
-                p.x, p.mean_ms, p.runs
-            ));
+            out.push_str(&format!("{:>10}  {:>12.3}  {:>6}\n", p.x, p.y, p.runs));
         }
         out
     }
 
-    /// Render the series as a JSON object. Hand-rolled (serde is
-    /// unavailable offline): numbers are emitted via Rust's `Display`
-    /// (`f64` prints as a valid JSON number for all finite values) and
-    /// the name is escaped per RFC 8259.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"name\":\"");
-        out.push_str(&escape_json(&self.name));
-        out.push_str("\",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"x\":{},\"mean_ms\":{},\"runs\":{}}}",
-                p.x, p.mean_ms, p.runs
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Least-squares slope of `mean_ms` against `x` — used to sanity-check
+    /// Least-squares slope of `y` against `x` — used to sanity-check
     /// the paper's "grows linearly" claims.
     pub fn slope(&self) -> f64 {
         let n = self.points.len() as f64;
@@ -80,43 +55,11 @@ impl Series {
             return 0.0;
         }
         let sx: f64 = self.points.iter().map(|p| p.x as f64).sum();
-        let sy: f64 = self.points.iter().map(|p| p.mean_ms).sum();
+        let sy: f64 = self.points.iter().map(|p| p.y).sum();
         let sxx: f64 = self.points.iter().map(|p| (p.x as f64).powi(2)).sum();
-        let sxy: f64 = self.points.iter().map(|p| p.x as f64 * p.mean_ms).sum();
+        let sxy: f64 = self.points.iter().map(|p| p.x as f64 * p.y).sum();
         (n * sxy - sx * sy) / (n * sxx - sx * sx)
     }
-}
-
-/// Render several series as one JSON array (the `reproduce --json`
-/// output).
-pub fn series_to_json(series: &[Series]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.to_json());
-    }
-    out.push(']');
-    out
-}
-
-/// Escape a string for a JSON string literal (RFC 8259 §7): quote,
-/// backslash, and control characters.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run `f` `runs` times and return the mean wall-clock duration.
@@ -149,38 +92,5 @@ mod tests {
         let t = s.to_table();
         assert!(t.contains("## fig"));
         assert!((s.slope() - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_to_json_is_well_formed() {
-        let mut s = Series::new("Figure 4 — list");
-        s.push(10, 1.5, 3);
-        s.push(20, 2.25, 3);
-        assert_eq!(
-            s.to_json(),
-            "{\"name\":\"Figure 4 — list\",\"points\":[\
-             {\"x\":10,\"mean_ms\":1.5,\"runs\":3},\
-             {\"x\":20,\"mean_ms\":2.25,\"runs\":3}]}"
-        );
-        let empty = Series::new("empty");
-        assert_eq!(empty.to_json(), "{\"name\":\"empty\",\"points\":[]}");
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        let s = Series::new("a \"quoted\"\\name\nwith\tcontrols\u{1}");
-        let json = s.to_json();
-        assert!(json.contains("a \\\"quoted\\\"\\\\name\\nwith\\tcontrols\\u0001"));
-    }
-
-    #[test]
-    fn series_array_joins_objects() {
-        let a = Series::new("a");
-        let b = Series::new("b");
-        let json = series_to_json(&[a, b]);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert_eq!(json.matches("\"name\"").count(), 2);
-        assert_eq!(series_to_json(&[]), "[]");
     }
 }

@@ -1,14 +1,12 @@
 //! # coord-bench — experiment harness
 //!
-//! Shared measurement utilities for the benchmark targets and the
-//! `reproduce` binary that regenerates every figure of the paper's
-//! Section 6 evaluation.
+//! Shared measurement utilities for the `reproduce` binary, which
+//! regenerates every figure of the paper's Section 6 evaluation and
+//! asserts the counter gates of the online engine, shard rebalancer and
+//! storage backends while it prints them.
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod skew;
-pub mod storage;
 
-pub use harness::{measure, series_to_json, MeasuredPoint, Series};
-pub use skew::{drive_phase1, SkewRun};
+pub use harness::{measure, MeasuredPoint, Series};

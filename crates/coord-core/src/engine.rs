@@ -264,9 +264,8 @@ impl<'a> SharedEngine<'a> {
 
     /// An engine recording into an explicit observability registry —
     /// pass [`ObsRegistry::disabled`] to compile every histogram, trace
-    /// event, and export hook down to a branch per call (the overhead
-    /// gate in `online_throughput` holds the enabled/disabled gap under
-    /// 5%).
+    /// event, and export hook down to a branch per call (the benchmark's
+    /// `obs.overhead_frac` measures the enabled/disabled gap).
     pub fn with_obs(
         db: &'a Database,
         shards: usize,

@@ -37,7 +37,7 @@
 //!   WAL/snapshot subsystem with an [`EntangledQuery`] codec, so
 //!   acknowledged submits survive crashes,
 //! * [`testkit`] — oracles for the online engines (the full-rebuild
-//!   loop the property suites and benches compare against).
+//!   loop the property suites and `reproduce` compare against).
 //!
 //! ## Quickstart
 //!

@@ -62,14 +62,13 @@ pub struct SccStats {
     /// preprocessing and graph construction. Near-linear in the number
     /// of atoms thanks to the shared head index — the all-pairs sweep
     /// would be Θ(posts × heads) — and asserted against exactly that
-    /// bound by the scaling tests and the ablation bench's `--quick`
-    /// gate.
+    /// bound by the scaling tests (`tests/workload_scale.rs`).
     pub unify_calls: u64,
     /// Closure-evaluation operations ([`GroundWork::total`]): MGU
     /// merges, body-atom rewrites and fragment staleness checks. Under
     /// the default differential evaluation this grows ~O(n·Δ) on a list
     /// workload where from-scratch evaluation pays Σ|closure| ≈ n²/2
-    /// (gated by the scaling tests and the ablation bench).
+    /// (gated by the scaling tests in `tests/workload_scale.rs`).
     pub ground_work: u64,
 }
 
@@ -256,7 +255,7 @@ impl<'a> SccCoordinator<'a> {
     /// Disable differential evaluation: every closure is re-unified and
     /// re-rewritten from scratch. The results are byte-identical to the
     /// default — this exists as the baseline the equivalence suite and
-    /// the ablation bench compare against.
+    /// the scaling tests compare against.
     pub fn with_from_scratch_evaluation(mut self) -> Self {
         self.evaluation = Evaluation::FromScratch;
         self

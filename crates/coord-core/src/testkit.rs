@@ -1,10 +1,10 @@
 //! Test oracles for the online engines.
 //!
-//! Reference implementations the property suites and benches compare the
+//! Reference implementations the property suites and `reproduce` compare the
 //! product engines against — kept out of [`crate::engine`] so the
 //! product module holds only what a service would run. A plain `pub mod`
 //! (no feature flag), like `coord_store::testkit`: integration tests and
-//! benches of other crates need it.
+//! the `reproduce` binary of other crates need it.
 
 use crate::engine::{answer_for, SubmitResult};
 use crate::error::CoordError;
@@ -18,7 +18,7 @@ use coord_graph::reach::weakly_connected_components;
 /// The pre-incremental engine: rebuilds the entire coordination graph
 /// over all pending queries on every submit and evaluates the new
 /// query's weakly connected component. Kept as the baseline the
-/// `online_throughput` bench and the engine property tests compare the
+/// `reproduce --only online` gate and the engine property tests compare the
 /// incremental path against. Uses the same evaluation (the SCC
 /// algorithm, from scratch instead of differentially) so the two paths
 /// are behaviorally identical on workloads whose key-level candidates

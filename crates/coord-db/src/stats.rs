@@ -11,8 +11,8 @@
 //! ground-atom membership short-circuits
 //! ([`QueryStats::ground_probe_count`]), and per-scan index hits/misses.
 //! `rows_scanned + ground_probes` ([`QueryStats::probe_work`]) is the
-//! wall-clock-free cost metric the storage bench gates on (the build
-//! container has 1 CPU, so counters — not time — carry the perf claims).
+//! wall-clock-free cost metric `reproduce --only storage` gates on
+//! (counters, not time, carry the perf claims: they repeat exactly).
 //!
 //! When a [`crate::Database`] is attached to a `coord-obs` registry
 //! ([`crate::Database::attach_obs`]), every counter is mirrored into
@@ -44,7 +44,7 @@ struct ObsMirror {
 
 /// Thread-safe counters of query activity against a [`crate::Database`].
 ///
-/// Counters are atomic so the parallel ablation of the Consistent
+/// Counters are atomic so the parallel sweep of the Consistent
 /// Coordination Algorithm (Section 6.2 "future work") can share one
 /// database across worker threads.
 #[derive(Debug, Default)]
@@ -205,7 +205,8 @@ impl QueryStats {
     }
 
     /// Total probe work: rows walked plus ground membership probes —
-    /// the backend-comparable cost metric the storage bench gates on.
+    /// the backend-comparable cost metric `reproduce --only storage`
+    /// gates on.
     pub fn probe_work(&self) -> u64 {
         self.rows_scanned() + self.ground_probe_count()
     }

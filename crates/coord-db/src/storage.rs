@@ -259,9 +259,9 @@ type PatternIndex = HashMap<Vec<Value>, Arc<Vec<usize>>>;
 /// hash index for every bound-column pattern advised through
 /// [`Storage::ensure_index`]. Scans of other patterns use the column
 /// buckets, so `ConsistentCoordinator`, which does not advise, probes
-/// this backend just as it probes a [`RowStore`] (no test, bench or
-/// benchmark workload runs that pairing: the benchmark uses the default
-/// row store throughout).
+/// this backend just as it probes a [`RowStore`] (no test, `reproduce`
+/// section or benchmark workload runs that pairing: the benchmark uses
+/// the default row store throughout).
 #[derive(Debug)]
 pub struct CompositeStore {
     base: RowStore,
@@ -399,7 +399,7 @@ impl BackendKind {
     /// All in-tree backends (handy for equivalence sweeps).
     pub const ALL: [BackendKind; 2] = [BackendKind::Row, BackendKind::Composite];
 
-    /// Stable lowercase name (bench/series labels).
+    /// Stable lowercase name (series labels).
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Row => "row",

@@ -22,8 +22,8 @@
 //!   component groups to colder shards through the marker-based
 //!   migration protocol,
 //! * [`metrics::EngineMetrics`] — submit/pairing/evaluation counters
-//!   (including the rebuild-avoided figure benchmarked by
-//!   `online_throughput`) and per-shard load/contention stats
+//!   (including the per-submit work figures `reproduce --only online`
+//!   gates) and per-shard load/contention stats
 //!   (submits, evaluation work, lock-wait).
 //!
 //! The crate is generic over the query type ([`engine::

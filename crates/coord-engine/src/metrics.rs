@@ -2,8 +2,8 @@
 //! registry-backed so one [`coord_obs::Registry::snapshot`] exports
 //! them next to the latency histograms.
 //!
-//! The counters double as the *assert-while-measuring* hooks of the
-//! `online_throughput` bench: `queries_evaluated` is exactly the
+//! The counters double as the *assert-while-measuring* hooks of
+//! `reproduce --only online`: `queries_evaluated` is exactly the
 //! per-submit work the paper's online setting cares about, and
 //! `rebuild_avoided` is the work the pre-incremental engine (a full
 //! coordination-graph rebuild over all pending queries per submit) would
@@ -105,8 +105,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Mean queries evaluated per submit — the per-submit work figure the
-    /// bench asserts stays sub-linear in the pending-set size.
+    /// Mean queries evaluated per submit — the per-submit work figure
+    /// `reproduce --only online` asserts stays sub-linear in the
+    /// pending-set size.
     pub fn evaluated_per_submit(&self) -> f64 {
         if self.submits == 0 {
             0.0

@@ -27,7 +27,7 @@
 //! single source of truth and moved groups stay whole — so a rebalance
 //! can run at any point without changing any coordination result
 //! (property-tested against the sequential engine in
-//! `tests/equivalence_props.rs`, measured by the `shard_skew` bench).
+//! `tests/equivalence_props.rs`, gated by `reproduce --only shard_skew`).
 
 use crate::engine::{ComponentEvaluator, CoordinationQuery};
 use crate::sharded::ShardedEngine;

@@ -1542,8 +1542,8 @@ mod tests {
 
     /// A submitter parked on migration marks must wake when the
     /// migration publishes — promptly via the gate, not via a blind
-    /// sleep schedule (the behavior is asserted, the latency is
-    /// measured by the `shard_skew` bench's backoff figures).
+    /// sleep schedule (the behavior is asserted here; backoffs are
+    /// counted by the benchmark's `sharded.backoffs`).
     #[test]
     fn parked_submitter_wakes_when_marks_lift() {
         use std::sync::atomic::AtomicBool;

@@ -28,8 +28,8 @@
 //! * **Snapshots and exporters** are cold paths: they lock the
 //!   registration maps and copy, never blocking a recorder.
 //!
-//! The CI `online_throughput --quick` gate holds the enabled-vs-disabled
-//! submit-throughput delta within 5%.
+//! The benchmark's `obs.overhead_frac` measures the enabled-vs-disabled
+//! submit cost.
 //!
 //! # Reading a trace dump
 //!

@@ -4,7 +4,7 @@
 //! the small random 3SAT instances used to exercise the reductions, DPLL
 //! solves in microseconds what the brute-force entangled-query search
 //! takes exponential time to decide — making the Section 3 separation
-//! *measurable* (see the `hardness_3sat` bench).
+//! *measurable* (see `reproduce --only hardness`).
 
 use crate::cnf::{Cnf, Lit};
 

@@ -16,8 +16,8 @@
 //! rebuilds exactly the state produced by the clean record prefix.
 //! Replay never re-evaluates components: the log already says which
 //! queries retired, so recovery decodes the surviving pending set and
-//! re-indexes it with `insert_pending` — which is why the `durability`
-//! bench measures replay *faster* than live submission.
+//! re-indexes it with `insert_pending` — which is why replay is *faster*
+//! than live submission (the benchmark's `store.replay_records_per_s`).
 //!
 //! ## Query ids and the registry
 //!

@@ -21,7 +21,7 @@
 //!   the record's retired seqs come straight from the engine; recovery
 //!   replays `snapshot + log tail` with `insert_pending` (no
 //!   re-evaluation), so replay is *faster* than live submission — the
-//!   `durability` bench asserts it.
+//!   benchmark's `recovery_ms` and `store.replay_records_per_s` measure it.
 //!
 //! `coord_core::persist` wires the entangled-query codec in and exposes
 //! `DurableSharedEngine` so service callers opt into durability with

@@ -1,10 +1,10 @@
-//! Self-cleaning temporary directories for tests and benches.
+//! Self-cleaning temporary directories for tests and examples.
 //!
 //! The workspace has no `tempfile` dependency (offline container), so
 //! the store ships its own minimal equivalent: a uniquely named
 //! directory under the system temp dir, removed recursively on drop.
-//! Exposed publicly because the durability bench and the top-level
-//! crash-recovery suites all need scratch store directories.
+//! Exposed publicly because the top-level crash-recovery suites and the
+//! `obs_dump` example need scratch store directories.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

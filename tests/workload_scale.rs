@@ -216,23 +216,40 @@ fn list_workload_grounding_work_grows_with_n_delta_not_n_squared() {
 /// groundings, same stats — on the cycle, list and random scale-free
 /// safe workloads (one weak group: the sequential loop) and on the
 /// forests (several: the group-parallel sweep), at every thread count.
+/// Where the shape fixes them, the sequential sweep's database queries
+/// (§4: one per SCC — a unique cycle is one SCC, a list of n is n) and
+/// preprocessing removals are pinned too.
 #[test]
 fn scc_parallel_equals_sequential_on_all_workloads() {
     let db = pool_db(1_000);
-    let mut workloads: Vec<(&str, Vec<EntangledQuery>, bool)> = vec![
-        ("cycle", cycle_queries(40), false),
-        ("list", fig4_queries(40), false),
-        ("forest", forest_queries(8, 40), true),
-        ("ragged-forest", ragged_forest_queries(), true),
+    // A list whose head demands a partner nobody provides: preprocessing
+    // removes the head alone (its node, cut off, is a second weak group)
+    // and the 39-query suffix still coordinates.
+    let mut doomed_head = fig4_queries(40);
+    doomed_head[0] = partner_query(0, &[47]);
+    // (name, queries, several weak groups, expected (db_queries, removed))
+    let mut workloads = vec![
+        ("cycle", cycle_queries(40), false, Some((1, 0))),
+        ("list", fig4_queries(40), false, Some((40, 0))),
+        ("doomed-head-list", doomed_head, true, Some((39, 1))),
+        ("forest", forest_queries(8, 40), true, None),
+        ("ragged-forest", ragged_forest_queries(), true, None),
     ];
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        workloads.push(("scale-free", fig5_queries(48, 2, &mut rng), false));
+        workloads.push(("scale-free", fig5_queries(48, 2, &mut rng), false, None));
     }
-    for (name, queries, many_groups) in &workloads {
+    for (name, queries, many_groups, expected) in &workloads {
         assert_eq!(weak_group_count(&db, queries) > 1, *many_groups, "{name}");
         let coordinator = SccCoordinator::new(&db);
         let seq = coordinator.run(queries).unwrap();
+        if let Some(expected) = expected {
+            assert_eq!(
+                (seq.stats.db_queries, seq.stats.removed),
+                *expected,
+                "{name}: (db_queries, removed)"
+            );
+        }
         for threads in [1, 2, 4, 8] {
             let par = coordinator.run_parallel(queries, threads).unwrap();
             assert_eq!(

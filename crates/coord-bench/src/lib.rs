@@ -3,7 +3,7 @@
 //! Shared measurement utilities for the `reproduce` binary, which
 //! regenerates every figure of the paper's Section 6 evaluation and
 //! asserts the counter gates of the online engine, shard rebalancer and
-//! storage backends while it prints them.
+//! storage layer while it prints them.
 
 #![forbid(unsafe_code)]
 

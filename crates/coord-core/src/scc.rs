@@ -113,26 +113,6 @@ pub fn preprocess(db: &Database, queries: &[EntangledQuery]) -> Result<Preproces
     let qs = QuerySet::new(queries.to_vec());
     qs.validate(db)?;
 
-    // Advise storage about the multi-column equality patterns the body
-    // atoms will probe (constant positions; variables stay unbound at
-    // probe time in the common workloads). Backends with composite
-    // indexes materialize them here, the only place they are built;
-    // everyone else ignores the hint.
-    for q in queries {
-        for atom in q.body() {
-            let cols: Vec<usize> = atom
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| matches!(t, coord_db::Term::Const(_)))
-                .map(|(c, _)| c)
-                .collect();
-            if cols.len() >= 2 {
-                db.advise_pattern(&atom.relation, &cols);
-            }
-        }
-    }
-
     let mut counter = UnifyCounter::new();
 
     // Safety check (Definition 2). The algorithm's guarantees require it;

@@ -5,7 +5,6 @@ use crate::eval::{self, Assignment};
 use crate::query::ConjunctiveQuery;
 use crate::schema::RelationSchema;
 use crate::stats::QueryStats;
-use crate::storage::BackendKind;
 use crate::symbol::Symbol;
 use crate::table::Table;
 use crate::tuple::Tuple;
@@ -22,33 +21,23 @@ use std::collections::HashMap;
 /// tests ([`Database::contains`]). Every interaction is counted in
 /// [`Database::stats`] so the paper's query-count bounds can be asserted.
 ///
-/// Tables are physically stored by a pluggable [`crate::storage::Storage`]
-/// backend; [`Database::with_backend`] selects which one new tables use.
-/// Answers are byte-identical across backends (see [`crate::storage`]'s
-/// determinism contract) — only the probe work differs.
+/// Tables are physically stored on a [`crate::storage::RowStore`], whose
+/// multi-column probes intersect its per-column posting lists. Answers
+/// do not depend on the store (see [`crate::storage`]'s determinism
+/// contract): [`crate::testkit::scan_copy`] moves a database onto the
+/// full-scan oracle, and the tests compare the two.
 #[derive(Debug, Default)]
 pub struct Database {
     tables: HashMap<Symbol, Table>,
     /// Relation names in creation order (stable iteration for tests/demos).
     order: Vec<Symbol>,
-    /// Backend every table of this database is created on.
-    backend: BackendKind,
     stats: QueryStats,
 }
 
 impl Database {
-    /// Create an empty database (row-store backend).
+    /// Create an empty database.
     pub fn new() -> Self {
         Database::default()
-    }
-
-    /// Create an empty database whose tables use the given storage
-    /// backend.
-    pub fn with_backend(kind: BackendKind) -> Self {
-        Database {
-            backend: kind,
-            ..Database::default()
-        }
     }
 
     /// Create a table with the given relation name and attribute names.
@@ -60,10 +49,11 @@ impl Database {
 
     /// Create a table from a pre-built schema.
     pub fn create_table_with_schema(&mut self, schema: RelationSchema) -> Result<(), DbError> {
-        self.add_table(Table::with_backend(schema, self.backend))
+        self.add_table(Table::new(schema))
     }
 
-    fn add_table(&mut self, table: Table) -> Result<(), DbError> {
+    /// Add a table built elsewhere (on any [`crate::Storage`]).
+    pub(crate) fn add_table(&mut self, table: Table) -> Result<(), DbError> {
         let name = table.schema().name().clone();
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateRelation {
@@ -149,16 +139,6 @@ impl Database {
     /// later calls are no-ops.
     pub fn attach_obs(&self, registry: &ObsRegistry) {
         self.stats.attach(registry);
-    }
-
-    /// Advise the named relation's backend that the given multi-column
-    /// equality pattern will be probed (columns ascending, length ≥ 2).
-    /// No-op for unknown relations and for backends without composite
-    /// indexes — callers advise opportunistically.
-    pub fn advise_pattern(&self, relation: &Symbol, cols: &[usize]) {
-        if let Some(table) = self.tables.get(relation) {
-            table.advise_index(cols);
-        }
     }
 
     /// Choose-1 evaluation: find one satisfying assignment, if any.

@@ -6,9 +6,8 @@
 //! the current bindings (ties to the lowest atom index). Fully ground
 //! atoms estimate 0 and are short-circuited through an O(1) membership
 //! test — no rows are walked. Everything else is served through
-//! [`crate::Table::scan`], which lets the selected
-//! [`crate::storage::Storage`] backend pick its best access path
-//! (single-column bucket or composite index).
+//! [`crate::Table::scan`]: one bound column walks its posting list, and
+//! two or more walk only the rows in the intersection of theirs.
 //!
 //! The join is *compiled once per query* (`Join::compile`): one pass
 //! validates each atom and resolves its `&Table`, variables are numbered
@@ -24,9 +23,10 @@
 //! closure has one atom per query of the chain. Bindings borrow table
 //! cells; values are cloned only into probes and reported answers.
 //!
-//! Estimates are backend-independent by the [`crate::storage`]
+//! Estimates are store-independent by the [`crate::storage`]
 //! determinism contract, so `find_one`/`find_all` answers are
-//! byte-identical across backends.
+//! byte-identical on [`crate::storage::RowStore`] and on the full-scan
+//! oracle [`crate::testkit::ScanStore`].
 
 use crate::database::Database;
 use crate::error::DbError;
@@ -221,7 +221,7 @@ impl<'a> Join<'a> {
     /// The greedy rule's cost of joining atom `a` next: ground atoms cost
     /// one membership probe (0), atoms with nothing bound are a last
     /// resort (full scan), the rest ask [`Table::estimate`], which is
-    /// backend-independent.
+    /// store-independent.
     fn estimate(&mut self, a: usize) -> usize {
         let table = self.atoms[a].table;
         if self.resolve_bound(a) {
@@ -274,9 +274,8 @@ impl<'a> Join<'a> {
             return table.contains(&tuple) && self.step(on_answer);
         }
 
-        // The bound set drives the scan: the backend picks its best
-        // access path, and the iterator is consumed in place — no row-id
-        // clone, no lock held while iterating.
+        // The bound set drives the scan: the store picks its access
+        // path, and the iterator is consumed in place — no row-id clone.
         let scan = table.scan(&self.bound);
         if scan.path().is_indexed() {
             self.stats.record_index_hit();
@@ -345,6 +344,7 @@ impl<'a> Join<'a> {
 mod tests {
     use super::*;
     use crate::query::Atom;
+    use crate::testkit::scan_copy;
     use crate::value::Value;
 
     fn db() -> Database {
@@ -483,16 +483,18 @@ mod tests {
 
     /// Regression pin for the ground-atom short-circuit: a fully
     /// resolved atom must cost exactly one membership probe and walk
-    /// zero rows, even when its values land in a hot (large) bucket.
+    /// zero rows, even when its values land in a hot (large) bucket —
+    /// on the row store and on the full-scan oracle alike.
     #[test]
     fn ground_atom_probe_counts_are_pinned() {
-        for kind in crate::storage::BackendKind::ALL {
-            let mut db = Database::with_backend(kind);
-            db.create_table("A", &["k", "v"]).unwrap();
-            // One hot key: the column-0 bucket for `1` holds 1000 rows.
-            for i in 0..1000 {
-                db.insert("A", vec![Value::int(1), Value::int(i)]).unwrap();
-            }
+        let mut db = Database::new();
+        db.create_table("A", &["k", "v"]).unwrap();
+        // One hot key: the column-0 bucket for `1` holds 1000 rows.
+        for i in 0..1000 {
+            db.insert("A", vec![Value::int(1), Value::int(i)]).unwrap();
+        }
+        let oracle = scan_copy(&db);
+        for db in [&db, &oracle] {
             db.stats().reset();
             let sat = ConjunctiveQuery::new(vec![atom(
                 "A",
@@ -505,66 +507,61 @@ mod tests {
             )]);
             assert!(db.find_one(&unsat).unwrap().is_none());
             let stats = db.stats();
-            assert_eq!(stats.ground_probe_count(), 2, "{kind:?}");
-            assert_eq!(
-                stats.rows_scanned(),
-                0,
-                "{kind:?}: ground atoms walk no rows"
-            );
+            assert_eq!(stats.ground_probe_count(), 2);
+            assert_eq!(stats.rows_scanned(), 0, "ground atoms walk no rows");
         }
     }
 
     /// Regression pin for scan-driven enumeration: a single-constant
-    /// probe into a selective bucket walks exactly the bucket, through
-    /// an index.
+    /// probe walks exactly its posting list, and a two-constant probe
+    /// only the rows in the intersection of two lists, both through an
+    /// index. The full-scan oracle walks every row and answers the same.
     #[test]
     fn selective_scan_probe_counts_are_pinned() {
-        for kind in crate::storage::BackendKind::ALL {
-            let mut db = Database::with_backend(kind);
-            db.create_table("A", &["k", "v"]).unwrap();
-            for i in 0..100 {
-                db.insert("A", vec![Value::int(i), Value::int(i % 10)])
-                    .unwrap();
-            }
-            db.stats().reset();
-            // A(x, 7): the column-1 bucket holds exactly 10 rows.
-            let q =
-                ConjunctiveQuery::new(vec![atom("A", vec![Term::var(0), Term::constant(7i64)])]);
-            assert_eq!(db.find_all(&q, None).unwrap().len(), 10);
-            let stats = db.stats();
-            assert_eq!(stats.rows_scanned(), 10, "{kind:?}");
-            assert_eq!(stats.index_hit_count(), 1, "{kind:?}");
-            assert_eq!(stats.index_miss_count(), 0, "{kind:?}");
+        let mut db = Database::new();
+        db.create_table("A", &["k", "v", "w"]).unwrap();
+        for i in 0..100 {
+            let row = vec![Value::int(i), Value::int(i % 10), Value::int(i % 4)];
+            db.insert("A", row).unwrap();
         }
+        let oracle = scan_copy(&db);
+        // A(x, 7, y): the column-1 list holds exactly 10 rows.
+        let one = vec![Term::var(0), Term::constant(7i64), Term::var(1)];
+        // A(x, 7, 3): i ≡ 7 (mod 10) and i ≡ 3 (mod 4), 5 rows of 10 ∩ 25.
+        let two = vec![Term::var(0), Term::constant(7i64), Term::constant(3i64)];
+        for (terms, matches) in [(one, 10), (two, 5)] {
+            let q = ConjunctiveQuery::new(vec![atom("A", terms)]);
+            db.stats().reset();
+            let answers = db.find_all(&q, None).unwrap();
+            assert_eq!(answers.len(), matches);
+            assert_eq!(oracle.find_all(&q, None).unwrap(), answers);
+            let stats = db.stats();
+            assert_eq!(stats.rows_scanned(), matches as u64);
+            assert_eq!(stats.index_hit_count(), 1);
+            assert_eq!(stats.index_miss_count(), 0);
+        }
+        assert_eq!(oracle.stats().rows_scanned(), 200);
+        assert_eq!(oracle.stats().index_miss_count(), 2);
     }
 
-    /// Answers are byte-identical across backends: same assignments in
-    /// the same order, per the storage determinism contract.
+    /// Answers are byte-identical on the row store and on the full-scan
+    /// oracle: same assignments in the same order, per the storage
+    /// determinism contract.
     #[test]
-    fn backends_agree_on_answer_order() {
-        let build = |kind| {
-            let mut db = Database::with_backend(kind);
-            db.create_table("R", &["a", "b"]).unwrap();
-            for (a, b) in [(1, 2), (2, 3), (3, 1), (3, 4), (1, 4), (4, 2)] {
-                db.insert("R", vec![Value::int(a), Value::int(b)]).unwrap();
-            }
-            db
-        };
+    fn store_and_oracle_agree_on_answer_order() {
+        let mut db = Database::new();
+        db.create_table("R", &["a", "b"]).unwrap();
+        for (a, b) in [(1, 2), (2, 3), (3, 1), (3, 4), (1, 4), (4, 2)] {
+            db.insert("R", vec![Value::int(a), Value::int(b)]).unwrap();
+        }
         let q = ConjunctiveQuery::new(vec![
             atom("R", vec![Term::var(0), Term::var(1)]),
             atom("R", vec![Term::var(1), Term::var(2)]),
         ]);
-        let reference = build(crate::storage::BackendKind::Row);
-        let expected = reference.find_all(&q, None).unwrap();
-        for kind in crate::storage::BackendKind::ALL {
-            let db = build(kind);
-            assert_eq!(db.find_all(&q, None).unwrap(), expected, "{kind:?}");
-            assert_eq!(
-                db.find_one(&q).unwrap(),
-                expected.first().cloned(),
-                "{kind:?}"
-            );
-        }
+        let oracle = scan_copy(&db);
+        let expected = oracle.find_all(&q, None).unwrap();
+        assert_eq!(db.find_all(&q, None).unwrap(), expected);
+        assert_eq!(db.find_one(&q).unwrap(), expected.first().cloned());
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! The engine provides:
 //!
 //! * a simple value model ([`Value`]: integers and interned strings),
-//! * named relations ([`Table`]) over pluggable [`Storage`] backends:
-//!   the per-column-hash [`storage::RowStore`] and the
-//!   composite-index [`storage::CompositeStore`] — byte-identical
-//!   answers, different probe work (see [`storage`]'s determinism
-//!   contract),
+//! * named relations ([`Table`]) behind the [`Storage`] trait, stored on
+//!   [`storage::RowStore`]: per-column posting lists that a multi-column
+//!   probe leapfrog-intersects, so it walks only the matching rows (see
+//!   [`storage`]'s determinism contract, checked against the full-scan
+//!   oracle in [`testkit`]),
 //! * conjunctive queries ([`ConjunctiveQuery`]) over variables and
 //!   constants, evaluated by a backtracking join with greedy atom ordering
 //!   ([`eval`]),
@@ -53,6 +53,7 @@ pub mod stats;
 pub mod storage;
 pub mod symbol;
 pub mod table;
+pub mod testkit;
 pub mod tuple;
 pub mod value;
 
@@ -62,7 +63,7 @@ pub use eval::Assignment;
 pub use query::{Atom, ConjunctiveQuery, Term, Var};
 pub use schema::RelationSchema;
 pub use stats::QueryStats;
-pub use storage::{AccessPath, BackendKind, Scan, Storage};
+pub use storage::{AccessPath, Scan, Storage};
 pub use symbol::Symbol;
 pub use table::Table;
 pub use tuple::Tuple;

@@ -205,7 +205,7 @@ impl QueryStats {
     }
 
     /// Total probe work: rows walked plus ground membership probes —
-    /// the backend-comparable cost metric `reproduce --only storage`
+    /// the store-comparable cost metric `reproduce --only storage`
     /// gates on.
     pub fn probe_work(&self) -> u64 {
         self.rows_scanned() + self.ground_probe_count()

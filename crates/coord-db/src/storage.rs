@@ -1,42 +1,49 @@
-//! Pluggable tuple storage: the [`Storage`] trait and its backends.
+//! Tuple storage: the [`Storage`] trait and [`RowStore`], the one
+//! in-tree store.
 //!
 //! [`crate::Table`] holds a `Box<dyn Storage>` and delegates all
 //! physical data access to it, so the evaluator and every engine above
-//! it are agnostic to the representation. Two backends ship in-tree:
+//! it are agnostic to the representation. The trait is also where test
+//! fakes plug in: `database.rs`'s estimate-counting store and
+//! [`crate::testkit::ScanStore`], the full-scan oracle [`RowStore`] is
+//! checked against.
 //!
-//! * [`RowStore`] — the original row store with one hash index per
-//!   column (insertion-ordered `Vec<Tuple>` + `indexes[c][v]` buckets).
-//! * [`CompositeStore`] — a [`RowStore`] plus *multi-column* hash
-//!   indexes with an exact bucket per value combination, collapsing a
-//!   `min(bucket)` scan into a point lookup. An index is built only when
-//!   its pattern is advised ([`Storage::ensure_index`], called by
-//!   `coord_core::scc::preprocess` for every body atom of every batch and
-//!   every online evaluation); an unadvised pattern is served from
-//!   column buckets exactly as on [`RowStore`].
+//! [`RowStore`] keeps rows in insertion order plus, per column, an
+//! ascending posting list of row ids for every value. A probe with one
+//! bound column walks that column's list; a probe with k ≥ 2 bound
+//! columns *leapfrog-intersects* all k lists (Veldhuizen, *Leapfrog
+//! Triejoin*, ICDT 2014): starting from the smallest, each list gallops
+//! (exponential, then binary search) to the current candidate, so the
+//! scan yields exactly the matching rows for O(k · |smallest| · log)
+//! integer compares, and never fetches a row that fails a bound column.
+//! Membership is the same intersection over every column, which is also
+//! how [`Storage::insert`] drops duplicates.
 //!
 //! ## The determinism contract
 //!
-//! The backtracking evaluator promises byte-identical answers across
-//! backends (see `tests/storage_props.rs`). Two invariants make that
-//! hold, and every backend must preserve them:
+//! The backtracking evaluator promises that its answers do not depend
+//! on the store (see `tests/storage_props.rs`, which checks [`RowStore`]
+//! against the full-scan oracle). Two invariants make that hold, and
+//! every store must preserve them:
 //!
 //! 1. **Ascending candidates:** [`Storage::scan`] yields candidate row
-//!    ids in ascending insertion order. Access paths may over-approximate
-//!    (a superset of the matching rows) but never reorder, so the
-//!    sequence of *matching* rows — and therefore the DFS exploration
-//!    order — is backend-independent.
+//!    ids in strictly ascending insertion order. A store may
+//!    over-approximate (a superset of the matching rows, as the oracle's
+//!    full scan does) but never reorder, so the sequence of *matching*
+//!    rows — and therefore the DFS exploration order — is
+//!    store-independent. [`Scan`] asserts the order under
+//!    `debug_assertions`.
 //! 2. **Exact, path-independent estimates:** [`Storage::estimate`]
 //!    returns the exact number of rows matching the *most selective
 //!    single bound column*, regardless of which access path `scan`
-//!    would actually take. Atom ordering decisions are therefore
-//!    identical across backends even when one of them could serve the
-//!    probe from a strictly better index.
+//!    takes. Atom ordering decisions are therefore identical on every
+//!    store, even though the intersection serves a multi-column probe
+//!    from far fewer rows than that estimate.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
 
 /// How a [`Scan`] is being served — recorded by the evaluator as index
 /// hit/miss counters.
@@ -44,10 +51,10 @@ use std::sync::{Arc, RwLock};
 pub enum AccessPath {
     /// Every row id, no index consulted.
     FullScan,
-    /// Single-column hash bucket for the given column.
+    /// The posting list of the given column.
     ColumnIndex(usize),
-    /// Exact multi-column hash bucket.
-    CompositeIndex,
+    /// The intersection of the posting lists of every bound column.
+    Intersection,
 }
 
 impl AccessPath {
@@ -58,12 +65,14 @@ impl AccessPath {
 }
 
 /// A stream of candidate row ids plus the access path that produced it.
-/// Candidates arrive in ascending insertion order (see the module docs'
-/// determinism contract); equality paths are exact or superset,
-/// depending on the backend.
+/// Candidates arrive in strictly ascending insertion order (see the
+/// module docs' determinism contract); equality paths are exact or a
+/// superset, depending on the store.
 pub struct Scan<'a> {
     rows: Box<dyn Iterator<Item = usize> + 'a>,
     path: AccessPath,
+    /// The last row id yielded, for the ascending-order check.
+    last: Option<usize>,
 }
 
 impl<'a> Scan<'a> {
@@ -72,17 +81,7 @@ impl<'a> Scan<'a> {
         Scan {
             rows: Box::new(rows),
             path,
-        }
-    }
-
-    /// A scan that owns a shared bucket (used by backends whose indexes
-    /// live behind interior mutability: the iterator keeps the bucket
-    /// alive via the `Arc`, no lock is held while iterating).
-    pub fn from_arc(bucket: Arc<Vec<usize>>, path: AccessPath) -> Scan<'static> {
-        let len = bucket.len();
-        Scan {
-            rows: Box::new((0..len).map(move |i| bucket[i])),
-            path,
+            last: None,
         }
     }
 
@@ -102,13 +101,21 @@ impl Iterator for Scan<'_> {
     type Item = usize;
 
     fn next(&mut self) -> Option<usize> {
-        self.rows.next()
+        let row = self.rows.next()?;
+        debug_assert!(
+            self.last.is_none_or(|last| last < row),
+            "{:?} yielded row {row} after row {:?}: scans must be strictly ascending",
+            self.path,
+            self.last
+        );
+        self.last = Some(row);
+        Some(row)
     }
 }
 
 /// Physical storage for one relation. Object-safe: a [`crate::Table`]
-/// holds it boxed, so out-of-tree backends and test fakes plug in
-/// through [`crate::Table::with_storage`]; see the module docs for the
+/// holds it boxed, so test fakes and oracles plug in through
+/// [`crate::Table::with_storage`]; see the module docs for the
 /// determinism contract every implementation must uphold.
 pub trait Storage: fmt::Debug + Send + Sync {
     /// Number of (distinct) rows.
@@ -126,8 +133,7 @@ pub trait Storage: fmt::Debug + Send + Sync {
     /// ignored.
     fn insert(&mut self, tuple: Tuple) -> bool;
 
-    /// O(1)-ish membership test for a fully grounded tuple of the right
-    /// arity.
+    /// Membership test for a fully grounded tuple of the right arity.
     fn contains(&self, values: &[Value]) -> bool;
 
     /// The value at (`row`, `col`). Rows are dense ids `0..len()` in
@@ -135,43 +141,28 @@ pub trait Storage: fmt::Debug + Send + Sync {
     fn cell(&self, row: usize, col: usize) -> &Value;
 
     /// Candidate rows for the given `(column, value)` equality
-    /// constraints (ascending row ids; possibly a superset — callers
-    /// re-verify). An empty `bound` is a full scan.
+    /// constraints (strictly ascending row ids; possibly a superset —
+    /// callers re-verify). An empty `bound` is a full scan.
     fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_>;
 
     /// Exact number of rows matching the most selective single bound
-    /// column (`len()` when `bound` is empty). Must be identical across
-    /// backends — see the determinism contract.
+    /// column (`len()` when `bound` is empty). Must be identical on
+    /// every store — see the determinism contract.
     fn estimate(&self, bound: &[(usize, Value)]) -> usize;
 
     /// Number of distinct values in `col`.
     fn distinct_count(&self, col: usize) -> usize;
-
-    /// Advise the backend that the given multi-column equality pattern
-    /// will be probed (columns ascending, length ≥ 2). Backends without
-    /// composite indexes ignore it.
-    fn ensure_index(&self, _cols: &[usize]) {}
-
-    /// Column sets with a materialized multi-column index (empty for
-    /// backends without them).
-    fn composite_patterns(&self) -> Vec<Vec<usize>> {
-        Vec::new()
-    }
 }
 
-// ---------------------------------------------------------------------
-// RowStore: insertion-ordered rows + one hash index per column.
-// ---------------------------------------------------------------------
-
-/// The original backend: rows in insertion order, one hash index per
-/// column, and a set view for O(1) membership.
+/// Rows in insertion order plus one posting list per (column, value);
+/// multi-column probes and membership tests intersect the lists (see
+/// the module docs).
 #[derive(Clone, Debug)]
 pub struct RowStore {
     arity: usize,
     rows: Vec<Tuple>,
     /// `indexes[c][v]` = ascending row ids whose column `c` equals `v`.
     indexes: Vec<HashMap<Value, Vec<usize>>>,
-    row_set: HashSet<Tuple>,
 }
 
 impl RowStore {
@@ -181,13 +172,23 @@ impl RowStore {
             arity,
             rows: Vec::new(),
             indexes: vec![HashMap::new(); arity],
-            row_set: HashSet::new(),
         }
     }
 
     /// Row ids whose column `col` equals `value` (ascending).
     pub fn bucket(&self, col: usize, value: &Value) -> &[usize] {
         self.indexes[col].get(value).map_or(&[], Vec::as_slice)
+    }
+
+    /// The rows whose column `c` equals `v` for every `(c, v)`, in
+    /// ascending order. `columns` must not be empty.
+    fn intersect<'v>(&self, columns: impl Iterator<Item = (usize, &'v Value)>) -> Leapfrog<'_> {
+        let mut lists: Vec<&[usize]> = columns.map(|(c, v)| self.bucket(c, v)).collect();
+        lists.sort_by_key(|list| list.len());
+        Leapfrog {
+            pos: vec![0; lists.len()],
+            lists,
+        }
     }
 }
 
@@ -201,21 +202,23 @@ impl Storage for RowStore {
     }
 
     fn insert(&mut self, tuple: Tuple) -> bool {
-        if self.row_set.contains(&tuple) {
+        if self.contains(&tuple) {
             return false;
         }
         let row_id = self.rows.len();
         for (c, v) in tuple.iter().enumerate() {
             self.indexes[c].entry(v.clone()).or_default().push(row_id);
         }
-        self.row_set.insert(tuple.clone());
         self.rows.push(tuple);
         true
     }
 
     fn contains(&self, values: &[Value]) -> bool {
-        // `Tuple: Borrow<[Value]>` makes this allocation-free.
-        self.row_set.contains(values)
+        if values.is_empty() {
+            // The nullary relation holds at most the empty tuple.
+            return !self.rows.is_empty();
+        }
+        self.intersect(values.iter().enumerate()).next().is_some()
     }
 
     fn cell(&self, row: usize, col: usize) -> &Value {
@@ -223,13 +226,16 @@ impl Storage for RowStore {
     }
 
     fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
-        let driver = bound
-            .iter()
-            .map(|(c, v)| (self.bucket(*c, v), *c))
-            .min_by_key(|(b, _)| b.len());
-        match driver {
-            Some((bucket, c)) => Scan::new(bucket.iter().copied(), AccessPath::ColumnIndex(c)),
-            None => Scan::new(0..self.rows.len(), AccessPath::FullScan),
+        match bound {
+            [] => Scan::new(0..self.rows.len(), AccessPath::FullScan),
+            [(c, v)] => Scan::new(
+                self.bucket(*c, v).iter().copied(),
+                AccessPath::ColumnIndex(*c),
+            ),
+            _ => Scan::new(
+                self.intersect(bound.iter().map(|(c, v)| (*c, v))),
+                AccessPath::Intersection,
+            ),
         }
     }
 
@@ -246,174 +252,53 @@ impl Storage for RowStore {
     }
 }
 
-// ---------------------------------------------------------------------
-// CompositeStore: RowStore + advised multi-column hash indexes.
-// ---------------------------------------------------------------------
-
-/// One materialized multi-column index: an exact bucket per value
-/// combination. Buckets sit behind `Arc` so scans own them without
-/// holding the lock; inserts copy-on-write via [`Arc::make_mut`].
-type PatternIndex = HashMap<Vec<Value>, Arc<Vec<usize>>>;
-
-/// A [`RowStore`] that additionally materializes an exact multi-column
-/// hash index for every bound-column pattern advised through
-/// [`Storage::ensure_index`]. Scans of other patterns use the column
-/// buckets, so `ConsistentCoordinator`, which does not advise, probes
-/// this backend just as it probes a [`RowStore`] (no test, `reproduce`
-/// section or benchmark workload runs that pairing: the benchmark uses
-/// the default row store throughout).
-#[derive(Debug)]
-pub struct CompositeStore {
-    base: RowStore,
-    /// Pattern (ascending column ids, length ≥ 2) → its index.
-    patterns: RwLock<HashMap<Vec<usize>, PatternIndex>>,
+/// Leapfrog intersection of ascending row-id lists, smallest first:
+/// yields the ids present in every list, ascending.
+struct Leapfrog<'a> {
+    lists: Vec<&'a [usize]>,
+    /// Per list, the index of its first id not yet passed.
+    pos: Vec<usize>,
 }
 
-impl CompositeStore {
-    /// An empty store with `arity` columns.
-    pub fn new(arity: usize) -> Self {
-        CompositeStore {
-            base: RowStore::new(arity),
-            patterns: RwLock::new(HashMap::new()),
-        }
-    }
+impl Iterator for Leapfrog<'_> {
+    type Item = usize;
 
-    fn build_index(&self, cols: &[usize]) -> PatternIndex {
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for rid in 0..self.base.len() {
-            let key: Vec<Value> = cols
-                .iter()
-                .map(|&c| self.base.cell(rid, c).clone())
-                .collect();
-            map.entry(key).or_default().push(rid);
-        }
-        map.into_iter().map(|(k, v)| (k, Arc::new(v))).collect()
-    }
-
-    /// The exact bucket for `bound` if an advised index covers its
-    /// column set: `None` means "no index", `Some` with an empty bucket
-    /// means "indexed, no matching rows". Takes the read lock only.
-    fn composite_bucket(
-        &self,
-        cols: &[usize],
-        bound: &[(usize, Value)],
-    ) -> Option<Arc<Vec<usize>>> {
-        let guard = self.patterns.read().unwrap();
-        let index = guard.get(cols)?;
-        let key: Vec<Value> = bound.iter().map(|(_, v)| v.clone()).collect();
-        Some(index.get(&key).cloned().unwrap_or_default())
-    }
-}
-
-impl Storage for CompositeStore {
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn arity(&self) -> usize {
-        self.base.arity()
-    }
-
-    fn insert(&mut self, tuple: Tuple) -> bool {
-        if !self.base.insert(tuple) {
-            return false;
-        }
-        let rid = self.base.len() - 1;
-        let mut guard = self.patterns.write().unwrap();
-        for (cols, index) in guard.iter_mut() {
-            let key: Vec<Value> = cols
-                .iter()
-                .map(|&c| self.base.cell(rid, c).clone())
-                .collect();
-            Arc::make_mut(index.entry(key).or_default()).push(rid);
-        }
-        true
-    }
-
-    fn contains(&self, values: &[Value]) -> bool {
-        self.base.contains(values)
-    }
-
-    fn cell(&self, row: usize, col: usize) -> &Value {
-        self.base.cell(row, col)
-    }
-
-    fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
-        if bound.len() >= 2 {
-            let cols: Vec<usize> = bound.iter().map(|(c, _)| *c).collect();
-            if let Some(bucket) = self.composite_bucket(&cols, bound) {
-                return Scan::from_arc(bucket, AccessPath::CompositeIndex);
+    fn next(&mut self) -> Option<usize> {
+        let k = self.lists.len();
+        let mut target = *self.lists[0].get(self.pos[0])?;
+        // Lists positioned at `target`, counted cyclically from the one
+        // that set it; once all k agree, `target` is in every list.
+        let mut agreed = 1;
+        let mut i = 0;
+        while agreed < k {
+            i = (i + 1) % k;
+            let list = self.lists[i];
+            self.pos[i] = seek(list, self.pos[i], target);
+            let id = *list.get(self.pos[i])?;
+            if id == target {
+                agreed += 1;
+            } else {
+                (target, agreed) = (id, 1);
             }
         }
-        self.base.scan(bound)
-    }
-
-    fn estimate(&self, bound: &[(usize, Value)]) -> usize {
-        // Deliberately the single-column estimate (not the composite
-        // bucket size): estimates must be backend-independent so atom
-        // ordering — and therefore answers — never diverge.
-        self.base.estimate(bound)
-    }
-
-    fn distinct_count(&self, col: usize) -> usize {
-        self.base.distinct_count(col)
-    }
-
-    fn ensure_index(&self, cols: &[usize]) {
-        if cols.len() < 2 || cols.iter().any(|&c| c >= self.arity()) {
-            return;
-        }
-        // `preprocess` advises every multi-constant body atom of every
-        // evaluation: an already-built pattern must not cost a write lock.
-        if self.patterns.read().unwrap().contains_key(cols) {
-            return;
-        }
-        let mut guard = self.patterns.write().unwrap();
-        guard
-            .entry(cols.to_vec())
-            .or_insert_with(|| self.build_index(cols));
-    }
-
-    fn composite_patterns(&self) -> Vec<Vec<usize>> {
-        let mut out: Vec<Vec<usize>> = self.patterns.read().unwrap().keys().cloned().collect();
-        out.sort();
-        out
+        // Every list sits at `target`; step past it in the first.
+        self.pos[0] += 1;
+        Some(target)
     }
 }
 
-// ---------------------------------------------------------------------
-// BackendKind: which in-tree store a table is built on.
-// ---------------------------------------------------------------------
-
-/// Which in-tree backend a [`crate::Database`] builds its tables with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// [`RowStore`] (the default).
-    #[default]
-    Row,
-    /// [`CompositeStore`].
-    Composite,
-}
-
-impl BackendKind {
-    /// All in-tree backends (handy for equivalence sweeps).
-    pub const ALL: [BackendKind; 2] = [BackendKind::Row, BackendKind::Composite];
-
-    /// Stable lowercase name (series labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::Row => "row",
-            BackendKind::Composite => "composite",
-        }
+/// The index of the first id ≥ `target` in `list[from..]` (or
+/// `list.len()`): gallop by doubling steps, then binary-search the last
+/// step, so a seek costs O(log distance).
+fn seek(list: &[usize], from: usize, target: usize) -> usize {
+    let rest = &list[from..];
+    let mut step = 1;
+    while step < rest.len() && rest[step] < target {
+        step *= 2;
     }
-
-    /// An empty store of this kind for `arity` columns.
-    pub(crate) fn new_store(self, arity: usize) -> Box<dyn Storage> {
-        match self {
-            BackendKind::Row => Box::new(RowStore::new(arity)),
-            BackendKind::Composite => Box::new(CompositeStore::new(arity)),
-        }
-    }
+    let lo = step / 2;
+    let hi = (step + 1).min(rest.len());
+    from + lo + rest[lo..hi].partition_point(|&id| id < target)
 }
 
 #[cfg(test)]
@@ -429,95 +314,118 @@ mod tests {
         ]
     }
 
-    fn filled(kind: BackendKind) -> Box<dyn Storage> {
-        let mut b = kind.new_store(3);
+    fn filled() -> RowStore {
+        let mut b = RowStore::new(3);
         for t in tuples() {
             assert!(b.insert(t));
         }
         b
     }
 
+    /// The oracle: every row whose bound columns all match, ascending.
+    fn filter(s: &RowStore, bound: &[(usize, Value)]) -> Vec<usize> {
+        (0..s.len())
+            .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
+            .collect()
+    }
+
     #[test]
-    fn all_backends_agree_on_scans_and_estimates() {
-        let row = filled(BackendKind::Row);
-        let other = filled(BackendKind::Composite);
-        // One advised pattern: `[1, 2]` probes take the composite index,
-        // `[0, 2]` stays on column buckets — both access paths compared.
-        other.ensure_index(&[1, 2]);
+    fn seek_finds_the_first_id_not_below_the_target() {
+        let list: Vec<usize> = (0..50).map(|i| 3 * i).collect();
+        for from in [0, 1, 7, 49, 50] {
+            for target in 0..160 {
+                let expected = from + list[from..].partition_point(|&id| id < target);
+                assert_eq!(
+                    seek(&list, from, target),
+                    expected,
+                    "from {from} target {target}"
+                );
+            }
+        }
+        assert_eq!(seek(&[], 0, 5), 0);
+    }
+
+    #[test]
+    fn scans_yield_exactly_the_matching_rows_in_order() {
+        let s = filled();
         for bound in [
             vec![],
             vec![(1, Value::str("a"))],
             vec![(1, Value::str("a")), (2, Value::int(10))],
             vec![(0, Value::int(3)), (2, Value::int(20))],
-            vec![(1, Value::str("zzz"))],
+            vec![
+                (0, Value::int(4)),
+                (1, Value::str("a")),
+                (2, Value::int(10)),
+            ],
+            // A value absent from its column: an empty list sorts first.
+            vec![(1, Value::str("a")), (2, Value::int(30))],
+            // Non-empty lists with an empty intersection.
+            vec![(0, Value::int(2)), (1, Value::str("a"))],
+            // The same column bound twice: to one value, then to two.
+            vec![(1, Value::str("a")), (1, Value::str("a"))],
+            vec![(1, Value::str("a")), (1, Value::str("b"))],
         ] {
-            let verify = |s: &dyn Storage| -> Vec<usize> {
-                s.scan(&bound)
-                    .filter(|&r| bound.iter().all(|(c, v)| s.cell(r, *c) == v))
-                    .collect()
-            };
             assert_eq!(
-                verify(row.as_ref()),
-                verify(other.as_ref()),
-                "composite diverged on {bound:?}"
-            );
-            assert_eq!(
-                row.estimate(&bound),
-                other.estimate(&bound),
-                "composite estimate diverged on {bound:?}"
+                s.scan(&bound).collect::<Vec<_>>(),
+                filter(&s, &bound),
+                "{bound:?}"
             );
         }
-        let advised = [(1, Value::str("a")), (2, Value::int(10))];
-        let unadvised = [(0, Value::int(3)), (2, Value::int(20))];
-        assert_eq!(other.scan(&advised).path(), AccessPath::CompositeIndex);
-        assert_eq!(other.scan(&unadvised).path(), AccessPath::ColumnIndex(0));
+        let two = [(1, Value::str("a")), (2, Value::int(10))];
+        assert_eq!(s.scan(&two).path(), AccessPath::Intersection);
+        assert_eq!(s.scan(&two[..1]).path(), AccessPath::ColumnIndex(1));
+        assert_eq!(s.scan(&[]).path(), AccessPath::FullScan);
+        // The estimate stays the smallest single-column bucket.
+        assert_eq!(s.estimate(&two), 3);
+        assert_eq!(RowStore::new(3).scan(&two).count(), 0);
     }
 
+    /// The `coord-gen` activity shape: a strided topic bucket (every
+    /// k-th row) crossed with a contiguous day bucket (k rows in a run)
+    /// meets in exactly one row, without walking either bucket.
     #[test]
-    fn composite_index_tracks_inserts() {
-        let mut b = filled(BackendKind::Composite);
-        b.ensure_index(&[1, 2]);
-        let bound = vec![(1, Value::str("a")), (2, Value::int(10))];
-        assert_eq!(b.scan(&bound).collect::<Vec<_>>(), vec![0, 3]);
-        b.insert(Tuple::new(vec![
-            Value::int(5),
-            Value::str("a"),
-            Value::int(10),
-        ]));
-        // Advising a built pattern again is a no-op, not a rebuild.
-        b.ensure_index(&[1, 2]);
-        assert_eq!(b.scan(&bound).collect::<Vec<_>>(), vec![0, 3, 4]);
-        assert_eq!(b.scan(&bound).path(), AccessPath::CompositeIndex);
-        assert_eq!(b.composite_patterns(), vec![vec![1, 2]]);
-    }
-
-    #[test]
-    fn ensure_index_ignores_bad_patterns() {
-        let b = filled(BackendKind::Composite);
-        b.ensure_index(&[0]); // too short
-        b.ensure_index(&[0, 9]); // out of range
-        assert!(b.composite_patterns().is_empty());
-    }
-
-    #[test]
-    fn zero_arity_stores_behave() {
-        for kind in BackendKind::ALL {
-            let mut b = kind.new_store(0);
-            assert!(!b.contains(&[]));
-            assert!(b.insert(Tuple::new(Vec::new())));
-            assert!(!b.insert(Tuple::new(Vec::new())));
-            assert_eq!(b.len(), 1);
-            assert!(b.contains(&[]));
-            assert_eq!(b.scan(&[]).collect::<Vec<_>>(), vec![0]);
+    fn strided_topic_meets_contiguous_day_in_one_row() {
+        let k = 30;
+        let mut s = RowStore::new(3);
+        for i in 0..k * k {
+            let row = vec![
+                Value::int(i as i64),
+                Value::int((i % k) as i64),
+                Value::int((i / k) as i64),
+            ];
+            s.insert(row.into());
+        }
+        for (topic, day) in [(0, 0), (7, 12), (k - 1, k - 1)] {
+            let bound = [(1, Value::int(topic as i64)), (2, Value::int(day as i64))];
+            assert_eq!(s.scan(&bound).collect::<Vec<_>>(), vec![day * k + topic]);
+            assert_eq!(s.estimate(&bound), k);
         }
     }
 
     #[test]
-    fn duplicates_ignored_everywhere() {
-        for kind in BackendKind::ALL {
-            let mut b = filled(kind);
-            assert!(!b.insert(tuples().swap_remove(0)));
-            assert_eq!(b.len(), 4, "{kind:?}");
-        }
+    fn zero_arity_store_behaves() {
+        let mut b = RowStore::new(0);
+        assert!(!b.contains(&[]));
+        assert!(b.insert(Tuple::new(Vec::new())));
+        assert!(!b.insert(Tuple::new(Vec::new())));
+        assert_eq!(b.len(), 1);
+        assert!(b.contains(&[]));
+        assert_eq!(b.scan(&[]).collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn duplicates_ignored() {
+        let mut b = filled();
+        assert!(!b.insert(tuples().swap_remove(0)));
+        assert_eq!(b.len(), 4);
+        assert_eq!(b.bucket(0, &Value::int(1)), &[0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn a_descending_scan_is_caught() {
+        Scan::new([2, 1].into_iter(), AccessPath::FullScan).for_each(drop);
     }
 }

@@ -1,8 +1,8 @@
-//! Tables: a relation schema bound to a pluggable [`Storage`] backend.
+//! Tables: a relation schema bound to a [`Storage`].
 
 use crate::error::DbError;
 use crate::schema::RelationSchema;
-use crate::storage::{BackendKind, Scan, Storage};
+use crate::storage::{RowStore, Scan, Storage};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -10,13 +10,12 @@ use std::collections::HashSet;
 /// A stored relation: schema plus physical storage.
 ///
 /// All data access goes through the [`Storage`] trait, so the evaluator
-/// and the engines above it are agnostic to the representation: the
-/// default per-column-hash [`crate::storage::RowStore`], the
-/// composite-index [`crate::storage::CompositeStore`], or any other
-/// implementation via [`Table::with_storage`]. For the paper's workloads
-/// (tables of up to 10⁶ rows with 2–4 columns) every bound-column lookup
-/// is O(bucket), which is what the backtracking join in [`crate::eval`]
-/// relies on.
+/// and the engines above it are agnostic to the representation: tables
+/// live on a [`RowStore`], and test fakes and oracles come in through
+/// [`Table::with_storage`]. For the paper's workloads (tables of up to
+/// 10⁶ rows with 2–4 columns) a probe costs O(matching rows) plus one
+/// galloping seek per extra bound column, which is what the
+/// backtracking join in [`crate::eval`] relies on.
 #[derive(Debug)]
 pub struct Table {
     schema: RelationSchema,
@@ -24,15 +23,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create an empty table with the given schema on the default
-    /// (row-store) backend.
+    /// Create an empty table with the given schema on a [`RowStore`].
     pub fn new(schema: RelationSchema) -> Self {
-        Self::with_backend(schema, BackendKind::Row)
-    }
-
-    /// Create an empty table on the given in-tree backend.
-    pub fn with_backend(schema: RelationSchema, kind: BackendKind) -> Self {
-        let store = kind.new_store(schema.arity());
+        let store = Box::new(RowStore::new(schema.arity()));
         Table { schema, store }
     }
 
@@ -54,7 +47,7 @@ impl Table {
         &self.schema
     }
 
-    /// The table's storage backend.
+    /// The table's storage.
     pub fn storage(&self) -> &dyn Storage {
         self.store.as_ref()
     }
@@ -83,8 +76,8 @@ impl Table {
         Ok(self.store.insert(tuple))
     }
 
-    /// O(1) membership test for a fully grounded tuple (allocation-free:
-    /// backends test the borrowed slice directly).
+    /// Membership test for a fully grounded tuple (on a [`RowStore`],
+    /// the intersection of its values' posting lists).
     pub fn contains(&self, values: &[Value]) -> bool {
         // Cheap arity guard: a wrong-arity tuple is never a member.
         if values.len() != self.schema.arity() {
@@ -110,16 +103,16 @@ impl Table {
         })
     }
 
-    /// Candidate rows for the given equality constraints, with the
-    /// access path that serves them (possibly a superset — callers
-    /// re-verify).
+    /// Candidate rows for the given equality constraints, strictly
+    /// ascending, with the access path that serves them (possibly a
+    /// superset — callers re-verify).
     pub fn scan(&self, bound: &[(usize, Value)]) -> Scan<'_> {
         self.store.scan(bound)
     }
 
     /// Exact number of rows matching the most selective single bound
-    /// column (backend-independent; see [`crate::storage`]'s
-    /// determinism contract).
+    /// column (store-independent; see [`crate::storage`]'s determinism
+    /// contract).
     pub fn estimate(&self, bound: &[(usize, Value)]) -> usize {
         self.store.estimate(bound)
     }
@@ -136,12 +129,6 @@ impl Table {
     /// Number of distinct values in column `col`.
     pub fn distinct_count(&self, col: usize) -> usize {
         self.store.distinct_count(col)
-    }
-
-    /// Advise the backend that the given multi-column equality pattern
-    /// will be probed (no-op on backends without composite indexes).
-    pub fn advise_index(&self, cols: &[usize]) {
-        self.store.ensure_index(cols);
     }
 
     /// Distinct projections of the given columns over rows matching the
@@ -167,18 +154,27 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::ScanStore;
 
-    fn flights_on(kind: BackendKind) -> Table {
-        let schema = RelationSchema::new("Flights", ["id", "dest"]).unwrap();
-        let mut t = Table::with_backend(schema, kind);
+    fn fill(mut t: Table) -> Table {
         t.insert(vec![Value::int(1), Value::str("Zurich")]).unwrap();
         t.insert(vec![Value::int(2), Value::str("Paris")]).unwrap();
         t.insert(vec![Value::int(3), Value::str("Zurich")]).unwrap();
         t
     }
 
+    fn schema() -> RelationSchema {
+        RelationSchema::new("Flights", ["id", "dest"]).unwrap()
+    }
+
     fn flights() -> Table {
-        flights_on(BackendKind::Row)
+        fill(Table::new(schema()))
+    }
+
+    /// The flights table on a [`RowStore`], then on the full-scan oracle.
+    fn flights_and_oracle() -> [Table; 2] {
+        let oracle = Table::with_storage(schema(), Box::new(ScanStore::new(2))).unwrap();
+        [flights(), fill(oracle)]
     }
 
     #[test]
@@ -205,8 +201,7 @@ mod tests {
 
     #[test]
     fn contains_grounded() {
-        for kind in BackendKind::ALL {
-            let t = flights_on(kind);
+        for t in flights_and_oracle() {
             assert!(t.contains(&[Value::int(2), Value::str("Paris")]));
             assert!(!t.contains(&[Value::int(2), Value::str("Zurich")]));
             assert!(!t.contains(&[Value::int(2)]));
@@ -215,8 +210,7 @@ mod tests {
 
     #[test]
     fn lookup_uses_index() {
-        for kind in BackendKind::ALL {
-            let t = flights_on(kind);
+        for t in flights_and_oracle() {
             let zurich_rows = t.lookup(1, &Value::str("Zurich"));
             assert_eq!(zurich_rows, vec![0, 2]);
             assert_eq!(t.lookup(1, &Value::str("Oslo")).len(), 0);
@@ -225,8 +219,7 @@ mod tests {
 
     #[test]
     fn distinct_count_per_column() {
-        for kind in BackendKind::ALL {
-            let t = flights_on(kind);
+        for t in flights_and_oracle() {
             assert_eq!(t.distinct_count(0), 3);
             assert_eq!(t.distinct_count(1), 2);
         }
@@ -243,8 +236,7 @@ mod tests {
 
     #[test]
     fn distinct_project_bound() {
-        for kind in BackendKind::ALL {
-            let t = flights_on(kind);
+        for t in flights_and_oracle() {
             let ids = t.distinct_project(&[0], &[(1, Value::str("Zurich"))]);
             assert_eq!(ids.len(), 2);
             let none = t.distinct_project(&[0], &[(1, Value::str("Oslo"))]);
@@ -254,8 +246,7 @@ mod tests {
 
     #[test]
     fn iter_rows_in_insertion_order() {
-        for kind in BackendKind::ALL {
-            let t = flights_on(kind);
+        for t in flights_and_oracle() {
             let rows: Vec<Vec<Value>> = t.iter_rows().collect();
             assert_eq!(rows.len(), 3);
             assert_eq!(rows[1], vec![Value::int(2), Value::str("Paris")]);
@@ -264,7 +255,6 @@ mod tests {
 
     #[test]
     fn custom_storage_arity_is_checked() {
-        use crate::storage::RowStore;
         let schema = RelationSchema::new("R", ["a", "b"]).unwrap();
         assert!(Table::with_storage(schema.clone(), Box::new(RowStore::new(3))).is_err());
         let t = Table::with_storage(schema, Box::new(RowStore::new(2))).unwrap();

@@ -28,16 +28,6 @@ impl Deref for Tuple {
     }
 }
 
-/// Lets `HashSet<Tuple>` answer membership for a borrowed `&[Value]`
-/// without allocating a temporary `Tuple` — the hot path of ground-atom
-/// probes. Sound because `Tuple`'s derived `Hash`/`Eq` delegate to the
-/// boxed slice, which hashes identically to `[Value]`.
-impl std::borrow::Borrow<[Value]> for Tuple {
-    fn borrow(&self) -> &[Value] {
-        &self.0
-    }
-}
-
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;

@@ -57,9 +57,9 @@ pub fn flights_coordination(
 /// Row `i` is `(i, "g{i % k}", i / k)`: both the topic pool and the day
 /// range have ≈√rows values, so any *single-column* equality bucket
 /// holds ≈√rows rows while the *(topic, day)* pair pins exactly one row.
-/// That makes the table the storage-backend stress case: per-probe work
-/// grows with √N for single-column indexes but stays flat once a
-/// composite (topic, day) index is active. Topic strings are interned
+/// That makes the table the storage stress case: per-probe work would
+/// grow with √N on a single-column walk and stays flat because the
+/// row store intersects the (topic, day) posting lists. Topic strings are interned
 /// once per pool entry, so a 10⁶-row build clones `Value`s instead of
 /// formatting a million strings.
 pub fn activity_pool(db: &mut Database, name: &str, rows: usize) -> Result<usize, DbError> {

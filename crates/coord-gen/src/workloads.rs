@@ -5,7 +5,7 @@ use crate::social::{complete_friendship_table, tag_for, tuple_pool, user_name};
 use crate::tables::{activity_pool, activity_topic_count, flights_coordination};
 use coord_core::consistent::{ConsistentConfig, ConsistentQuery};
 use coord_core::{EntangledQuery, QueryBuilder};
-use coord_db::{BackendKind, Database};
+use coord_db::Database;
 use coord_graph::{DiGraph, NodeId};
 use rand::prelude::*;
 
@@ -90,10 +90,9 @@ pub fn pool_db(rows: usize) -> Database {
 pub const ACTIVITY_TABLE: &str = "A";
 
 /// A database holding only the [`activity_pool`] table `A(id, topic,
-/// day)` with `rows` rows, every table created with the given storage
-/// backend.
-pub fn activity_db(rows: usize, kind: BackendKind) -> Database {
-    let mut db = Database::with_backend(kind);
+/// day)` with `rows` rows.
+pub fn activity_db(rows: usize) -> Database {
+    let mut db = Database::new();
     activity_pool(&mut db, ACTIVITY_TABLE, rows).expect("activity table");
     db
 }
@@ -107,12 +106,12 @@ pub fn activity_db(rows: usize, kind: BackendKind) -> Database {
 ///
 /// where `k = ⌈√rows⌉` matches the pool built by [`activity_db`]. The
 /// two body constants select exactly one row, but any *single*-column
-/// index bucket for either constant holds ≈√rows rows — and because `r`
-/// is the *largest* row id in its topic bucket (for `i < k`), a
-/// single-column scan walks the whole bucket before matching instead of
-/// stopping at its first candidate. Per-submit probe work therefore
-/// grows with √N on the plain row store and stays flat once a composite
-/// (topic, day) index is active.
+/// posting list for either constant holds ≈√rows rows — and because `r`
+/// is the *largest* row id in its topic list (for `i < k`), a
+/// single-column walk would scan the whole list before matching instead
+/// of stopping at its first candidate. Per-submit probe work would
+/// therefore grow with √N; the row store's intersection of the (strided)
+/// topic list and the (contiguous) day list keeps it flat.
 pub fn activity_partner_query(i: usize, partners: &[usize], rows: usize) -> EntangledQuery {
     assert!(i < rows, "user id {i} needs an activity row to target");
     let r = rows - 1 - i;
@@ -134,7 +133,7 @@ pub fn activity_partner_query(i: usize, partners: &[usize], rows: usize) -> Enta
 
 /// The Figure 4 list structure over the activity table: each query
 /// coordinates with the next, the last requires nobody. Pair with
-/// [`activity_db`]`(rows, kind)` for the storage-backend experiments.
+/// [`activity_db`]`(rows)` for the storage experiments.
 pub fn activity_chain_queries(n: usize, rows: usize) -> Vec<EntangledQuery> {
     (0..n)
         .map(|i| {
@@ -344,6 +343,7 @@ mod tests {
     use coord_core::graphs::{is_safe, is_unique};
     use coord_core::scc::SccCoordinator;
     use coord_core::QuerySet;
+    use coord_db::testkit::scan_copy;
 
     #[test]
     fn fig4_chain_is_safe_not_unique_and_fully_coordinates() {
@@ -395,18 +395,25 @@ mod tests {
     }
 
     #[test]
-    fn activity_chain_coordinates_on_every_backend() {
-        let rows = 10_000; // k = 100: single-column buckets of 100 rows
+    fn activity_chain_coordinates_on_the_store_and_the_oracle() {
+        let rows = 10_000; // k = 100: single-column posting lists of 100 rows
         let n = 12;
         let queries = activity_chain_queries(n, rows);
-        let mut per_backend = Vec::new();
-        for kind in BackendKind::ALL {
-            let db = activity_db(rows, kind);
-            let out = SccCoordinator::new(&db).run(&queries).unwrap();
-            assert_eq!(out.found.len(), n, "backend {}", kind.name());
-            per_backend.push(out.best().unwrap().len());
+        let db = activity_db(rows);
+        let oracle = scan_copy(&db);
+        let mut best = Vec::new();
+        for db in [&db, &oracle] {
+            let out = SccCoordinator::new(db).run(&queries).unwrap();
+            assert_eq!(out.found.len(), n);
+            best.push(
+                out.best_names()
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>(),
+            );
         }
-        assert!(per_backend.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(best[0], best[1]);
+        assert_eq!(best[0].len(), n);
     }
 
     #[test]

@@ -226,7 +226,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// On evaluator error the query is rejected and the pending set is
     /// left untouched (evaluation happens *before* the state commits).
     /// `id` names the query while it is pending and when it retires.
-    // lint: scans-slabs
     pub fn submit(&mut self, id: u64, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
         EngineMetrics::add(&self.metrics.submits, 1);
         let provides = query.provides();
@@ -314,7 +313,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// cross-shard merge migrates queries between shards: linked pairs
     /// are always co-sharded, so migrated queries cannot newly coordinate
     /// until a later submit touches their component.
-    // lint: scans-slabs
     pub fn insert_pending(&mut self, id: u64, query: Q) {
         let provides = query.provides();
         let requires = query.requires();
@@ -378,7 +376,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// groups by cost. Ordered by component root token so victim
     /// selection (and therefore single-threaded rebalancing) is
     /// deterministic.
-    // lint: scans-slabs
     pub fn component_groups(&self) -> Vec<ComponentGroup<Q::Rel, Q::Cst>> {
         let mut roots: Vec<usize> = self.members.keys().copied().collect();
         roots.sort_unstable();
@@ -412,7 +409,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// freeze (mark) a component group's complete key closure *before*
     /// extracting it, so the router write lock never has to be held
     /// across the slab scan.
-    // lint: scans-slabs
     pub fn related_keys(
         &mut self,
         seed: &[KeyPattern<Q::Rel, Q::Cst>],
@@ -424,7 +420,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
     /// a key related to `seed` — *transitively*: keys of extracted
     /// queries join the working set, so all holders of every affected
     /// key leave together (the invariant cross-shard routing relies on).
-    // lint: scans-slabs
     pub fn extract_related(&mut self, seed: &[KeyPattern<Q::Rel, Q::Cst>]) -> Vec<(u64, Q)> {
         let (selected, _keys) = self.select_related(seed);
 

@@ -21,6 +21,10 @@
 //!   hot shard from the per-shard load windows and moves its costliest
 //!   component groups to colder shards through the marker-based
 //!   migration protocol,
+//! * [`lock_order`] — the lock DAG as types: every engine and store
+//!   lock is a [`lock_order::OrderedMutex`] or
+//!   [`lock_order::OrderedRwLock`] at a declared level, so an
+//!   out-of-order acquisition does not compile,
 //! * [`metrics::EngineMetrics`] — submit/pairing/evaluation counters
 //!   (including the per-submit work figures `reproduce --only online`
 //!   gates) and per-shard load/contention stats
@@ -36,7 +40,7 @@
 
 pub mod engine;
 pub mod index;
-pub mod lockrank;
+pub mod lock_order;
 pub mod metrics;
 pub mod rebalance;
 pub mod sharded;

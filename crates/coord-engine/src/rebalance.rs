@@ -30,6 +30,7 @@
 //! `tests/equivalence_props.rs`, gated by `reproduce --only shard_skew`).
 
 use crate::engine::{ComponentEvaluator, CoordinationQuery};
+use crate::lock_order::{self, LockCtx};
 use crate::sharded::ShardedEngine;
 
 /// Tuning for [`Rebalancer`].
@@ -94,9 +95,13 @@ impl Rebalancer {
     }
 
     /// One detection + (if triggered) move pass. Cheap when balanced:
-    /// a lock-free stats scan and nothing else.
-    // lint: acquires(migration_lock, router, shard.engine)
-    pub fn run<Q, V>(&mut self, engine: &ShardedEngine<Q, V>) -> RebalanceReport
+    /// a lock-free stats scan and nothing else. `ctx` is the context of
+    /// the engine's rebalancer lock, which the pass holds throughout.
+    pub fn run<Q, V>(
+        &mut self,
+        ctx: &mut LockCtx<'_, lock_order::Rebalancer>,
+        engine: &ShardedEngine<Q, V>,
+    ) -> RebalanceReport
     where
         Q: CoordinationQuery,
         V: ComponentEvaluator<Q>,
@@ -157,7 +162,7 @@ impl Rebalancer {
         // — the mis-aimed move still resets its cost (migration
         // re-inserts), so subsequent passes re-attribute correctly and
         // the system converges instead of oscillating.
-        let mut victims = engine.shard_component_groups(hot);
+        let mut victims = engine.shard_component_groups_in(ctx, hot);
         // Stable sort over the (root-ordered) scan: costliest first,
         // deterministic among ties.
         victims.sort_by_key(|g| std::cmp::Reverse(g.cost));
@@ -180,7 +185,7 @@ impl Rebalancer {
             if cold == hot || load == 0 || load >= projected[hot].saturating_sub(projected[cold]) {
                 continue;
             }
-            let moved = engine.rebalance_group(&group.keys, cold);
+            let moved = engine.rebalance_group_in(ctx, &group.keys, cold);
             if moved == 0 {
                 continue; // retired or merged since the scan
             }

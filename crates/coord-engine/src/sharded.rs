@@ -5,7 +5,7 @@
 //! ## Design
 //!
 //! Each shard owns an [`IncrementalEngine`] behind its own mutex. A
-//! read-mostly **routing table** ([`parking_lot::RwLock`]) maps every key
+//! read-mostly **routing table** (an [`OrderedRwLock`]) maps every key
 //! pattern held by a pending query to the shard that owns it, with the
 //! invariant that *all holders of related keys are co-sharded* — so any
 //! two queries that could ever coordinate always meet inside one shard.
@@ -67,34 +67,31 @@
 //! deadlock. Migrations (bridge-driven, rollback, and rebalancer moves
 //! alike) take shard locks one at a time with no router lock held, and
 //! are **serialized** on a dedicated migration lock (acquired with no
-//! other lock held): seeds that look disjoint can still grow colliding
-//! transitive closures, and one-at-a-time execution keeps the marker
-//! set owned by exactly one migration. Unrelated submitters never touch
+//! other lock held, except by a rebalance pass): seeds that look
+//! disjoint can still grow colliding transitive closures, and
+//! one-at-a-time execution keeps the marker set owned by exactly one
+//! migration. Unrelated submitters never touch
 //! that lock.
 //!
 //! ## Lock ordering
 //!
-//! The prose above is *checked*, not just documented. Every lock in the
-//! workspace carries a numeric rank in the shared table
-//! [`coord_lint::ranks`] (re-exported as [`crate::lockrank`]), and a
-//! thread may only block on a lock whose rank is **≤ the minimum rank
-//! it already holds** (equal rank is allowed — source and target shard
-//! engines during a migration, serialized by the higher-ranked
-//! migration lock). For this module:
+//! The prose above is *checked*, not just documented: every lock here
+//! is an ordered lock of [`crate::lock_order`], whose DAG for this
+//! module is
 //!
 //! ```text
-//! rebalancer (70) > migration_lock (60) > router (50) > shard.engine (40)
+//! Rebalancer → Migration → Router,  Migration → ShardEngine,  Rebalancer → ShardEngine
 //! ```
 //!
-//! Non-blocking `try_*` acquisitions are exempt: a thread that backs
-//! off on failure cannot close a deadlock cycle, which is exactly why
-//! shard-lock holders poll the router with `try_read` only. Two oracles
-//! enforce the DAG from the same table: the `coord-lint` static
-//! analyzer (rules L1–L4, run in CI with `--deny`) proves the ordering
-//! lexically, and the [`crate::lockrank`] runtime validator (compiled
-//! in under `debug-assertions`) asserts it on every ranked acquisition
-//! while the test suite runs — guard sites here are wrapped in
-//! [`crate::lockrank::ranked`].
+//! Public methods start from the root context; private helpers take
+//! their caller's, so acquiring against the DAG does not compile. There
+//! is no `Router → ShardEngine` edge, which is what keeps slab scans out
+//! from under the router lock, and no `ShardEngine → ShardEngine` edge,
+//! so a migration moves queries one shard lock at a time. Shard-lock
+//! holders poll the router with `try_read` only, which needs no edge: a
+//! thread that backs off on failure cannot close a deadlock cycle. The
+//! mark gate's wait demands the root context, so nobody parks while
+//! holding a guard.
 //!
 //! Submitters whose keys *are* mid-migration park on a condvar-backed
 //! mark gate that the migration notifies when it lifts its marks —
@@ -106,15 +103,16 @@ use crate::engine::{
     ComponentEvaluator, ComponentGroup, CoordinationQuery, IncrementalEngine, SubmitOutcome,
 };
 use crate::index::{keys_related, KeyPattern};
-use crate::lockrank::{self, LockRank};
+use crate::lock_order::{
+    self, Guard, LockAfter, LockCtx, MarkGate, OrderedMutex, OrderedRwLock, Unlocked,
+};
 use crate::metrics::{EngineMetrics, ShardStats, ShardStatsSnapshot};
 use crate::rebalance::{RebalanceConfig, RebalanceReport, Rebalancer};
 use coord_obs::{Gauge, Histogram, Registry, TraceCtx, Tracer};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, MutexGuard};
+use std::time::Duration;
 
 /// How a query whose keys are unclaimed picks its shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -127,55 +125,6 @@ pub enum Placement {
     /// [`Placement::RoundRobin`].
     #[default]
     LeastLoaded,
-}
-
-/// A condvar-backed generation counter: submitters blocked on migration
-/// marks park here instead of sleeping blind, and every migration bumps
-/// the generation (waking all waiters) when it lifts its marks.
-struct MarkGate {
-    generation: std::sync::Mutex<u64>,
-    lifted: std::sync::Condvar,
-}
-
-impl MarkGate {
-    fn new() -> Self {
-        MarkGate {
-            generation: std::sync::Mutex::new(0),
-            lifted: std::sync::Condvar::new(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        *self
-            .generation
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Marks were lifted: wake every parked submitter.
-    fn bump(&self) {
-        *self
-            .generation
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
-        self.lifted.notify_all();
-    }
-
-    /// Park until the generation moves past `seen` (some migration
-    /// lifted marks after the caller sampled it) or `timeout` elapses —
-    /// the timeout is only a safety net; the normal exit is a wake-up.
-    fn wait_past(&self, seen: u64, timeout: Duration) {
-        let guard = self
-            .generation
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *guard != seen {
-            return;
-        }
-        let _ = self
-            .lifted
-            .wait_timeout_while(guard, timeout, |generation| *generation == seen);
-    }
 }
 
 /// One key pattern's routing entry.
@@ -331,7 +280,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
 }
 
 struct Shard<Q: CoordinationQuery, V> {
-    engine: Mutex<IncrementalEngine<Q, V>>,
+    engine: OrderedMutex<lock_order::ShardEngine, IncrementalEngine<Q, V>>,
     /// Shared with the shard's engine (which records its evaluation
     /// work here) and read lock-free by placement and the rebalancer.
     stats: Arc<ShardStats>,
@@ -430,7 +379,7 @@ impl Drop for InflightGuard<'_> {
 /// `SharedEngine`'s single global mutex with per-component shards.
 pub struct ShardedEngine<Q: CoordinationQuery, V> {
     shards: Vec<Shard<Q, V>>,
-    router: RwLock<Router<Q::Rel, Q::Cst>>,
+    router: OrderedRwLock<lock_order::Router, Router<Q::Rel, Q::Cst>>,
     metrics: Arc<EngineMetrics>,
     placement: Placement,
     next_shard: AtomicUsize,
@@ -440,13 +389,13 @@ pub struct ShardedEngine<Q: CoordinationQuery, V> {
     /// exactly one in-flight migration — which is what lets `mark`
     /// skip dedup and `unmark` clear wholesale. Migrations are rare;
     /// unrelated submitters never touch this lock.
-    migration_lock: Mutex<()>,
+    migration_lock: OrderedMutex<lock_order::Migration, ()>,
     /// Wakes submitters parked on migration marks when a migration
     /// publishes and lifts them.
     mark_gate: MarkGate,
     /// Skew correction state (see [`Self::rebalance`]): the one owner of
     /// the load watermarks, so concurrent passes serialize here.
-    rebalancer: Mutex<Rebalancer>,
+    rebalancer: OrderedMutex<lock_order::Rebalancer, Rebalancer>,
     /// Registry-backed histograms and tracer (see [`EngineObs`]).
     obs: EngineObs,
 }
@@ -481,7 +430,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q> + Clone> ShardedEngine<Q, V>
                 engine.set_shard_stats(Arc::clone(&stats));
                 engine.set_tracer(obs.tracer.clone());
                 Shard {
-                    engine: Mutex::new(engine),
+                    engine: OrderedMutex::new(engine),
                     stats,
                     pending_gauge: obs.registry.gauge(&format!("shard_pending_{i}")),
                 }
@@ -489,13 +438,13 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q> + Clone> ShardedEngine<Q, V>
             .collect();
         ShardedEngine {
             shards,
-            router: RwLock::new(Router::new()),
+            router: OrderedRwLock::new(Router::new()),
             metrics,
             placement,
             next_shard: AtomicUsize::new(0),
-            migration_lock: Mutex::new(()),
+            migration_lock: OrderedMutex::new(()),
             mark_gate: MarkGate::new(),
-            rebalancer: Mutex::new(Rebalancer::new(RebalanceConfig::default())),
+            rebalancer: OrderedMutex::new(Rebalancer::new(RebalanceConfig::default())),
             obs,
         }
     }
@@ -538,9 +487,19 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Component groups (keys, size, observed cost) currently resident
     /// on `shard`, scanned under that shard's lock only — the
     /// rebalancer's victim-selection input.
-    // lint: acquires(shard.engine)
     pub fn shard_component_groups(&self, shard: usize) -> Vec<ComponentGroup<Q::Rel, Q::Cst>> {
-        lockrank::ranked(LockRank::ShardEngine, self.shards[shard].engine.lock()).component_groups()
+        self.shard_component_groups_in(&mut LockCtx::root(), shard)
+    }
+
+    pub(crate) fn shard_component_groups_in<A>(
+        &self,
+        ctx: &mut LockCtx<'_, A>,
+        shard: usize,
+    ) -> Vec<ComponentGroup<Q::Rel, Q::Cst>>
+    where
+        lock_order::ShardEngine: LockAfter<A>,
+    {
+        self.shards[shard].engine.lock(ctx).0.component_groups()
     }
 
     /// Pick the shard a fresh component lands on.
@@ -571,43 +530,42 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
 
     /// Take a shard's engine lock, recording contention and lock-wait
     /// time when it is already held.
-    // lint: acquires(shard.engine) returns-guard
     fn lock_shard<'a>(
         &'a self,
+        ctx: &'a mut LockCtx<'_, Unlocked>,
         shard: &'a Shard<Q, V>,
-    ) -> lockrank::Ranked<parking_lot::MutexGuard<'a, IncrementalEngine<Q, V>>> {
-        // lint: backoff — uncontended fast path only; a miss falls
-        // through to the blocking lock below after recording contention
-        match shard.engine.try_lock() {
-            Some(guard) => lockrank::ranked(LockRank::ShardEngine, guard),
-            None => {
-                EngineMetrics::add(&shard.stats.contended, 1);
-                let start = Instant::now();
-                let guard = lockrank::ranked(LockRank::ShardEngine, shard.engine.lock());
-                let waited = start.elapsed().as_nanos() as u64;
-                EngineMetrics::add(&shard.stats.lock_wait_nanos, waited);
-                self.obs.lock_wait_hist.record(waited);
-                self.obs
-                    .tracer
-                    .instant_in(TraceCtx::current(), "lock_wait", waited);
-                guard
-            }
+    ) -> (
+        Guard<MutexGuard<'a, IncrementalEngine<Q, V>>>,
+        LockCtx<'a, lock_order::ShardEngine>,
+    ) {
+        let (guard, ctx, waited) = shard.engine.lock_timed(ctx);
+        if let Some(waited) = waited {
+            let waited = waited.as_nanos() as u64;
+            EngineMetrics::add(&shard.stats.contended, 1);
+            EngineMetrics::add(&shard.stats.lock_wait_nanos, waited);
+            self.obs.lock_wait_hist.record(waited);
+            self.obs
+                .tracer
+                .instant_in(TraceCtx::current(), "lock_wait", waited);
         }
+        (guard, ctx)
     }
 
     /// Total pending queries across shards.
     pub fn pending_count(&self) -> usize {
+        let mut ctx = LockCtx::root();
         self.shards
             .iter()
-            .map(|s| lockrank::ranked(LockRank::ShardEngine, s.engine.lock()).pending_count())
+            .map(|s| s.engine.lock(&mut ctx).0.pending_count())
             .sum()
     }
 
     /// Total maintained components across shards.
     pub fn component_count(&self) -> usize {
+        let mut ctx = LockCtx::root();
         self.shards
             .iter()
-            .map(|s| lockrank::ranked(LockRank::ShardEngine, s.engine.lock()).component_count())
+            .map(|s| s.engine.lock(&mut ctx).0.component_count())
             .sum()
     }
 
@@ -619,10 +577,13 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Clones of all pending queries with their ids (shard by shard; a
     /// moving snapshot under concurrent submits).
     pub fn pending(&self) -> Vec<(u64, Q)> {
+        let mut ctx = LockCtx::root();
         let mut out = Vec::new();
         for s in &self.shards {
             out.extend(
-                lockrank::ranked(LockRank::ShardEngine, s.engine.lock())
+                s.engine
+                    .lock(&mut ctx)
+                    .0
                     .pending()
                     .map(|(id, q)| (id, q.clone())),
             );
@@ -636,16 +597,17 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// backs off briefly, unrelated traffic never blocks). Safe to call
     /// from any thread at any time — rebalancing never changes a
     /// coordination result (see `tests/equivalence_props.rs`).
-    // lint: acquires(migration_lock, router, shard.engine)
     pub fn rebalance(&self) -> RebalanceReport {
-        lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()).run(self)
+        let mut root = LockCtx::root();
+        let (mut rebalancer, mut ctx) = self.rebalancer.lock(&mut root);
+        rebalancer.run(&mut ctx, self)
     }
 
     /// Replace the rebalancer's tuning (and reset its load watermarks).
     /// The default is conservative; tests and small deployments can
     /// lower the window/threshold so passes trigger on light traffic.
     pub fn set_rebalance_config(&self, config: RebalanceConfig) {
-        **lockrank::ranked(LockRank::Rebalancer, self.rebalancer.lock()) = Rebalancer::new(config);
+        *self.rebalancer.lock(&mut LockCtx::root()).0 = Rebalancer::new(config);
     }
 
     /// Check every shard's internal consistency (slab, index,
@@ -654,8 +616,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// # Panics
     /// Panics with a description if an invariant is violated.
     pub fn validate_invariants(&self) {
+        let mut ctx = LockCtx::root();
         for s in &self.shards {
-            lockrank::ranked(LockRank::ShardEngine, s.engine.lock()).validate_invariants();
+            s.engine.lock(&mut ctx).0.validate_invariants();
         }
     }
 
@@ -679,22 +642,26 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let _ticket = self.obs.tracer.ticket("submit");
         let _inflight = InflightGuard::enter(&self.obs.inflight);
         let _timer = self.obs.submit_hist.start();
+        let mut ctx = LockCtx::root();
         let qkeys = route_keys(&query);
         let mut migrated: MigrationRecord<Q> = Vec::new();
-        let target = self.claim(&qkeys, &mut migrated, true);
+        let target = self.claim(&mut ctx, &qkeys, &mut migrated, true);
         let (shard, outcome) =
-            self.with_owned_shard(&qkeys, target, &mut migrated, true, |e| e.submit(id, query));
-        (shard, self.finish(&qkeys, migrated, outcome))
+            self.with_owned_shard(&mut ctx, &qkeys, target, &mut migrated, true, |e| {
+                e.submit(id, query)
+            });
+        (shard, self.finish(&mut ctx, &qkeys, migrated, outcome))
     }
 
     /// Insert a query that is known to be stable-pending — recovered
     /// from the durable store's log, where it demonstrably did not
     /// coordinate — routing it like a submit but skipping evaluation.
     pub fn insert_pending(&self, id: u64, query: Q) {
+        let mut ctx = LockCtx::root();
         let qkeys = route_keys(&query);
         let mut migrated: MigrationRecord<Q> = Vec::new();
-        let target = self.claim(&qkeys, &mut migrated, true);
-        self.with_owned_shard(&qkeys, target, &mut migrated, false, |e| {
+        let target = self.claim(&mut ctx, &qkeys, &mut migrated, true);
+        self.with_owned_shard(&mut ctx, &qkeys, target, &mut migrated, false, |e| {
             e.insert_pending(id, query);
         });
     }
@@ -702,9 +669,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Route `qkeys` to one shard and (optionally) claim them there,
     /// performing marker-based migrations first when the keys bridge
     /// shards. Never holds the router lock while migrating.
-    // lint: acquires(migration_lock, router, shard.engine)
     fn claim(
         &self,
+        ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
         migrated: &mut MigrationRecord<Q>,
         register: bool,
@@ -720,7 +687,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             // immediately (no lost wake-up).
             let mark_generation = self.mark_gate.generation();
             let plan = {
-                let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+                let (mut router, _) = self.router.write(ctx);
                 if router.blocked(qkeys) {
                     None
                 } else {
@@ -774,11 +741,11 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                         // waiters hammering exactly the lock the
                         // marker protocol keeps free.
                         self.mark_gate
-                            .wait_past(mark_generation, Duration::from_millis(50));
+                            .wait_past(ctx, mark_generation, Duration::from_millis(50));
                     }
                     backoffs += 1;
                 }
-                Some(()) => self.perform_migration(qkeys, migrated),
+                Some(()) => self.perform_migration(ctx, qkeys, migrated),
             }
         }
     }
@@ -790,16 +757,16 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// transitive key closure is frozen and moved, and the new routes
     /// published. Shard locks are taken one at a time; the router write
     /// lock is only held for brief table work.
-    // lint: acquires(migration_lock, router, shard.engine)
     fn perform_migration(
         &self,
+        ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
         migrated: &mut MigrationRecord<Q>,
     ) {
-        let _one_at_a_time = lockrank::ranked(LockRank::Migration, self.migration_lock.lock());
+        let (_one_at_a_time, mut ctx) = self.migration_lock.lock(ctx);
         // Re-plan under the lock with fresh routing state.
         let plan = {
-            let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+            let (mut router, _) = self.router.write(&mut ctx);
             let owners = router.owners_related(qkeys);
             if owners.len() <= 1 {
                 return;
@@ -819,7 +786,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                 target,
             }
         };
-        let (moved, _) = self.execute_migration(plan.seed, &plan.sources, plan.target);
+        let (moved, _) = self.execute_migration(&mut ctx, plan.seed, &plan.sources, plan.target);
         migrated.extend(moved);
     }
 
@@ -830,9 +797,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// or scanning a slab. Returns `(source, moved keys)` per drained
     /// shard — enough to undo the move — plus the number of queries
     /// moved.
-    // lint: acquires(router, shard.engine)
     fn execute_migration(
         &self,
+        ctx: &mut LockCtx<'_, lock_order::Migration>,
         mut seed: Vec<KeyPattern<Q::Rel, Q::Cst>>,
         sources: &[usize],
         target: usize,
@@ -858,8 +825,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                 // Plain lock(): a migration waiting out a long
                 // evaluation is expected, and must not pollute the
                 // submitter-facing contended / lock-wait signals.
-                let found = lockrank::ranked(LockRank::ShardEngine, self.shards[src].engine.lock())
-                    .related_keys(&frontier);
+                let found = self.shards[src].engine.lock(ctx).0.related_keys(&frontier);
                 for k in found {
                     if seen.insert(k.clone()) {
                         extra.push(k);
@@ -869,7 +835,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             if extra.is_empty() {
                 break;
             }
-            lockrank::ranked(LockRank::Router, self.router.write()).mark(&extra);
+            self.router.write(ctx).0.mark(&extra);
             seed.extend(extra.iter().cloned());
             frontier = extra;
         }
@@ -880,8 +846,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let mut queries_moved = 0usize;
         for &src in sources {
             let moved = {
-                let mut engine =
-                    lockrank::ranked(LockRank::ShardEngine, self.shards[src].engine.lock());
+                let (mut engine, _) = self.shards[src].engine.lock(ctx);
                 let moved = engine.extract_related(&seed);
                 self.shards[src]
                     .pending_gauge
@@ -896,8 +861,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             EngineMetrics::add(&self.shards[target].stats.migrated_in, moved.len() as u64);
             let mut moved_keys: Vec<KeyPattern<Q::Rel, Q::Cst>> = Vec::new();
             {
-                let mut tgt =
-                    lockrank::ranked(LockRank::ShardEngine, self.shards[target].engine.lock());
+                let (mut tgt, _) = self.shards[target].engine.lock(ctx);
                 for (id, q) in moved {
                     for k in route_keys(&q) {
                         if !moved_keys.contains(&k) {
@@ -919,7 +883,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         // move (or the marks) and follows — then lift the marks and
         // wake everyone parked on them.
         {
-            let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+            let (mut router, _) = self.router.write(ctx);
             for k in &seed {
                 router.reassign(k, target);
             }
@@ -936,16 +900,27 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// the routing table, so a group that retired, merged, or already
     /// moved since the caller scanned it is skipped. Returns the number
     /// of queries moved.
-    // lint: acquires(migration_lock, router, shard.engine)
     pub fn rebalance_group(
         &self,
         seed_keys: &[KeyPattern<Q::Rel, Q::Cst>],
         target: usize,
     ) -> usize {
+        self.rebalance_group_in(&mut LockCtx::root(), seed_keys, target)
+    }
+
+    pub(crate) fn rebalance_group_in<A>(
+        &self,
+        ctx: &mut LockCtx<'_, A>,
+        seed_keys: &[KeyPattern<Q::Rel, Q::Cst>],
+        target: usize,
+    ) -> usize
+    where
+        lock_order::Migration: LockAfter<A>,
+    {
         assert!(target < self.shards.len(), "target shard out of range");
-        let _one_at_a_time = lockrank::ranked(LockRank::Migration, self.migration_lock.lock());
+        let (_one_at_a_time, mut ctx) = self.migration_lock.lock(ctx);
         let plan = {
-            let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+            let (mut router, _) = self.router.write(&mut ctx);
             let Some((seed, source)) = Self::seed_on_one_shard(&router, seed_keys) else {
                 return 0;
             };
@@ -956,7 +931,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             (seed, source)
         };
         let (seed, source) = plan;
-        let moved = self.execute_migration(seed, &[source], target).1;
+        let moved = self.execute_migration(&mut ctx, seed, &[source], target).1;
         if moved > 0 {
             EngineMetrics::add(&self.metrics.rebalance_moves, 1);
         }
@@ -991,9 +966,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// target and none may be frozen by a migration (see the module docs
     /// for why this cannot deadlock or lose the query). Returns the
     /// shard `op` finally ran on alongside its result.
-    // lint: acquires(migration_lock, router, shard.engine)
     fn with_owned_shard<T>(
         &self,
+        ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
         mut target: usize,
         migrated: &mut MigrationRecord<Q>,
@@ -1003,32 +978,29 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let mut op = Some(op);
         loop {
             let shard = &self.shards[target];
-            let mut engine = self.lock_shard(shard);
+            let (mut engine, mut engine_ctx) = self.lock_shard(ctx, shard);
             if !qkeys.is_empty() {
-                // lint: backoff — a thread holding a shard lock never
-                // blocks on the router (deadlock-freedom argument in
-                // the module docs); on a miss both locks are released
-                match self.router.try_read() {
-                    Some(router) => {
-                        let consistent = qkeys.iter().all(|k| router.keys[k].shard == target)
-                            && !router.blocked(qkeys);
-                        if !consistent {
-                            // A migration raced our claim: follow the
-                            // keys (or wait out the marks) and retry.
-                            drop(router);
-                            drop(engine);
-                            target = self.claim(qkeys, migrated, false);
-                            continue;
-                        }
+                // A thread holding a shard lock never blocks on the
+                // router (there is no `Router` edge under `ShardEngine`);
+                // on a miss both locks are released before retrying.
+                let consistent = self.router.try_read(&mut engine_ctx).map(|(router, _)| {
+                    qkeys.iter().all(|k| router.keys[k].shard == target) && !router.blocked(qkeys)
+                });
+                match consistent {
+                    Some(true) => {}
+                    Some(false) => {
+                        // A migration raced our claim: follow the keys
+                        // (or wait out the marks) and retry.
+                        drop(engine);
+                        target = self.claim(ctx, qkeys, migrated, false);
+                        continue;
                     }
                     None => {
                         // A writer is active — possibly a migrator about
                         // to publish a move of our keys. Back off and
                         // retry without holding the shard lock.
                         drop(engine);
-                        target = lockrank::ranked(LockRank::Router, self.router.read()).keys
-                            [&qkeys[0]]
-                            .shard;
+                        target = self.router.read(ctx).0.keys[&qkeys[0]].shard;
                         continue;
                     }
                 }
@@ -1045,9 +1017,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Release the routing claims of whatever left the pending set — the
     /// rejected query, or the retired set — and undo a rejected bridge's
     /// migrations.
-    // lint: acquires(migration_lock, router, shard.engine)
     fn finish(
         &self,
+        ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
         migrated: MigrationRecord<Q>,
         outcome: Result<SubmitOutcome<Q, V::Delivery>, V::Error>,
@@ -1055,7 +1027,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         match outcome {
             Err(e) => {
                 {
-                    let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+                    let (mut router, _) = self.router.write(ctx);
                     for k in qkeys {
                         router.unregister(k);
                     }
@@ -1072,10 +1044,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                 // unrelated submitters keep routing while a rollback
                 // waits on a busy shard.
                 for (src, keys) in &migrated {
-                    let _one_at_a_time =
-                        lockrank::ranked(LockRank::Migration, self.migration_lock.lock());
+                    let (_one_at_a_time, mut ctx) = self.migration_lock.lock(ctx);
                     let plan = {
-                        let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+                        let (mut router, _) = self.router.write(&mut ctx);
                         // The group may have (partially) retired
                         // meanwhile — follow the surviving keys to
                         // wherever they live now, dropping any key
@@ -1091,13 +1062,13 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                         router.mark(&seed);
                         (seed, cur)
                     };
-                    self.execute_migration(plan.0, &[plan.1], *src);
+                    self.execute_migration(&mut ctx, plan.0, &[plan.1], *src);
                 }
                 Err(e)
             }
             Ok(out) => {
                 if !out.retired.is_empty() {
-                    let mut router = lockrank::ranked(LockRank::Router, self.router.write());
+                    let (mut router, _) = self.router.write(ctx);
                     for (_, q) in &out.retired {
                         for k in route_keys(q) {
                             router.unregister(&k);
@@ -1195,8 +1166,13 @@ mod tests {
         assert_eq!(engine.pending_count(), 0);
         assert_eq!(engine.metrics().snapshot().migrations, 1);
         // All routing state was released, no marks linger.
-        assert!(engine.router.read().keys.is_empty());
-        assert!(engine.router.read().migrating.is_empty());
+        assert!(engine.router.read(&mut LockCtx::root()).0.keys.is_empty());
+        assert!(engine
+            .router
+            .read(&mut LockCtx::root())
+            .0
+            .migrating
+            .is_empty());
     }
 
     #[test]
@@ -1217,7 +1193,8 @@ mod tests {
             )
             .unwrap();
         {
-            let router = engine.router.read();
+            let mut ctx = LockCtx::root();
+            let (router, _) = engine.router.read(&mut ctx);
             let slot = &router.keys[&("X", Some(9))];
             assert_eq!(slot.refs, 2);
         }
@@ -1289,7 +1266,7 @@ mod tests {
         let per_shard: Vec<usize> = engine
             .shards
             .iter()
-            .map(|s| s.engine.lock().pending_count())
+            .map(|s| s.engine.lock(&mut LockCtx::root()).0.pending_count())
             .collect();
         assert_eq!(
             per_shard.iter().filter(|&&n| n == 1).count(),
@@ -1302,7 +1279,8 @@ mod tests {
             .iter()
             .map(|s| {
                 s.engine
-                    .lock()
+                    .lock(&mut LockCtx::root())
+                    .0
                     .pending()
                     .map(|(id, q)| (id, q.name.clone()))
                     .collect()
@@ -1339,7 +1317,7 @@ mod tests {
         let engine = ShardedEngine::new(AlwaysFail, 2);
         engine.submit(0, chain_query(0, Some(1))).unwrap_err();
         assert_eq!(engine.pending_count(), 0);
-        assert!(engine.router.read().keys.is_empty());
+        assert!(engine.router.read(&mut LockCtx::root()).0.keys.is_empty());
     }
 
     #[test]
@@ -1368,7 +1346,7 @@ mod tests {
         let active: Vec<usize> = engine
             .shards
             .iter()
-            .map(|s| s.engine.lock().pending_count())
+            .map(|s| s.engine.lock(&mut LockCtx::root()).0.pending_count())
             .filter(|&n| n > 0)
             .collect();
         assert_eq!(active, vec![5], "chain split across shards");
@@ -1454,14 +1432,22 @@ mod tests {
         let per_shard: Vec<usize> = engine
             .shards
             .iter()
-            .map(|s| s.engine.lock().pending_count())
+            .map(|s| s.engine.lock(&mut LockCtx::root()).0.pending_count())
             .collect();
         assert_eq!(per_shard.iter().sum::<usize>(), 18);
         assert!(
             per_shard[0] < 16 && per_shard[1] > 2,
             "nothing actually moved: {per_shard:?}"
         );
-        assert!(engine.router.read().migrating.is_empty(), "marks leaked");
+        assert!(
+            engine
+                .router
+                .read(&mut LockCtx::root())
+                .0
+                .migrating
+                .is_empty(),
+            "marks leaked"
+        );
         // …and every group still coordinates exactly as before: the
         // routing table followed the move.
         for (g, len) in [(0i64, 8i64), (1, 1), (2, 8), (3, 1)] {
@@ -1509,7 +1495,8 @@ mod tests {
         // keep pointing at b's shard.
         assert_eq!(engine.rebalance_group(&stale_seed, 2), 1);
         {
-            let router = engine.router.read();
+            let mut ctx = LockCtx::root();
+            let (router, _) = engine.router.read(&mut ctx);
             assert_eq!(router.keys[&("R", Some(10))].shard, 2);
             assert_eq!(router.keys[&("R", Some(11))].shard, 1);
         }

@@ -78,15 +78,15 @@ use crate::codec::QueryCodec;
 use crate::error::{DurableError, StoreError};
 use crate::store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions};
 use crate::wal::SyncPolicy;
-use coord_engine::lockrank::{self, LockRank};
+use coord_engine::lock_order::{self, LockCtx, OrderedMutex, StoreState};
 use coord_engine::{
     ComponentEvaluator, CoordinationQuery, Placement, ShardedEngine, SubmitOutcome,
 };
 use coord_obs::Registry as ObsRegistry;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Durability configuration for [`DurableShardedEngine`].
@@ -155,10 +155,12 @@ pub struct DurableShardedEngine<Q: CoordinationQuery, V, C> {
     inner: ShardedEngine<Q, V>,
     store: CoordStore,
     codec: C,
-    registry: Mutex<Registry>,
+    registry: OrderedMutex<lock_order::Registry, Registry>,
     next_seq: AtomicU64,
     report: RecoveryReport,
     /// Last failed background rotation (see [`Self::take_snapshot_error`]).
+    /// Leaf: a private std mutex, recovered on poison; each guard lives
+    /// for one statement.
     snapshot_error: Mutex<Option<StoreError>>,
 }
 
@@ -213,7 +215,7 @@ where
             inner,
             store: recovered.store,
             codec,
-            registry: Mutex::new(registry),
+            registry: OrderedMutex::new(registry),
             next_seq: AtomicU64::new(recovered.next_seq),
             report: recovered.report,
             snapshot_error: Mutex::new(None),
@@ -259,8 +261,9 @@ where
         // strictly before it applied — so the wait graph follows
         // engine-apply order and cannot cycle.
         let mut waiting: Vec<u64> = retired.iter().copied().filter(|&s| s != seq).collect();
+        let mut ctx = LockCtx::root();
         {
-            let mut registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
+            let (mut registry, _) = self.registry.lock(&mut ctx);
             if !retired.contains(&seq) {
                 registry.insert(
                     seq,
@@ -279,10 +282,7 @@ where
                 "retired partner seqs {waiting:?} never logged"
             );
             std::thread::yield_now();
-            take_logged(
-                &mut lockrank::ranked(LockRank::Registry, self.registry.lock()),
-                &mut waiting,
-            );
+            take_logged(&mut self.registry.lock(&mut ctx).0, &mut waiting);
         }
         let delivered = !retired.is_empty();
         let appended = self.store.append_commit(
@@ -299,9 +299,7 @@ where
         // record will ever come — blocking a retirer forever would turn
         // one stream's fault into a service-wide stall. (No entry if
         // the query retired in its own submit.)
-        if let Some(entry) =
-            lockrank::ranked(LockRank::Registry, self.registry.lock()).get_mut(&seq)
-        {
+        if let Some(entry) = self.registry.lock(&mut ctx).0.get_mut(&seq) {
             entry.logged = true;
         }
         appended?;
@@ -317,7 +315,10 @@ where
         }
         if self.store.snapshot_due() {
             if let Err(e) = self.snapshot_if_due() {
-                *self.snapshot_error.lock() = Some(e);
+                *self
+                    .snapshot_error
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner) = Some(e);
             }
         }
         Ok(outcome)
@@ -327,23 +328,23 @@ where
     /// epoch. Concurrent submitters keep running; the capture happens
     /// under the store's rotation lock with no appends in flight.
     pub fn snapshot(&self) -> Result<(), StoreError> {
-        self.store.snapshot(|| self.capture())
+        self.store.snapshot(|ctx| self.capture(ctx))
     }
 
     /// Rotate only if the record threshold is still exceeded — many
     /// submitters crossing it together produce one rotation, not one
     /// each.
-    // lint: acquires(snap_lock, store.state, registry)
     fn snapshot_if_due(&self) -> Result<(), StoreError> {
-        self.store.snapshot_if_due(|| self.capture()).map(|_| ())
+        self.store
+            .snapshot_if_due(|ctx| self.capture(ctx))
+            .map(|_| ())
     }
 
     /// Registry captured under the rotation lock: every record already
     /// appended is reflected, every in-flight submit will append to the
     /// new epoch (replay is idempotent either way).
-    // lint: acquires(registry)
-    fn capture(&self) -> (u64, Vec<(u64, Vec<u8>)>) {
-        let registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
+    fn capture(&self, ctx: &mut LockCtx<'_, StoreState>) -> (u64, Vec<(u64, Vec<u8>)>) {
+        let (registry, _) = self.registry.lock(ctx);
         let entries = registry.iter().map(|(s, e)| (*s, e.bytes.clone()));
         (self.next_seq.load(Ordering::SeqCst), entries.collect())
     }
@@ -353,7 +354,10 @@ where
     /// Submits stay durable through the still-open WAL when a rotation
     /// fails; this surfaces the degraded state for monitoring.
     pub fn take_snapshot_error(&self) -> Option<StoreError> {
-        self.snapshot_error.lock().take()
+        self.snapshot_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 
     /// What recovery found when this engine was opened.
@@ -397,7 +401,8 @@ where
         self.inner.validate_invariants();
         let mut ids: Vec<u64> = self.inner.pending().into_iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
-        let registry = lockrank::ranked(LockRank::Registry, self.registry.lock());
+        let mut ctx = LockCtx::root();
+        let (registry, _) = self.registry.lock(&mut ctx);
         let seqs: Vec<u64> = registry.keys().copied().collect();
         assert_eq!(seqs, ids, "registry drifted from the pending set");
     }

@@ -45,9 +45,10 @@ use crate::bytes::{put_bytes, put_u32, put_u64, Reader};
 use crate::error::StoreError;
 use crate::frame::{scan_frames, write_frame};
 use crate::wal::{read_wal, SyncPolicy, WalWriter, WAL_HEADER_LEN};
-use coord_engine::lockrank::{self, LockRank};
+use coord_engine::lock_order::{
+    LockCtx, OrderedMutex, OrderedRwLock, SnapRotation, StoreState, WalStream,
+};
 use coord_obs::{Counter, Gauge, Histogram, Registry as ObsRegistry, TraceCtx, Tracer};
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -159,7 +160,7 @@ pub struct StoreStatsSnapshot {
 
 struct EpochState {
     epoch: u64,
-    wals: Vec<Mutex<WalWriter>>,
+    wals: Vec<OrderedMutex<WalStream, WalWriter>>,
 }
 
 /// The store's observability handles: one registry shared with the
@@ -193,10 +194,10 @@ impl StoreObs {
 pub struct CoordStore {
     dir: PathBuf,
     opts: StoreOptions,
-    state: RwLock<EpochState>,
+    state: OrderedRwLock<StoreState, EpochState>,
     /// Serializes snapshotters (the rotation write lock alone would let
     /// two threads race to the same new epoch).
-    snap_lock: Mutex<()>,
+    snap_lock: OrderedMutex<SnapRotation, ()>,
     since_snapshot: AtomicU64,
     records_appended: Counter,
     bytes_appended: Counter,
@@ -401,7 +402,7 @@ impl CoordStore {
                 None => WalWriter::create(&dir.join(wal_name(epoch, s)), epoch, opts.sync)?,
             };
             writer.set_obs(sync_hist.clone(), obs.tracer.clone());
-            writers.push(Mutex::new(writer));
+            writers.push(OrderedMutex::new(writer));
         }
         // Streams beyond the configured count (a shard-count change)
         // were replayed above; their files stay until the next rotation
@@ -422,11 +423,11 @@ impl CoordStore {
         let store = CoordStore {
             dir,
             opts,
-            state: RwLock::new(EpochState {
+            state: OrderedRwLock::new(EpochState {
                 epoch,
                 wals: writers,
             }),
-            snap_lock: Mutex::new(()),
+            snap_lock: OrderedMutex::new(()),
             since_snapshot: AtomicU64::new(0),
             records_appended: Counter::new(),
             bytes_appended: Counter::new(),
@@ -460,14 +461,11 @@ impl CoordStore {
 
     /// Append one commit record to `stream` (wrapped modulo the stream
     /// count); returns the stream's clean length after the append.
-    // lint: acquires(store.state, wal_stream)
     pub fn append_commit(&self, stream: usize, record: &CommitRecord) -> Result<u64, StoreError> {
         let payload = record.encode();
-        let state = lockrank::ranked(LockRank::StoreState, self.state.read());
-        let mut wal = lockrank::ranked(
-            LockRank::WalStream,
-            state.wals[stream % state.wals.len()].lock(),
-        );
+        let mut root = LockCtx::root();
+        let (state, mut ctx) = self.state.read(&mut root);
+        let (mut wal, _) = state.wals[stream % state.wals.len()].lock(&mut ctx);
         let _span = self.obs.tracer.begin_in(TraceCtx::current(), "wal_append");
         let _timer = self.obs.append_hist.start();
         let end = wal.append(&payload)?;
@@ -490,13 +488,15 @@ impl CoordStore {
     /// rotation write lock — no appends are in flight — and must return
     /// the current `(next_seq, pending set)`; state captured there is
     /// exactly what a subsequent recovery restores before replaying the
-    /// (empty) new WALs.
+    /// (empty) new WALs. It receives the store-state context, so the
+    /// locks it may take are the store state's successors.
     pub fn snapshot<F>(&self, capture: F) -> Result<(), StoreError>
     where
-        F: FnOnce() -> (u64, Vec<(u64, Vec<u8>)>),
+        F: FnOnce(&mut LockCtx<'_, StoreState>) -> (u64, Vec<(u64, Vec<u8>)>),
     {
-        let _one_at_a_time = lockrank::ranked(LockRank::SnapRotation, self.snap_lock.lock());
-        self.snapshot_locked(capture)
+        let mut root = LockCtx::root();
+        let (_one_at_a_time, mut ctx) = self.snap_lock.lock(&mut root);
+        self.snapshot_locked(&mut ctx, capture)
     }
 
     /// Like [`Self::snapshot`], but re-checks [`Self::snapshot_due`]
@@ -504,31 +504,34 @@ impl CoordStore {
     /// (returning `false`) if another thread already took it — N
     /// submitters crossing the threshold together produce one
     /// rotation, not N. Returns `true` if a snapshot was taken.
-    // lint: acquires(snap_lock, store.state)
     pub fn snapshot_if_due<F>(&self, capture: F) -> Result<bool, StoreError>
     where
-        F: FnOnce() -> (u64, Vec<(u64, Vec<u8>)>),
+        F: FnOnce(&mut LockCtx<'_, StoreState>) -> (u64, Vec<(u64, Vec<u8>)>),
     {
-        let _one_at_a_time = lockrank::ranked(LockRank::SnapRotation, self.snap_lock.lock());
+        let mut root = LockCtx::root();
+        let (_one_at_a_time, mut ctx) = self.snap_lock.lock(&mut root);
         if !self.snapshot_due() {
             return Ok(false);
         }
-        self.snapshot_locked(capture)?;
+        self.snapshot_locked(&mut ctx, capture)?;
         Ok(true)
     }
 
-    // lint: acquires(store.state)
-    fn snapshot_locked<F>(&self, capture: F) -> Result<(), StoreError>
+    fn snapshot_locked<F>(
+        &self,
+        ctx: &mut LockCtx<'_, SnapRotation>,
+        capture: F,
+    ) -> Result<(), StoreError>
     where
-        F: FnOnce() -> (u64, Vec<(u64, Vec<u8>)>),
+        F: FnOnce(&mut LockCtx<'_, StoreState>) -> (u64, Vec<(u64, Vec<u8>)>),
     {
         let _span = self
             .obs
             .tracer
             .begin_in(TraceCtx::current(), "snapshot_rotation");
         let _timer = self.obs.rotation_hist.start();
-        let mut state = lockrank::ranked(LockRank::StoreState, self.state.write());
-        let (next_seq, entries) = capture();
+        let (mut state, mut state_ctx) = self.state.write(ctx);
+        let (next_seq, entries) = capture(&mut state_ctx);
         let new_epoch = state.epoch + 1;
 
         // Write the snapshot to a tmp file and fsync before the rename
@@ -573,7 +576,7 @@ impl CoordStore {
                 self.opts.sync,
             )?;
             w.set_obs(sync_hist.clone(), self.obs.tracer.clone());
-            new_wals.push(Mutex::new(w));
+            new_wals.push(OrderedMutex::new(w));
         }
         // Make the tmp snapshot's and the new WALs' directory entries
         // durable before the rename commit point: metadata must not
@@ -616,17 +619,15 @@ impl CoordStore {
 
     /// Current epoch.
     pub fn epoch(&self) -> u64 {
-        lockrank::ranked(LockRank::StoreState, self.state.read()).epoch
+        self.state.read(&mut LockCtx::root()).0.epoch
     }
 
     /// Clean length (bytes) of one WAL stream — the offset a crash-point
     /// test truncates at.
     pub fn stream_len(&self, stream: usize) -> u64 {
-        let state = lockrank::ranked(LockRank::StoreState, self.state.read());
-        let wal = lockrank::ranked(
-            LockRank::WalStream,
-            state.wals[stream % state.wals.len()].lock(),
-        );
+        let mut root = LockCtx::root();
+        let (state, mut ctx) = self.state.read(&mut root);
+        let (wal, _) = state.wals[stream % state.wals.len()].lock(&mut ctx);
         wal.len()
     }
 
@@ -637,9 +638,10 @@ impl CoordStore {
 
     /// Force all streams to stable storage.
     pub fn sync_all(&self) -> Result<(), StoreError> {
-        let state = lockrank::ranked(LockRank::StoreState, self.state.read());
+        let mut root = LockCtx::root();
+        let (state, mut ctx) = self.state.read(&mut root);
         for wal in &state.wals {
-            lockrank::ranked(LockRank::WalStream, wal.lock()).sync()?;
+            wal.lock(&mut ctx).0.sync()?;
         }
         Ok(())
     }
@@ -650,7 +652,7 @@ impl CoordStore {
             records_appended: self.records_appended.get(),
             bytes_appended: self.bytes_appended.get(),
             snapshots_taken: self.snapshots_taken.get(),
-            epoch: lockrank::ranked(LockRank::StoreState, self.state.read()).epoch,
+            epoch: self.epoch(),
         }
     }
 
@@ -773,7 +775,7 @@ mod tests {
         rec.store.append_commit(0, &commit(0, "a", &[])).unwrap();
         rec.store.append_commit(1, &commit(1, "b", &[])).unwrap();
         rec.store
-            .snapshot(|| (2, vec![(0, b"a".to_vec()), (1, b"b".to_vec())]))
+            .snapshot(|_| (2, vec![(0, b"a".to_vec()), (1, b"b".to_vec())]))
             .unwrap();
         assert_eq!(rec.store.epoch(), 1);
         // Old epoch files are gone; snapshot + fresh WALs remain.
@@ -843,7 +845,7 @@ mod tests {
         std::fs::create_dir(&blocker).unwrap();
         assert!(rec
             .store
-            .snapshot(|| (1, vec![(0, b"a".to_vec())]))
+            .snapshot(|_| (1, vec![(0, b"a".to_vec())]))
             .is_err());
         assert_eq!(rec.store.epoch(), 0, "failed rotation advanced the epoch");
         // Appends continue durably in the old epoch.
@@ -870,16 +872,16 @@ mod tests {
         .unwrap();
         rec.store.append_commit(0, &commit(0, "a", &[])).unwrap();
         assert!(!rec.store.snapshot_due());
-        assert!(!rec.store.snapshot_if_due(|| unreachable!()).unwrap());
+        assert!(!rec.store.snapshot_if_due(|_| unreachable!()).unwrap());
         rec.store.append_commit(0, &commit(1, "b", &[])).unwrap();
         assert!(rec.store.snapshot_due());
         // First caller rotates…
         assert!(rec
             .store
-            .snapshot_if_due(|| (2, vec![(0, b"a".to_vec()), (1, b"b".to_vec())]))
+            .snapshot_if_due(|_| (2, vec![(0, b"a".to_vec()), (1, b"b".to_vec())]))
             .unwrap());
         // …stragglers that also saw the threshold do nothing.
-        assert!(!rec.store.snapshot_if_due(|| unreachable!()).unwrap());
+        assert!(!rec.store.snapshot_if_due(|_| unreachable!()).unwrap());
         assert_eq!(rec.store.stats().snapshots_taken, 1);
     }
 
@@ -900,7 +902,7 @@ mod tests {
         let rec = CoordStore::open(dir.path(), opts(2)).unwrap();
         assert_eq!(rec.live.len(), 4);
         rec.store
-            .snapshot(|| (4, rec.live.iter().map(|(s, b)| (*s, b.clone())).collect()))
+            .snapshot(|_| (4, rec.live.iter().map(|(s, b)| (*s, b.clone())).collect()))
             .unwrap();
         let stale: Vec<String> = std::fs::read_dir(dir.path())
             .unwrap()
@@ -1019,7 +1021,7 @@ mod tests {
             let rec = CoordStore::open(dir.path(), opts(2)).unwrap();
             rec.store.append_commit(0, &commit(0, "a", &[])).unwrap();
             rec.store
-                .snapshot(|| (1, vec![(0, b"a".to_vec())]))
+                .snapshot(|_| (1, vec![(0, b"a".to_vec())]))
                 .unwrap();
         }
         // Simulate a crash right after the snapshot rename: the new

@@ -16,10 +16,10 @@ impl Xoshiro256StarStar {
         // recommend; guarantees a nonzero state for any seed.
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9e3779b97f4a7c15);
+            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
         Self {

@@ -4,14 +4,15 @@
 //! * [`EntangledQueryCodec`] — deterministic byte serialization of
 //!   [`EntangledQuery`] (name, variable table, postcondition/head/body
 //!   atoms) for the log and snapshots,
-//! * [`DurableSharedEngine`] — the sharded service with a log stream
-//!   per shard (each commit record goes to the stream of the shard that
-//!   evaluated it; recovery is order-independent) under a shared
-//!   snapshot epoch. With `shards = 1` and one submitting thread it is
-//!   the single-writer durable engine, with strict prefix semantics:
-//!   the state after recovery is exactly the state after some prefix of
-//!   acknowledged submits. `SharedEngine` callers opt into durability
-//!   by swapping one constructor:
+//! * [`DurableSharedEngine`] — the sharded service over one ordered
+//!   log: each shard appends its accepted submits' commit records under
+//!   its own lock, and submitters make them durable by group commit.
+//!   For any number of shards and threads the state after recovery is
+//!   exactly the state after some prefix of one linearization of the
+//!   submits, and every acknowledged submit is in that prefix; with
+//!   `shards = 1` and one submitting thread, the prefix is of the
+//!   thread's own submit order. `SharedEngine` callers opt into
+//!   durability by swapping one constructor:
 //!
 //! ```no_run
 //! use coord_core::persist::DurableSharedEngine;
@@ -140,10 +141,9 @@ fn durable_err(e: DurableError<CoordError>) -> CoordError {
 }
 
 /// The sharded, thread-safe online service with durability: the
-/// [`crate::engine::SharedEngine`] API plus crash recovery. A WAL
-/// stream per shard (a record goes to the stream of the shard that
-/// evaluated it) under a shared snapshot epoch; `shards = 1` driven
-/// from one thread is the single-writer durable engine.
+/// [`crate::engine::SharedEngine`] API plus crash recovery, over one
+/// ordered WAL per snapshot epoch; `shards = 1` driven from one thread
+/// is the single-writer durable engine.
 pub struct DurableSharedEngine<'a> {
     db: &'a Database,
     inner: coord_store::DurableShardedEngine<EntangledQuery, SccEvaluator<'a>, EntangledQueryCodec>,
@@ -248,10 +248,10 @@ impl<'a> DurableSharedEngine<'a> {
 
     /// One skew-correction pass over the sharded engine: detect a hot
     /// shard and move its costliest component groups to colder shards.
-    /// Purely an in-memory placement change — commit records written
-    /// after the move land on the new shard's WAL stream, and recovery
-    /// re-routes the pending set regardless, so a crash at any point
-    /// stays exactly recoverable.
+    /// Purely an in-memory placement change that writes no log record:
+    /// the moved component's later records follow it into the one log,
+    /// and recovery re-routes the pending set regardless, so a crash at
+    /// any point stays exactly recoverable.
     pub fn rebalance(&self) -> coord_engine::RebalanceReport {
         self.inner.engine().rebalance()
     }
@@ -279,16 +279,17 @@ impl<'a> DurableSharedEngine<'a> {
         self.inner.engine().obs()
     }
 
-    /// Clean end offset of every WAL stream (stream index = shard
-    /// index) — the truncation points crash-fuzz tests cut at.
+    /// The live log's length as a one-element list: after an acked
+    /// submit, where a crash that keeps only synced bytes (under
+    /// `SyncPolicy::Never`, written bytes) cuts `wal-{epoch}-0000.log`.
     pub fn wal_stream_lens(&self) -> Vec<u64> {
         self.inner.wal_stream_lens()
     }
 
-    /// Snapshot the pending set now, rotating every shard's WAL to the
-    /// next epoch. Safe under concurrent submits.
+    /// Snapshot the pending set now, rotating the WAL to the next
+    /// epoch. Safe under concurrent submits.
     pub fn snapshot(&self) -> Result<(), CoordError> {
-        self.inner.snapshot().map_err(store_err)
+        self.inner.store().snapshot().map_err(store_err)
     }
 
     /// The last background rotation failure, if any (cleared on read).
@@ -298,7 +299,7 @@ impl<'a> DurableSharedEngine<'a> {
         self.inner.take_snapshot_error().map(store_err)
     }
 
-    /// Check engine + registry invariants; panics with a description on
+    /// Check engine + live-set invariants; panics with a description on
     /// violation. Quiescent only (no submit in flight on another
     /// thread).
     pub fn validate_invariants(&self) {

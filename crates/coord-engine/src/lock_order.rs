@@ -29,23 +29,21 @@
 //! ```text
 //!   Rebalancer ──► Migration ──► Router
 //!        │             │
-//!        └─────────────┴──────► ShardEngine
-//!
-//!   SnapRotation ──► StoreState ──► WalStream
-//!                         │
-//!                         └──────► Registry
+//!        └─────────────┴──────► ShardEngine ──► LogBuf
+//!                                                  ▲
+//!   LogFlush ──────────────────────────────────────┘
 //! ```
 //!
 //! Every edge is a nesting the code performs: a rebalance pass scans a
 //! shard's component groups and runs migrations; a migration marks and
 //! publishes under the router and freezes and moves under one shard
-//! engine at a time; a snapshot captures the registry under the
-//! rotation-held store state; an append takes its stream under the
-//! store state. Every level may also be taken from [`Unlocked`]. The
-//! engine and store halves never nest into each other, and no site
-//! holds two shard engines at once.
+//! engine at a time; a durable submit appends its commit record to the
+//! log buffer under the shard engine that accepted it; a group commit
+//! or a rotation drains the log buffer under the log file. Every level
+//! may also be taken from [`Unlocked`]. No site holds two shard engines
+//! at once, and nothing is acquired under the log buffer.
 //!
-//! ## The three rules, as type errors
+//! ## The four rules, as type errors
 //!
 //! * **L1, lock order**: acquiring a level with no declared edge from
 //!   the held one fails the `LockAfter` bound.
@@ -58,13 +56,13 @@
 //!   edge keeps it replaced. And a shard-lock holder that blocked on
 //!   the router would close a cycle with any router holder that
 //!   blocked on a shard, so shard-lock holders only [`try_read`] the
-//!   router. The second bug, the WAL acknowledgment window, is why the
-//!   store's registry is a leaf: a delivering submit waits for its
-//!   partners' commit records to be logged, and that wait must not
-//!   hold the registry, or the partner could never mark itself logged.
+//!   router.
 //! * **L3, no wait while holding a foreign guard**: [`MarkGate::wait_past`]
 //!   demands `&mut LockCtx<Unlocked>`, which no caller holding an
 //!   ordered guard can produce, because the guard borrows it.
+//! * **L4, no write or fsync under a shard lock**: a shard engine may
+//!   take only `LogBuf`, under which no syscall runs; `LogFlush`, held
+//!   across the write and fsync, has no edge from `ShardEngine`.
 //!
 //! The types cannot stop a function from calling [`LockCtx::root`]
 //! while it holds a guard. Under `debug-assertions` a thread-local
@@ -163,6 +161,29 @@
 //! drop(routes);
 //! gate.wait_past(&mut root, seen, Duration::ZERO);
 //! ```
+//!
+//! L4: the log file, which a group commit holds across its write and
+//! fsync, may not be locked under a shard engine; the log buffer may.
+//!
+//! ```compile_fail,E0277
+//! use coord_engine::lock_order::{LockCtx, LogFlush, OrderedMutex, ShardEngine};
+//! let shard = OrderedMutex::<ShardEngine, u8>::new(7);
+//! let log = OrderedMutex::<LogFlush, Vec<u8>>::new(Vec::new());
+//! let mut root = LockCtx::root();
+//! let (engine, mut ctx) = shard.lock(&mut root);
+//! let (mut file, _) = log.lock(&mut ctx);
+//! file.push(*engine);
+//! ```
+//!
+//! ```
+//! use coord_engine::lock_order::{LockCtx, LogBuf, OrderedMutex, ShardEngine};
+//! let shard = OrderedMutex::<ShardEngine, u8>::new(7);
+//! let log = OrderedMutex::<LogBuf, Vec<u8>>::new(Vec::new());
+//! let mut root = LockCtx::root();
+//! let (engine, mut ctx) = shard.lock(&mut root);
+//! let (mut tail, _) = log.lock(&mut ctx);
+//! tail.push(*engine);
+//! ```
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
@@ -213,20 +234,17 @@ lock_dag! {
     /// `ShardedEngine::router`: the routing table. Read and write share
     /// the level, since a blocking read can queue behind a writer.
     Router;
-    /// `Shard::engine`: one shard's `IncrementalEngine`.
-    ShardEngine;
-    /// `CoordStore::snap_lock`: serializes snapshot rotations.
-    SnapRotation => StoreState;
-    /// `CoordStore::state`: the epoch and the WAL-stream vector. The
-    /// rotation holds it for writing while the capture reads the
-    /// registry; an append holds it for reading while it takes its
-    /// stream.
-    StoreState => WalStream, Registry;
-    /// One WAL stream's writer.
-    WalStream;
-    /// `DurableShardedEngine::registry`: pending seqs and their
-    /// encodings.
-    Registry;
+    /// `Shard::engine`: one shard's `IncrementalEngine`. A durable
+    /// submit's commit hook appends its record under this guard, so a
+    /// record always follows the records of the queries it retires.
+    ShardEngine => LogBuf;
+    /// `CoordStore::file`: the live WAL file. Held across a group
+    /// commit's write and fsync and across a whole rotation, so it is
+    /// taken from the root context only.
+    LogFlush => LogBuf;
+    /// `CoordStore::buf`: framed records not yet written and the live
+    /// pending set. A leaf, and no syscall runs under it.
+    LogBuf;
 }
 
 /// Proof that the current thread's last acquired ordered lock is of
@@ -552,13 +570,13 @@ mod tests {
 
     #[test]
     fn guard_is_transparent_and_releases_on_drop() {
-        let registry = OrderedMutex::<Registry, u32>::new(7);
+        let log = OrderedMutex::<LogBuf, u32>::new(7);
         let mut root = LockCtx::root();
-        let (mut guard, _) = registry.lock(&mut root);
+        let (mut guard, _) = log.lock(&mut root);
         *guard += 1;
         assert_eq!(*guard, 8);
         drop(guard);
-        let (guard, _, waited) = registry.lock_timed(&mut root);
+        let (guard, _, waited) = log.lock_timed(&mut root);
         assert_eq!((*guard, waited), (8, None), "released on drop");
     }
 

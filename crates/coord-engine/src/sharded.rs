@@ -81,6 +81,7 @@
 //!
 //! ```text
 //! Rebalancer → Migration → Router,  Migration → ShardEngine,  Rebalancer → ShardEngine
+//! ShardEngine → LogBuf   (the durable layer's commit hook, see `submit_with_hook`)
 //! ```
 //!
 //! Public methods start from the root context; private helpers take
@@ -302,16 +303,6 @@ type MigrationRecord<Q> = Vec<(
 type SeedPlan<Q> = (
     Vec<KeyPattern<<Q as CoordinationQuery>::Rel, <Q as CoordinationQuery>::Cst>>,
     usize,
-);
-
-/// Outcome of [`ShardedEngine::submit_with_shard`]: the shard that ran
-/// the evaluation plus the submit result.
-pub type ShardedSubmit<Q, V> = (
-    usize,
-    Result<
-        SubmitOutcome<Q, <V as ComponentEvaluator<Q>>::Delivery>,
-        <V as ComponentEvaluator<Q>>::Error,
-    >,
 );
 
 /// A planned migration: the marked seed keys, the shards to drain, and
@@ -628,14 +619,25 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// query while it is pending — across every migration — and when it
     /// retires.
     pub fn submit(&self, id: u64, query: Q) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
-        self.submit_with_shard(id, query).1
+        self.submit_with_hook(id, query, |_, _| {})
     }
 
-    /// Like [`Self::submit`], additionally reporting which shard ran
-    /// the evaluation. The durable layer routes the accepted submit's
-    /// commit record to that shard's WAL stream, so the per-shard
-    /// stream mapping stays correct as components move between shards.
-    pub fn submit_with_shard(&self, id: u64, query: Q) -> ShardedSubmit<Q, V> {
+    /// Like [`Self::submit`], running `on_commit` under the shard guard
+    /// once the submit is accepted. The durable layer appends the
+    /// commit record there: any later submit that retires this query
+    /// runs under the same guard (or under the guard of the shard a
+    /// migration moved it to, which took this one first), so its record
+    /// lands after this one. The context admits only `LogBuf`, never a
+    /// lock held across I/O.
+    pub fn submit_with_hook(
+        &self,
+        id: u64,
+        query: Q,
+        on_commit: impl FnOnce(
+            &mut LockCtx<'_, lock_order::ShardEngine>,
+            &SubmitOutcome<Q, V::Delivery>,
+        ),
+    ) -> Result<SubmitOutcome<Q, V::Delivery>, V::Error> {
         // One TraceCtx per submit: allocated here unless an enclosing
         // layer (the durable engine) already installed the request's
         // context on this thread, in which case the ticket nests.
@@ -646,11 +648,21 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let qkeys = route_keys(&query);
         let mut migrated: MigrationRecord<Q> = Vec::new();
         let target = self.claim(&mut ctx, &qkeys, &mut migrated, true);
-        let (shard, outcome) =
-            self.with_owned_shard(&mut ctx, &qkeys, target, &mut migrated, true, |e| {
-                e.submit(id, query)
-            });
-        (shard, self.finish(&mut ctx, &qkeys, migrated, outcome))
+        let outcome = self.with_owned_shard(
+            &mut ctx,
+            &qkeys,
+            target,
+            &mut migrated,
+            true,
+            |e, engine_ctx| {
+                let outcome = e.submit(id, query);
+                if let Ok(out) = &outcome {
+                    on_commit(engine_ctx, out);
+                }
+                outcome
+            },
+        );
+        self.finish(&mut ctx, &qkeys, migrated, outcome)
     }
 
     /// Insert a query that is known to be stable-pending — recovered
@@ -661,7 +673,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         let qkeys = route_keys(&query);
         let mut migrated: MigrationRecord<Q> = Vec::new();
         let target = self.claim(&mut ctx, &qkeys, &mut migrated, true);
-        self.with_owned_shard(&mut ctx, &qkeys, target, &mut migrated, false, |e| {
+        self.with_owned_shard(&mut ctx, &qkeys, target, &mut migrated, false, |e, _| {
             e.insert_pending(id, query);
         });
     }
@@ -964,8 +976,8 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Run `op` on the shard that owns `qkeys`, re-validating the claim
     /// after acquiring the shard lock: every key must still point at the
     /// target and none may be frozen by a migration (see the module docs
-    /// for why this cannot deadlock or lose the query). Returns the
-    /// shard `op` finally ran on alongside its result.
+    /// for why this cannot deadlock or lose the query). `op` also gets
+    /// the shard guard's context.
     fn with_owned_shard<T>(
         &self,
         ctx: &mut LockCtx<'_, Unlocked>,
@@ -973,8 +985,8 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         mut target: usize,
         migrated: &mut MigrationRecord<Q>,
         record_submit: bool,
-        op: impl FnOnce(&mut IncrementalEngine<Q, V>) -> T,
-    ) -> (usize, T) {
+        op: impl FnOnce(&mut IncrementalEngine<Q, V>, &mut LockCtx<'_, lock_order::ShardEngine>) -> T,
+    ) -> T {
         let mut op = Some(op);
         loop {
             let shard = &self.shards[target];
@@ -1008,9 +1020,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
             if record_submit {
                 EngineMetrics::add(&shard.stats.submits, 1);
             }
-            let result = (op.take().expect("op runs once"))(&mut engine);
+            let result = (op.take().expect("op runs once"))(&mut engine, &mut engine_ctx);
             shard.pending_gauge.set(engine.pending_count() as u64);
-            break (target, result);
+            break result;
         }
     }
 

@@ -1,161 +1,80 @@
 //! The durable layer over the sharded online coordination engine.
 //!
-//! [`DurableShardedEngine`] wraps a [`ShardedEngine`] with as many WAL
-//! streams as shards under a shared snapshot epoch; each commit record
-//! goes to the stream of the shard that evaluated the submit (see
-//! "Rebalancing and the per-shard streams" below). Recovery is
-//! order-independent across streams. The commit protocol:
+//! [`DurableShardedEngine`] wraps a [`ShardedEngine`] with one
+//! [`CoordStore`]: one ordered write-ahead log per snapshot epoch. The
+//! commit protocol:
 //!
 //! 1. apply the submit to the in-memory engine (a rejected submit
 //!    mutates nothing and logs nothing),
-//! 2. record the accepted mutation — the query plus the seqs it retired
-//!    — as **one** checksummed commit record,
-//! 3. acknowledge the caller.
+//! 2. still under the shard lock that accepted it, append the mutation
+//!    — the query plus the seqs it retired — as **one** checksummed
+//!    commit record to the store's in-memory tail,
+//! 3. after the shard lock drops, commit the record (write it, and sync
+//!    it per policy, by group commit),
+//! 4. acknowledge the caller.
 //!
-//! A crash before step 2 loses only unacknowledged work; recovery
-//! rebuilds exactly the state produced by the clean record prefix.
-//! Replay never re-evaluates components: the log already says which
+//! Recovery never re-evaluates components: the log already says which
 //! queries retired, so recovery decodes the surviving pending set and
 //! re-indexes it with `insert_pending` — which is why replay is *faster*
 //! than live submission (the benchmark's `store.replay_records_per_s`).
 //!
-//! ## Query ids and the registry
+//! ## Query ids and the live set
 //!
 //! A submit's seq is also its query's id in the engine: the engine
 //! carries it across migrations and names each retired query by it, so
 //! a commit record's retired list is read straight off the engine's
 //! outcome — nothing is looked up by value, and byte-identical queries
-//! keep distinct seqs. The wrapper's registry maps each pending seq to
-//! its encoding (the snapshot payload) and whether its record is
-//! appended. An entry is inserted *after* the engine applied the submit
-//! and *before* its record is appended: a rejected submit never touches
-//! the registry, a snapshot never captures a query the engine does not
-//! hold, and a query applied but not yet inserted has its record
-//! appended in the post-rotation epoch. A query that retires in its own
-//! submit is never inserted.
+//! keep distinct seqs. The store keeps the live set (seq → encoding,
+//! the snapshot payload) itself, updating it in the same critical
+//! section that buffers the record: a rejected submit never reaches it,
+//! and a snapshot captures exactly the records it drains.
 //!
-//! ## Acknowledgment window (closed)
+//! ## One ordered log
 //!
-//! With multiple log streams, a submit used to be able to retire a
-//! query whose own commit record (on another stream) had not hit the
-//! log yet: recovery stayed exact — a retire naming a never-logged seq
-//! is simply ignored, and the unlogged query was never acknowledged —
-//! but a *delivered* coordination could mention a partner whose commit
-//! record was lost with the crash. The wrapper now enforces a
-//! **per-coordination flush barrier**: a retire takes a partner's seq
-//! out of the registry only once its entry is present and logged
-//! (waiting out the short apply-to-append window of a concurrent
-//! partner), and a delivering submit syncs every stream before
-//! acknowledging (under any policy stronger than [`SyncPolicy::Never`]).
-//! So at the moment a coordination is delivered, every partner's commit
-//! record is appended — and as durable as the deliverer's own record.
-//! The one residual caveat: if a partner's *append itself failed* (a
-//! [`StoreError`] already surfaced to that partner's submitter), its
-//! entry is marked logged anyway rather than blocking the retirer
-//! forever — that degraded-durability state is explicit on both sides.
+//! Linked queries are always co-sharded, and a migration moves a
+//! component between submits under the same shard locks. So the submit
+//! that retires a partner runs under a shard lock that was taken after
+//! the partner's own submit released it, and the partner's record is
+//! already in the log's append order. Every record therefore follows the
+//! records of the queries it retires, for any number of shards and
+//! threads, and the log is one linearization of the accepted submits.
+//! Commits make prefixes of that order durable, so:
 //!
-//! ## Single writer: strict prefix
+//! * **acked ⇒ recovered**: an acknowledged submit's record, and every
+//!   record before it — each partner its coordination names included —
+//!   survives any crash;
+//! * **strict prefix**: recovery restores exactly the state after some
+//!   prefix of that linearization (the contract `tests/crash_points.rs`
+//!   checks at every byte offset, and at every record boundary of a
+//!   multi-shard, multi-threaded run).
 //!
-//! With **one shard and one submitting thread** there is one stream and
-//! its records are in submit order, so the recovered state is exactly
-//! the state after some prefix of the acknowledged submits — the
-//! contract `tests/crash_points.rs` checks at every byte offset. That
-//! configuration *is* the single-writer durable engine; there is no
-//! separate type for it.
-//!
-//! ## Rebalancing and the per-shard streams
-//!
-//! [`DurableShardedEngine`] routes each commit record to the WAL stream
-//! of the shard that ran the submit (`submit_with_shard`), so the
-//! stream mapping stays correct as the [`coord_engine::Rebalancer`]
-//! moves components between shards — a component's post-move commits
-//! land on its new shard's stream with no `Rebalanced` log record
-//! needed, because recovery is order-independent across streams and
-//! re-routes the surviving pending set against the *current* placement
-//! on replay.
+//! A rebalance is an in-memory placement change: it writes no record,
+//! and recovery re-routes the surviving pending set against the current
+//! shards, whose count may differ from the one that wrote the log.
 
 use crate::codec::QueryCodec;
 use crate::error::{DurableError, StoreError};
 use crate::store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions};
-use crate::wal::SyncPolicy;
-use coord_engine::lock_order::{self, LockCtx, OrderedMutex, StoreState};
 use coord_engine::{
     ComponentEvaluator, CoordinationQuery, Placement, ShardedEngine, SubmitOutcome,
 };
 use coord_obs::Registry as ObsRegistry;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
-/// Durability configuration for [`DurableShardedEngine`].
-#[derive(Clone, Copy, Debug)]
-pub struct DurabilityOptions {
-    /// When appended records reach stable storage.
-    pub sync: SyncPolicy,
-    /// Snapshot (and rotate the WAL epoch) after this many commit
-    /// records; `None` disables snapshotting.
-    pub snapshot_every: Option<u64>,
-}
+/// Durability configuration for [`DurableShardedEngine`]: the store's
+/// options (sync policy and snapshot interval).
+pub type DurabilityOptions = StoreOptions;
 
-impl Default for DurabilityOptions {
-    fn default() -> Self {
-        DurabilityOptions {
-            sync: SyncPolicy::Never,
-            snapshot_every: Some(1024),
-        }
-    }
-}
-
-impl DurabilityOptions {
-    fn store_options(&self, streams: usize) -> StoreOptions {
-        StoreOptions {
-            streams,
-            sync: self.sync,
-            snapshot_every: self.snapshot_every,
-        }
-    }
-}
-
-/// One registered pending query: its encoding (the snapshot payload)
-/// and whether its commit record is appended to its stream (or its
-/// append definitively failed). Every entry is a query the engine holds
-/// — it is inserted only after the engine applied the submit.
-struct RegistryEntry {
-    bytes: Vec<u8>,
-    logged: bool,
-}
-
-/// Pending-set bookkeeping: seq → entry.
-type Registry = BTreeMap<u64, RegistryEntry>;
-
-/// Take every seq in `waiting` whose entry is present and logged out of
-/// the registry, leaving in `waiting` the seqs a retire must still wait
-/// for: absent (its submitter sits between engine apply and insert) or
-/// unlogged (its append is in flight). Waiting instead of taking is the
-/// acknowledgment-window barrier: a coordination is never delivered
-/// naming a partner whose record might never reach the log.
-fn take_logged(registry: &mut Registry, waiting: &mut Vec<u64>) {
-    waiting.retain(|seq| {
-        let logged = registry.get(seq).is_some_and(|e| e.logged);
-        if logged {
-            registry.remove(seq);
-        }
-        !logged
-    });
-}
-
-/// A [`ShardedEngine`] with one WAL stream per shard and a shared
-/// snapshot epoch. With `shards = 1` and a single submitting thread it
-/// is the single-writer durable engine: one stream, records in submit
-/// order, so recovery restores exactly the state after some prefix of
-/// the acknowledged submits.
+/// A [`ShardedEngine`] whose accepted submits are logged to one ordered
+/// WAL. With `shards = 1` and a single submitting thread it is the
+/// single-writer durable engine; with more of either, recovery is still
+/// a strict prefix of one linearization of the submits.
 pub struct DurableShardedEngine<Q: CoordinationQuery, V, C> {
     inner: ShardedEngine<Q, V>,
     store: CoordStore,
     codec: C,
-    registry: OrderedMutex<lock_order::Registry, Registry>,
     next_seq: AtomicU64,
     report: RecoveryReport,
     /// Last failed background rotation (see [`Self::take_snapshot_error`]).
@@ -195,126 +114,61 @@ where
         options: DurabilityOptions,
         obs: ObsRegistry,
     ) -> Result<Self, StoreError> {
-        let recovered = CoordStore::open_with_obs(dir, options.store_options(shards), obs.clone())?;
+        let recovered = CoordStore::open_with_obs(dir, options, obs.clone())?;
         let inner = ShardedEngine::with_obs(evaluator, shards, Placement::default(), obs);
-        let mut registry = Registry::new();
+        // By value: each encoding is freed once its query is indexed, so
+        // the store's own copy of the live set is the only one left.
         for (seq, bytes) in recovered.live {
             // Replay never re-evaluates: pending survivors are routed
             // and re-indexed only (the log proved they did not
             // coordinate before the crash).
             inner.insert_pending(seq, codec.decode(&bytes)?);
-            registry.insert(
-                seq,
-                RegistryEntry {
-                    bytes,
-                    logged: true,
-                },
-            );
         }
         Ok(DurableShardedEngine {
             inner,
             store: recovered.store,
             codec,
-            registry: OrderedMutex::new(registry),
             next_seq: AtomicU64::new(recovered.next_seq),
             report: recovered.report,
             snapshot_error: Mutex::new(None),
         })
     }
 
-    /// Submit under the owning shard's lock; the accepted mutation is
-    /// logged — to **that shard's** WAL stream, so the stream mapping
-    /// tracks rebalancing moves — before the caller is acknowledged.
-    /// A submit that delivers a coordination additionally waits for
-    /// every retired partner's commit record to be appended, and syncs
-    /// all streams before returning (the per-coordination flush
-    /// barrier; see the module docs). Snapshot failures during a
-    /// background rotation do not fail the submit — see
-    /// [`Self::take_snapshot_error`].
+    /// Submit under the owning shard's lock, which also appends the
+    /// accepted mutation's commit record; the record is committed —
+    /// written, and synced per policy — before the caller is
+    /// acknowledged. Snapshot failures during a background rotation do
+    /// not fail the submit — see [`Self::take_snapshot_error`].
     pub fn submit(
         &self,
         query: Q,
     ) -> Result<SubmitOutcome<Q, V::Delivery>, DurableError<V::Error>> {
         // Open the request's root trace ticket here, at the durable
         // stack's entry point, so the root "submit" span covers the
-        // engine apply *and* the WAL append/sync that follow it; the
+        // engine apply *and* the WAL commit that follows it; the
         // sharded engine's own submit ticket nests under this context
         // and reuses the same trace id.
         let _ticket = self.inner.obs().tracer().ticket("submit");
-        let mut qbytes = Vec::new();
-        self.codec.encode(&query, &mut qbytes);
+        let mut query_bytes = Vec::new();
+        self.codec.encode(&query, &mut query_bytes);
         // The seq is the query's id in the engine, so the engine names
         // this query by it if a later submit retires it.
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let (shard, outcome) = match self.inner.submit_with_shard(seq, query) {
-            (_, Err(e)) => return Err(DurableError::Engine(e)),
-            (shard, Ok(o)) => (shard, o),
-        };
-        let retired: Vec<u64> = outcome.retired.iter().map(|(s, _)| *s).collect();
-        // Register this query (unless it retired at once) and take every
-        // retired partner out of the registry. A partner not yet logged
-        // sits in the short window between its engine apply and its
-        // append: wait it out (without holding the registry lock) rather
-        // than deliver a coordination naming a partner whose commit
-        // record never reached its stream. The waited-on submit never
-        // waits on us in turn — its own retire targets were applied
-        // strictly before it applied — so the wait graph follows
-        // engine-apply order and cannot cycle.
-        let mut waiting: Vec<u64> = retired.iter().copied().filter(|&s| s != seq).collect();
-        let mut ctx = LockCtx::root();
-        {
-            let (mut registry, _) = self.registry.lock(&mut ctx);
-            if !retired.contains(&seq) {
-                registry.insert(
+        let mut lsn = 0;
+        let outcome = self
+            .inner
+            .submit_with_hook(seq, query, |ctx, outcome| {
+                let record = CommitRecord {
                     seq,
-                    RegistryEntry {
-                        bytes: qbytes.clone(),
-                        logged: false,
-                    },
-                );
-            }
-            take_logged(&mut registry, &mut waiting);
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !waiting.is_empty() {
-            assert!(
-                Instant::now() < deadline,
-                "retired partner seqs {waiting:?} never logged"
-            );
-            std::thread::yield_now();
-            take_logged(&mut self.registry.lock(&mut ctx).0, &mut waiting);
-        }
-        let delivered = !retired.is_empty();
-        let appended = self.store.append_commit(
-            shard,
-            &CommitRecord {
-                seq,
-                query: qbytes,
-                retired,
-            },
-        );
-        // Release waiters either way: on success the record is on its
-        // stream; on failure the submit is about to surface a store
-        // error (the documented applied-but-not-durable state) and no
-        // record will ever come — blocking a retirer forever would turn
-        // one stream's fault into a service-wide stall. (No entry if
-        // the query retired in its own submit.)
-        if let Some(entry) = self.registry.lock(&mut ctx).0.get_mut(&seq) {
-            entry.logged = true;
-        }
-        appended?;
-        // Per-coordination flush barrier: partners' records are
-        // *appended* (the retire wait made sure of that); make them as
-        // durable as this record before acknowledging the delivery.
-        // Only `EveryN` needs the explicit sync — under `EveryRecord`
-        // every partner append already synced itself before it was
-        // marked logged, and under `Never` nothing is ever synced, so
-        // there is nothing to strengthen.
-        if delivered && matches!(self.store.options().sync, SyncPolicy::EveryN(_)) {
-            self.store.sync_all()?;
-        }
+                    query: query_bytes,
+                    retired: outcome.retired.iter().map(|(s, _)| *s).collect(),
+                };
+                lsn = self.store.append(ctx, record);
+            })
+            .map_err(DurableError::Engine)?;
+        self.store.commit(lsn)?;
         if self.store.snapshot_due() {
-            if let Err(e) = self.snapshot_if_due() {
+            if let Err(e) = self.store.snapshot_if_due() {
                 *self
                     .snapshot_error
                     .lock()
@@ -322,31 +176,6 @@ where
             }
         }
         Ok(outcome)
-    }
-
-    /// Take a snapshot now, rotating every shard's WAL to the next
-    /// epoch. Concurrent submitters keep running; the capture happens
-    /// under the store's rotation lock with no appends in flight.
-    pub fn snapshot(&self) -> Result<(), StoreError> {
-        self.store.snapshot(|ctx| self.capture(ctx))
-    }
-
-    /// Rotate only if the record threshold is still exceeded — many
-    /// submitters crossing it together produce one rotation, not one
-    /// each.
-    fn snapshot_if_due(&self) -> Result<(), StoreError> {
-        self.store
-            .snapshot_if_due(|ctx| self.capture(ctx))
-            .map(|_| ())
-    }
-
-    /// Registry captured under the rotation lock: every record already
-    /// appended is reflected, every in-flight submit will append to the
-    /// new epoch (replay is idempotent either way).
-    fn capture(&self, ctx: &mut LockCtx<'_, StoreState>) -> (u64, Vec<(u64, Vec<u8>)>) {
-        let (registry, _) = self.registry.lock(ctx);
-        let entries = registry.iter().map(|(s, e)| (*s, e.bytes.clone()));
-        (self.next_seq.load(Ordering::SeqCst), entries.collect())
     }
 
     /// The last *background* snapshot failure (a rotation triggered by
@@ -365,17 +194,18 @@ where
         &self.report
     }
 
-    /// The underlying store (stats, epoch, stream offsets).
+    /// The underlying store (stats, epoch, log length, and
+    /// [`CoordStore::snapshot`] — concurrent submitters keep running).
     pub fn store(&self) -> &CoordStore {
         &self.store
     }
 
-    /// Clean end offset of every WAL stream (stream index = shard
-    /// index) — the per-stream truncation points crash tests cut at.
+    /// The live log's length as a one-element list: after an
+    /// acknowledged submit, the offset a crash that keeps only synced
+    /// bytes cuts at (see [`CoordStore::wal_len`]). A list because
+    /// callers cut `wal-{epoch}-{index}.log` at `lens[index]`.
     pub fn wal_stream_lens(&self) -> Vec<u64> {
-        (0..self.store.options().streams)
-            .map(|s| self.store.stream_len(s))
-            .collect()
+        vec![self.store.wal_len()]
     }
 
     /// The wrapped in-memory engine: pending set, component and shard
@@ -390,10 +220,9 @@ where
         &self.inner
     }
 
-    /// Check the wrapped engine's invariants plus the registry mirror
-    /// (the registry's seqs are exactly the engine's pending ids).
-    /// Quiescent only: a submit in flight on another thread may have
-    /// been applied by the engine but not yet registered.
+    /// Check the wrapped engine's invariants plus the store's live set
+    /// (its seqs are exactly the engine's pending ids). Quiescent only:
+    /// the two sets are read at different moments, shard by shard.
     ///
     /// # Panics
     /// Panics with a description if an invariant is violated.
@@ -401,10 +230,11 @@ where
         self.inner.validate_invariants();
         let mut ids: Vec<u64> = self.inner.pending().into_iter().map(|(id, _)| id).collect();
         ids.sort_unstable();
-        let mut ctx = LockCtx::root();
-        let (registry, _) = self.registry.lock(&mut ctx);
-        let seqs: Vec<u64> = registry.keys().copied().collect();
-        assert_eq!(seqs, ids, "registry drifted from the pending set");
+        assert_eq!(
+            self.store.live_seqs(),
+            ids,
+            "the store's live set drifted from the pending set"
+        );
     }
 }
 
@@ -413,6 +243,7 @@ mod tests {
     use super::*;
     use crate::temp::TempDir;
     use crate::testkit::{chain, mini, MiniCodec, MiniQuery, SaturationEvaluator as Saturation};
+    use crate::wal::SyncPolicy;
 
     fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
         DurabilityOptions {
@@ -646,7 +477,7 @@ mod tests {
                 }
                 // `bad` is mid-evaluation, not applied: the snapshot
                 // must skip it.
-                e.snapshot().unwrap();
+                e.store().snapshot().unwrap();
                 release.store(true, Ordering::SeqCst);
                 rejected.join().unwrap();
             });
@@ -662,29 +493,6 @@ mod tests {
         .unwrap();
         assert!(e.recovery_report().had_snapshot);
         assert_eq!(e.engine().pending_count(), 0, "rejected submit resurrected");
-    }
-
-    /// The acknowledgment-window barrier at the registry level: an entry
-    /// whose commit record is still in flight cannot be taken by a
-    /// retirer, and neither can a seq not registered yet; a logged one
-    /// can.
-    #[test]
-    fn registry_retire_waits_for_logged_entries() {
-        let entry = |logged| RegistryEntry {
-            bytes: b"q".to_vec(),
-            logged,
-        };
-        let mut r = Registry::new();
-        r.insert(1, entry(false)); // append in flight
-        r.insert(2, entry(true));
-        let mut waiting = vec![1, 2, 3]; // 3: applied, not yet registered
-        take_logged(&mut r, &mut waiting);
-        assert_eq!(waiting, vec![1, 3], "unlogged or absent entry taken");
-        assert_eq!(r.keys().copied().collect::<Vec<_>>(), vec![1]);
-        r.get_mut(&1).unwrap().logged = true;
-        r.insert(3, entry(true));
-        take_logged(&mut r, &mut waiting);
-        assert!(waiting.is_empty() && r.is_empty());
     }
 
     /// A retire record names the seq the engine retired, never a
@@ -766,8 +574,8 @@ mod tests {
     }
 
     /// A rebalance pass between submits is invisible to durability:
-    /// post-move commits land on the new shard's stream, and recovery
-    /// restores the exact pending set.
+    /// post-move commits follow the moved component into the one log,
+    /// and recovery restores the exact pending set.
     #[test]
     fn rebalance_then_crash_recovers_the_exact_pending_set() {
         let dir = TempDir::new("durable-rebalance");
@@ -790,16 +598,15 @@ mod tests {
             assert!(report.triggered, "no skew detected: {report:?}");
             assert!(report.groups_moved >= 1, "nothing moved: {report:?}");
             // Post-move submits follow the moved component; their
-            // records go to its new shard's stream.
-            let lens_before = e.wal_stream_lens();
+            // records go to the one log.
+            let len_before = e.store().wal_len();
             e.submit(chain(8, Some(9))).unwrap();
             e.submit(chain(108, Some(109))).unwrap();
             e.submit(chain(216, Some(217))).unwrap();
-            let lens_after = e.wal_stream_lens();
+            let len_after = e.store().wal_len();
             assert!(
-                lens_before.iter().zip(&lens_after).all(|(b, a)| a >= b)
-                    && lens_after.iter().sum::<u64>() > lens_before.iter().sum::<u64>(),
-                "commit records not appended: {lens_before:?} → {lens_after:?}"
+                len_after > len_before,
+                "commit records not appended: {len_before} → {len_after}"
             );
             assert_eq!(e.engine().pending_count(), 35);
         } // crash

@@ -7,17 +7,18 @@
 //! * [`frame`] — `[len][crc32][payload]` record framing; a clean frame
 //!   prefix is exactly a prefix of acknowledged mutations,
 //! * [`wal`] — epoch-stamped append-only log files with configurable
-//!   [`wal::SyncPolicy`] and torn-tail truncation on reopen,
-//! * [`store`] — the store directory: a WAL stream per shard (the
-//!   caller names the stream of each record) under a shared snapshot
-//!   epoch, tmp+rename snapshot rotation, and order-independent
-//!   set-difference recovery,
+//!   [`wal::SyncPolicy`], fail-stop writes and torn-tail truncation on
+//!   reopen,
+//! * [`store`] — the store directory: one ordered WAL per snapshot
+//!   epoch, appended in memory and made durable by group commit,
+//!   tmp+rename snapshot rotation, and in-order prefix recovery,
 //! * [`codec`] — pluggable query serialization ([`codec::QueryCodec`]),
 //!   keeping this crate below `coord-core` in the workspace DAG,
 //! * [`durable`] — [`DurableShardedEngine`], the durable layer over the
 //!   sharded engine (one shard + one submitter = the single-writer
-//!   durable engine): submit → apply → log one atomic commit record →
-//!   acknowledge; each submit's seq is its query's id in the engine, so
+//!   durable engine): submit → apply and append one atomic commit
+//!   record under the shard lock → commit → acknowledge; each submit's
+//!   seq is its query's id in the engine, so
 //!   the record's retired seqs come straight from the engine; recovery
 //!   replays `snapshot + log tail` with `insert_pending` (no
 //!   re-evaluation), so replay is *faster* than live submission — the
@@ -42,5 +43,5 @@ pub mod wal;
 pub use codec::QueryCodec;
 pub use durable::{DurabilityOptions, DurableShardedEngine};
 pub use error::{DurableError, StoreError};
-pub use store::{CommitRecord, CoordStore, RecoveryReport, StoreOptions, StoreStatsSnapshot};
+pub use store::{CommitRecord, CoordStore, Lsn, RecoveryReport, StoreOptions, StoreStatsSnapshot};
 pub use wal::SyncPolicy;

@@ -1,10 +1,11 @@
 //! The append-only write-ahead log file.
 //!
 //! Layout: a fixed 16-byte header (`CWAL` magic + format version +
-//! epoch), then a run of [`crate::frame`] records. Appends go through a
+//! epoch), then a run of [`crate::frame`] records. Writes go through a
 //! [`WalWriter`] that tracks the file offset (so callers learn exactly
-//! where each record ends — the crash-point tests depend on it) and
-//! applies the configured [`SyncPolicy`].
+//! where each record ends — the crash-point tests depend on it),
+//! applies the configured [`SyncPolicy`], and stops for good at the
+//! first failed write or sync.
 //!
 //! Reading ([`read_wal`]) validates the header, scans the clean frame
 //! prefix, and reports whether a torn tail was found; recovery truncates
@@ -15,7 +16,7 @@ use crate::error::StoreError;
 use crate::frame::{scan_frames, write_frame};
 use coord_obs::{Histogram, TraceCtx, Tracer};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -26,16 +27,16 @@ pub const WAL_MAGIC: [u8; 8] = *b"CWAL\x00\x00\x00\x01";
 /// Header length: magic + epoch.
 pub const WAL_HEADER_LEN: u64 = 16;
 
-/// When appended records are pushed to stable storage.
+/// When written records are pushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Never `fsync`; durability rides on the OS page cache (fastest —
     /// survives process crashes, not power loss).
     Never,
-    /// `fsync` after every record (slowest, strongest).
+    /// `fsync` every write before it returns, so no record is
+    /// acknowledged before it is on stable storage. One group commit is
+    /// one write, however many records it carries.
     EveryRecord,
-    /// `fsync` every `n` records.
-    EveryN(u64),
 }
 
 /// An open WAL file positioned for appending.
@@ -44,7 +45,10 @@ pub struct WalWriter {
     /// Byte offset of the end of the file (= end of the last record).
     len: u64,
     sync: SyncPolicy,
-    appended_since_sync: u64,
+    /// Why the first failed write or sync failed. Once set, every write
+    /// is refused: the file may end in torn bytes, and a record written
+    /// after them would sit past the clean prefix recovery keeps.
+    failed: Option<String>,
     /// `fsync` latency sink (disabled unless the owning store attaches
     /// its observability registry via [`WalWriter::set_obs`]).
     sync_hist: Histogram,
@@ -67,7 +71,7 @@ impl WalWriter {
             file,
             len: WAL_HEADER_LEN,
             sync,
-            appended_since_sync: 0,
+            failed: None,
             sync_hist: Histogram::disabled(),
             tracer: Tracer::disabled(),
         })
@@ -84,7 +88,7 @@ impl WalWriter {
             file,
             len: clean_len,
             sync,
-            appended_since_sync: 0,
+            failed: None,
             sync_hist: Histogram::disabled(),
             tracer: Tracer::disabled(),
         })
@@ -104,12 +108,11 @@ impl WalWriter {
         if let Some(start) = start {
             let nanos = start.elapsed().as_nanos() as u64;
             self.sync_hist.record(nanos);
-            // The sync runs inside the submitting request's wal_append
+            // The sync runs inside the committing request's wal_append
             // span, so the thread-local ctx attributes it to that trace.
             self.tracer
                 .instant_in(TraceCtx::current(), "wal_sync", nanos);
         }
-        self.appended_since_sync = 0;
         Ok(())
     }
 
@@ -118,18 +121,35 @@ impl WalWriter {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let mut buf = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut buf, payload);
-        self.file.write_all(&buf)?;
-        self.len += buf.len() as u64;
-        self.appended_since_sync += 1;
-        let flush = match self.sync {
-            SyncPolicy::Never => false,
-            SyncPolicy::EveryRecord => true,
-            SyncPolicy::EveryN(n) => self.appended_since_sync >= n.max(1),
-        };
-        if flush {
-            self.timed_sync()?;
+        self.write(&buf)
+    }
+
+    /// Write already-framed records and sync them per policy; returns
+    /// the new end-of-log offset. Fails if the write or the sync failed,
+    /// now or in an earlier call: the writer is fail-stop.
+    pub(crate) fn write(&mut self, frames: &[u8]) -> Result<u64, StoreError> {
+        if let Some(cause) = &self.failed {
+            return Err(StoreError::Io(io::Error::other(format!(
+                "the log stopped after a failed write or sync ({cause}); reopen the store"
+            ))));
         }
-        Ok(self.len)
+        if frames.is_empty() {
+            return Ok(self.len);
+        }
+        let result = match self.file.write_all(frames) {
+            Ok(()) => {
+                self.len += frames.len() as u64;
+                match self.sync {
+                    SyncPolicy::Never => Ok(()),
+                    SyncPolicy::EveryRecord => self.timed_sync(),
+                }
+            }
+            Err(e) => Err(StoreError::Io(e)),
+        };
+        if let Err(e) = &result {
+            self.failed = Some(e.to_string());
+        }
+        result.map(|()| self.len)
     }
 
     /// Current end-of-log offset.
@@ -142,9 +162,11 @@ impl WalWriter {
         self.len <= WAL_HEADER_LEN
     }
 
-    /// Force records to stable storage regardless of policy.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.timed_sync()
+    /// Replace the file handle, returning the old one: a test swaps in a
+    /// read-only handle to make the next write fail.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 }
 
@@ -254,18 +276,5 @@ mod tests {
         assert!(matches!(read_wal(&path), Err(StoreError::Corrupt(_))));
         std::fs::write(&path, b"shrt").unwrap();
         assert!(matches!(read_wal(&path), Err(StoreError::Corrupt(_))));
-    }
-
-    #[test]
-    fn every_n_sync_policy_counts() {
-        let dir = TempDir::new("wal-sync");
-        let path = dir.path().join("wal.log");
-        let mut w = WalWriter::create(&path, 0, SyncPolicy::EveryN(3)).unwrap();
-        for i in 0..10u8 {
-            w.append(&[i]).unwrap();
-        }
-        w.sync().unwrap();
-        let c = read_wal(&path).unwrap();
-        assert_eq!(c.records.len(), 10);
     }
 }

@@ -1,16 +1,21 @@
-//! Crash-point fuzzing of the durable engine in its single-writer
+//! Crash-point fuzzing of the durable engine. In its single-writer
 //! configuration (`DurableShardedEngine`, one shard, one submitting
-//! thread — one stream, records in submit order): truncate the WAL at
-//! *every* byte offset — including mid-record — and at randomly flipped
-//! bytes, and assert recovery restores exactly the state after the
-//! longest clean prefix of acknowledged submits.
+//! thread — records in submit order): truncate the WAL at *every* byte
+//! offset — including mid-record — and at randomly flipped bytes, and
+//! assert recovery restores exactly the state after the longest clean
+//! prefix of acknowledged submits. With two shards and two threads:
+//! the one log is a linearization, and every record boundary recovers
+//! exactly the pending set its prefix leaves.
 
 use coord_store::temp::TempDir;
-use coord_store::testkit::{chain, MiniCodec, MiniQuery, SaturationEvaluator as Saturation};
-use coord_store::{DurabilityOptions, DurableShardedEngine, SyncPolicy};
+use coord_store::testkit::{chain, mini, MiniCodec, MiniQuery, SaturationEvaluator as Saturation};
+use coord_store::wal::read_wal;
+use coord_store::{CommitRecord, DurabilityOptions, DurableShardedEngine, SyncPolicy};
 use proptest::prelude::*;
 use rand::prelude::*;
+use std::collections::{BTreeSet, HashSet};
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 fn no_snapshots() -> DurabilityOptions {
     DurabilityOptions {
@@ -22,7 +27,11 @@ fn no_snapshots() -> DurabilityOptions {
 type Engine = DurableShardedEngine<MiniQuery, Saturation, MiniCodec>;
 
 fn open(dir: &Path) -> Engine {
-    DurableShardedEngine::open(dir, Saturation, 1, MiniCodec, no_snapshots()).unwrap()
+    open_sharded(dir, 1)
+}
+
+fn open_sharded(dir: &Path, shards: usize) -> Engine {
+    DurableShardedEngine::open(dir, Saturation, shards, MiniCodec, no_snapshots()).unwrap()
 }
 
 fn wal_len(engine: &Engine) -> u64 {
@@ -166,6 +175,110 @@ fn header_damage_means_empty_store_not_a_crash() {
         std::fs::write(crash_dir.path().join(wal.file_name().unwrap()), &damaged).unwrap();
         let engine = open(crash_dir.path());
         assert_eq!(engine.engine().pending_count(), 0, "header flip at {pos}");
+    }
+}
+
+/// Two half-chains placed as fresh components, then a bridge providing
+/// what both require: when the halves sit on different shards, the
+/// bridge migrates one onto the other's shard, and all three retire.
+fn bridged_pair(engine: &Engine, a: i64, b: i64) {
+    engine.submit(chain(a, Some(a + 1))).unwrap();
+    engine.submit(chain(b, Some(b + 1))).unwrap();
+    let bridge = mini(&format!("b{a}"), &[("R", a + 1), ("R", b + 1)], &[]);
+    assert_eq!(engine.submit(bridge).unwrap().retired.len(), 3);
+}
+
+/// Two shards, two submitting threads: one thread submits chain links
+/// and bridges (at least one migration, made certain before the threads
+/// start), the other each link's free tail the moment the link is
+/// pending, so every tail retires a query the other thread is still
+/// submitting. Then (a)
+/// the log is one linearization — a record retires only its own seq or
+/// an earlier record's; (b) a crash at every record boundary recovers
+/// exactly "inserted minus retired" of that prefix, the engine's
+/// invariants hold, and the store still accepts appends.
+#[test]
+fn two_shards_two_threads_recover_every_record_boundary() {
+    const LINKS: i64 = 24;
+    let dir = TempDir::new("fuzz-two-shards");
+    {
+        let engine = open_sharded(dir.path(), 2);
+        // An idle least-loaded engine places the first two fresh
+        // components on different shards, so this bridge migrates.
+        bridged_pair(&engine, 0, 100);
+        assert_eq!(engine.engine().metrics().snapshot().migrations, 1);
+        let engine = &engine;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..LINKS {
+                    engine
+                        .submit(chain(1_000 + 10 * i, Some(1_001 + 10 * i)))
+                        .unwrap();
+                    if i % 8 == 0 {
+                        bridged_pair(engine, 5_000 + 1_000 * i, 5_500 + 1_000 * i);
+                    }
+                }
+            });
+            s.spawn(move || {
+                for i in 0..LINKS {
+                    // Arrive as soon as the link is in the engine, so
+                    // the tail races the link's own submit to the log.
+                    let link = format!("q{}", 1_000 + 10 * i);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !engine
+                        .engine()
+                        .pending()
+                        .iter()
+                        .any(|(_, q)| q.name == link)
+                    {
+                        assert!(Instant::now() < deadline, "{link} never became pending");
+                        std::thread::yield_now();
+                    }
+                    let tail = engine.submit(chain(1_001 + 10 * i, None)).unwrap();
+                    assert_eq!(tail.retired.len(), 2, "{link} not retired by its tail");
+                }
+            });
+        });
+        assert_eq!(engine.engine().pending_count(), 0);
+        engine.validate_invariants();
+    } // crash
+
+    let wal = dir.path().join(format!("wal-{:020}-{:04}.log", 0, 0));
+    let full = std::fs::read(&wal).unwrap();
+    let contents = read_wal(&wal).unwrap();
+    assert_eq!(contents.records.len() as i64, 3 + 2 * LINKS + 3 * 3);
+    let mut logged: HashSet<u64> = HashSet::new();
+    let mut live: BTreeSet<u64> = BTreeSet::new();
+    for k in 0..=contents.records.len() {
+        // (b) A crash right after the first k records.
+        let cut = if k == 0 {
+            16
+        } else {
+            contents.record_ends[k - 1]
+        };
+        let crash_dir = TempDir::new("fuzz-two-shards-cut");
+        let crash_wal = crash_dir.path().join(wal.file_name().unwrap());
+        std::fs::write(&crash_wal, &full[..cut as usize]).unwrap();
+        let engine = open_sharded(crash_dir.path(), 2);
+        let expected: Vec<u64> = live.iter().copied().collect();
+        assert_eq!(engine.store().live_seqs(), expected, "cut after record {k}");
+        engine.validate_invariants();
+        engine.submit(chain(777_000, Some(777_001))).unwrap();
+        drop(engine);
+        let names = pending_names(&open_sharded(crash_dir.path(), 2));
+        assert!(names.contains(&"q777000".into()), "cut after record {k}");
+
+        // (a) Record k retires only itself or earlier records.
+        let Some(payload) = contents.records.get(k) else {
+            break;
+        };
+        let record = CommitRecord::decode(payload).unwrap();
+        logged.insert(record.seq);
+        live.insert(record.seq);
+        for seq in &record.retired {
+            assert!(logged.contains(seq), "record {k} retires a later seq {seq}");
+            live.remove(seq);
+        }
     }
 }
 

@@ -51,9 +51,9 @@ fn opts(snapshot_every: Option<u64>) -> DurabilityOptions {
     }
 }
 
-/// The single-writer durable engine: one shard (hence one WAL stream,
-/// records in submit order) driven from this thread only — the
-/// configuration with strict prefix recovery.
+/// The single-writer durable engine: one shard driven from this thread
+/// only, so the log's order is this thread's submit order and recovery
+/// restores a prefix of it.
 fn open_single_writer<'a>(
     db: &'a Database,
     dir: &std::path::Path,
@@ -62,8 +62,7 @@ fn open_single_writer<'a>(
     DurableSharedEngine::open_with(db, dir, 1, opts(snapshot_every)).unwrap()
 }
 
-/// End offset of the single WAL stream after the last acknowledged
-/// submit.
+/// Length of the one log after the last acknowledged submit.
 fn wal_len(engine: &DurableSharedEngine<'_>) -> u64 {
     engine.wal_stream_lens()[0]
 }
@@ -348,17 +347,15 @@ fn sharded_durable_engine_recovers_concurrent_workload() {
     assert_eq!(engine.pending_count(), 0);
 }
 
-/// The sharded acknowledgment-window invariant, fuzzed across shard
-/// streams under concurrent coordinating submitters: at the moment a
-/// coordination is acknowledged, the commit record of **every** partner
-/// it retired is already appended to its stream. Each coordinated ack
-/// samples the clean end offset of every stream (each sample is a
-/// record boundary — appends hold the stream lock); truncating every
-/// stream at those offsets is the worst crash that can follow the ack,
-/// and the delivering record plus all its partners must survive it.
-/// Before the flush barrier, a partner's record could still be in
-/// flight on another stream at ack time, and this test's cut would
-/// drop it while keeping the record that names it.
+/// The acknowledgment invariant under concurrent coordinating
+/// submitters on several shards: at the moment a coordination is
+/// acknowledged, the commit record of **every** partner it retired is
+/// already in the durable prefix of the one log. Each coordinated ack
+/// samples the log's length (a record boundary: a commit publishes whole
+/// drained tails); truncating the log there is the worst crash that can
+/// follow the ack, and the delivering record plus all its partners must
+/// survive it. And the log is one linearization: every seq a record
+/// retires is that record's own or an earlier record's.
 #[test]
 fn delivered_coordination_names_only_logged_partners() {
     const THREADS: usize = 4;
@@ -367,9 +364,9 @@ fn delivered_coordination_names_only_logged_partners() {
 
     let db = pool_db(POOL);
     let dir = TempDir::new("durable-ack-window");
-    // (keystone name, per-stream clean lengths sampled right after the
-    // coordinated ack)
-    let samples: std::sync::Mutex<Vec<(String, Vec<u64>)>> = std::sync::Mutex::new(Vec::new());
+    // (keystone name, log length sampled right after the coordinated
+    // ack)
+    let samples: std::sync::Mutex<Vec<(String, u64)>> = std::sync::Mutex::new(Vec::new());
     {
         let engine = DurableSharedEngine::open_with(&db, dir.path(), THREADS, opts(None)).unwrap();
         std::thread::scope(|s| {
@@ -387,11 +384,11 @@ fn delivered_coordination_names_only_logged_partners() {
                         let tail = partner_query(offset + CHAIN - 1, &[]);
                         let r = engine.submit(tail).unwrap();
                         assert!(r.coordinated());
-                        let lens = engine.wal_stream_lens();
+                        let len = wal_len(engine);
                         samples
                             .lock()
                             .unwrap()
-                            .push((format!("q{}", offset + CHAIN - 1), lens));
+                            .push((format!("q{}", offset + CHAIN - 1), len));
                     }
                 });
             }
@@ -399,21 +396,16 @@ fn delivered_coordination_names_only_logged_partners() {
         assert_eq!(engine.pending_count(), 0);
     } // crash
 
-    // Decode every stream's records with their end offsets.
-    let mut streams: Vec<Vec<(u64, CommitRecord)>> = Vec::new();
-    for s in 0..THREADS {
-        let path = dir.path().join(format!("wal-{:020}-{:04}.log", 0, s));
-        let contents = read_wal(&path).unwrap();
-        assert!(!contents.torn, "stream {s} torn without a crash");
-        streams.push(
-            contents
-                .records
-                .iter()
-                .zip(&contents.record_ends)
-                .map(|(payload, &end)| (end, CommitRecord::decode(payload).unwrap()))
-                .collect(),
-        );
-    }
+    // Decode the log's records with their end offsets.
+    let path = dir.path().join(format!("wal-{:020}-{:04}.log", 0, 0));
+    let contents = read_wal(&path).unwrap();
+    assert!(!contents.torn, "log torn without a crash");
+    let records: Vec<(u64, CommitRecord)> = contents
+        .records
+        .iter()
+        .zip(&contents.record_ends)
+        .map(|(payload, &end)| (end, CommitRecord::decode(payload).unwrap()))
+        .collect();
     let keystone_of = |record: &CommitRecord| {
         EntangledQueryCodec
             .decode(&record.query)
@@ -424,17 +416,12 @@ fn delivered_coordination_names_only_logged_partners() {
 
     let samples = samples.into_inner().unwrap();
     assert_eq!(samples.len(), THREADS * CHAINS_PER_THREAD);
-    for (keystone, lens) in &samples {
-        // The records surviving a crash at this ack's sampled offsets.
-        let visible: Vec<&CommitRecord> = streams
+    for (keystone, cut) in &samples {
+        // The records surviving a crash at this ack's sampled offset.
+        let visible: Vec<&CommitRecord> = records
             .iter()
-            .zip(lens)
-            .flat_map(|(records, &cut)| {
-                records
-                    .iter()
-                    .filter(move |(end, _)| *end <= cut)
-                    .map(|(_, r)| r)
-            })
+            .filter(|(end, _)| end <= cut)
+            .map(|(_, r)| r)
             .collect();
         let visible_seqs: std::collections::HashSet<u64> = visible.iter().map(|r| r.seq).collect();
         // The acknowledged coordination's own record survived the cut…
@@ -448,18 +435,23 @@ fn delivered_coordination_names_only_logged_partners() {
             assert!(
                 visible_seqs.contains(seq),
                 "{keystone}'s delivery names partner seq {seq} whose commit record \
-                 was not yet appended at ack time"
+                 was not durable at ack time"
             );
         }
     }
 
-    // Quiescent full-file check: every record's retired seqs are logged
-    // somewhere — nothing in the final log names a phantom.
-    let all_seqs: std::collections::HashSet<u64> =
-        streams.iter().flatten().map(|(_, r)| r.seq).collect();
-    for (_, record) in streams.iter().flatten() {
+    // One linearization: every retire names the record itself or an
+    // earlier one, so nothing in the log names a phantom or a later
+    // record.
+    let mut earlier: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    for (_, record) in &records {
+        earlier.insert(record.seq);
         for seq in &record.retired {
-            assert!(all_seqs.contains(seq), "retire of never-logged seq {seq}");
+            assert!(
+                earlier.contains(seq),
+                "record {} retires seq {seq}, which no earlier record logged",
+                record.seq
+            );
         }
     }
 }

@@ -137,7 +137,7 @@ struct KeySlot {
 
 /// The routing table: key pattern → owning shard, plus the keys
 /// currently frozen by the in-flight migration.
-struct Router<R, C> {
+pub(super) struct Router<R, C> {
     keys: HashMap<KeyPattern<R, C>, KeySlot>,
     /// relation → shard → number of distinct keys (for wildcard lookups).
     by_rel: HashMap<R, HashMap<usize, usize>>,
@@ -150,7 +150,7 @@ struct Router<R, C> {
 }
 
 impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R, C> {
-    fn new() -> Self {
+    pub(super) fn new() -> Self {
         Router {
             keys: HashMap::new(),
             by_rel: HashMap::new(),
@@ -160,7 +160,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
 
     /// Whether any of `keys` is related to a key frozen by the
     /// in-flight migration.
-    fn blocked(&self, keys: &[KeyPattern<R, C>]) -> bool {
+    pub(super) fn blocked(&self, keys: &[KeyPattern<R, C>]) -> bool {
         !self.migrating.is_empty()
             && keys.iter().any(|(rel, c)| {
                 self.migrating
@@ -172,7 +172,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
     /// Add keys to the migrating set. Migrations are serialized and
     /// dedup their closure growth, so the keys are guaranteed fresh —
     /// no membership scan is needed.
-    fn mark(&mut self, keys: &[KeyPattern<R, C>]) {
+    pub(super) fn mark(&mut self, keys: &[KeyPattern<R, C>]) {
         for (rel, c) in keys {
             self.migrating
                 .entry(rel.clone())
@@ -181,7 +181,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
         }
     }
 
-    fn unmark(&mut self, keys: &std::collections::HashSet<KeyPattern<R, C>>) {
+    pub(super) fn unmark(&mut self, keys: &std::collections::HashSet<KeyPattern<R, C>>) {
         for (rel, c) in keys {
             if let Some(marks) = self.migrating.get_mut(rel) {
                 if let Some(pos) = marks.iter().position(|m| m == c) {
@@ -195,7 +195,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
     }
 
     /// Shards owning any key related to one of `keys`.
-    fn owners_related(&self, keys: &[KeyPattern<R, C>]) -> BTreeSet<usize> {
+    pub(super) fn owners_related(&self, keys: &[KeyPattern<R, C>]) -> BTreeSet<usize> {
         let mut out = BTreeSet::new();
         for key in keys {
             match &key.1 {
@@ -218,7 +218,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
         out
     }
 
-    fn register(&mut self, key: &KeyPattern<R, C>, shard: usize) {
+    pub(super) fn register(&mut self, key: &KeyPattern<R, C>, shard: usize) {
         match self.keys.get_mut(key) {
             Some(slot) => {
                 debug_assert_eq!(slot.shard, shard, "key registered on two shards");
@@ -236,7 +236,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
         }
     }
 
-    fn unregister(&mut self, key: &KeyPattern<R, C>) {
+    pub(super) fn unregister(&mut self, key: &KeyPattern<R, C>) {
         let Some(slot) = self.keys.get_mut(key) else {
             return;
         };
@@ -259,7 +259,7 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
     }
 
     /// Point an existing key at a new shard (during migration).
-    fn reassign(&mut self, key: &KeyPattern<R, C>, to: usize) {
+    pub(super) fn reassign(&mut self, key: &KeyPattern<R, C>, to: usize) {
         let Some(slot) = self.keys.get_mut(key) else {
             return;
         };
@@ -278,6 +278,32 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
             *shards.entry(to).or_insert(0) += 1;
         }
     }
+
+    /// The shard `key` is registered on, if any pending query holds it.
+    pub(super) fn shard_of(&self, key: &KeyPattern<R, C>) -> Option<usize> {
+        self.keys.get(key).map(|slot| slot.shard)
+    }
+
+    /// Every registered key related to one of `keys`.
+    pub(super) fn registered_related(&self, keys: &[KeyPattern<R, C>]) -> Vec<KeyPattern<R, C>> {
+        self.keys
+            .keys()
+            .filter(|k| keys.iter().any(|q| keys_related(q, k)))
+            .cloned()
+            .collect()
+    }
+
+    /// Number of registered keys.
+    #[cfg(test)]
+    pub(super) fn key_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether no key is frozen by a migration.
+    #[cfg(test)]
+    pub(super) fn marks_lifted(&self) -> bool {
+        self.migrating.is_empty()
+    }
 }
 
 struct Shard<Q: CoordinationQuery, V> {
@@ -293,7 +319,7 @@ struct Shard<Q: CoordinationQuery, V> {
 /// Key groups moved by migrations performed for one submission:
 /// `(source shard, moved queries' keys)` — enough to undo the merges if
 /// the submission is rejected.
-type MigrationRecord<Q> = Vec<(
+pub(super) type MigrationRecord<Q> = Vec<(
     usize,
     Vec<KeyPattern<<Q as CoordinationQuery>::Rel, <Q as CoordinationQuery>::Cst>>,
 )>;
@@ -681,7 +707,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Route `qkeys` to one shard and (optionally) claim them there,
     /// performing marker-based migrations first when the keys bridge
     /// shards. Never holds the router lock while migrating.
-    fn claim(
+    pub(super) fn claim(
         &self,
         ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
@@ -784,12 +810,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                 return;
             }
             let target = *owners.iter().next().unwrap();
-            let seed: Vec<KeyPattern<Q::Rel, Q::Cst>> = router
-                .keys
-                .keys()
-                .filter(|k| qkeys.iter().any(|q| keys_related(q, k)))
-                .cloned()
-                .collect();
+            let seed = router.registered_related(qkeys);
             router.mark(&seed);
             EngineMetrics::add(&self.metrics.migrations, 1);
             MigrationPlan {
@@ -962,12 +983,10 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
         router: &Router<Q::Rel, Q::Cst>,
         candidate: &[KeyPattern<Q::Rel, Q::Cst>],
     ) -> Option<SeedPlan<Q>> {
-        let source = candidate
-            .iter()
-            .find_map(|k| router.keys.get(k).map(|slot| slot.shard))?;
+        let source = candidate.iter().find_map(|k| router.shard_of(k))?;
         let seed: Vec<KeyPattern<Q::Rel, Q::Cst>> = candidate
             .iter()
-            .filter(|k| router.keys.get(*k).is_some_and(|slot| slot.shard == source))
+            .filter(|k| router.shard_of(k) == Some(source))
             .cloned()
             .collect();
         Some((seed, source))
@@ -978,7 +997,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// target and none may be frozen by a migration (see the module docs
     /// for why this cannot deadlock or lose the query). `op` also gets
     /// the shard guard's context.
-    fn with_owned_shard<T>(
+    pub(super) fn with_owned_shard<T>(
         &self,
         ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
@@ -996,7 +1015,8 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                 // router (there is no `Router` edge under `ShardEngine`);
                 // on a miss both locks are released before retrying.
                 let consistent = self.router.try_read(&mut engine_ctx).map(|(router, _)| {
-                    qkeys.iter().all(|k| router.keys[k].shard == target) && !router.blocked(qkeys)
+                    qkeys.iter().all(|k| router.shard_of(k) == Some(target))
+                        && !router.blocked(qkeys)
                 });
                 match consistent {
                     Some(true) => {}
@@ -1012,7 +1032,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
                         // to publish a move of our keys. Back off and
                         // retry without holding the shard lock.
                         drop(engine);
-                        target = self.router.read(ctx).0.keys[&qkeys[0]].shard;
+                        target = (self.router.read(ctx).0)
+                            .shard_of(&qkeys[0])
+                            .expect("a claimed key stays registered until finish");
                         continue;
                     }
                 }
@@ -1029,7 +1051,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Release the routing claims of whatever left the pending set — the
     /// rejected query, or the retired set — and undo a rejected bridge's
     /// migrations.
-    fn finish(
+    pub(super) fn finish(
         &self,
         ctx: &mut LockCtx<'_, Unlocked>,
         qkeys: &[KeyPattern<Q::Rel, Q::Cst>],
@@ -1119,7 +1141,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
 
-    fn chain_query(i: i64, next: Option<i64>) -> TestQuery {
+    pub(super) fn chain_query(i: i64, next: Option<i64>) -> TestQuery {
         let requires = next.map(|n| ("R", Some(n))).into_iter().collect();
         TestQuery::new(format!("q{i}"), vec![("R", Some(i))], requires)
     }
@@ -1178,13 +1200,10 @@ mod tests {
         assert_eq!(engine.pending_count(), 0);
         assert_eq!(engine.metrics().snapshot().migrations, 1);
         // All routing state was released, no marks linger.
-        assert!(engine.router.read(&mut LockCtx::root()).0.keys.is_empty());
-        assert!(engine
-            .router
-            .read(&mut LockCtx::root())
-            .0
-            .migrating
-            .is_empty());
+        let mut ctx = LockCtx::root();
+        let (router, _) = engine.router.read(&mut ctx);
+        assert_eq!(router.key_count(), 0);
+        assert!(router.marks_lifted());
     }
 
     #[test]
@@ -1329,7 +1348,7 @@ mod tests {
         let engine = ShardedEngine::new(AlwaysFail, 2);
         engine.submit(0, chain_query(0, Some(1))).unwrap_err();
         assert_eq!(engine.pending_count(), 0);
-        assert!(engine.router.read(&mut LockCtx::root()).0.keys.is_empty());
+        assert_eq!(engine.router.read(&mut LockCtx::root()).0.key_count(), 0);
     }
 
     #[test]
@@ -1452,12 +1471,7 @@ mod tests {
             "nothing actually moved: {per_shard:?}"
         );
         assert!(
-            engine
-                .router
-                .read(&mut LockCtx::root())
-                .0
-                .migrating
-                .is_empty(),
+            engine.router.read(&mut LockCtx::root()).0.marks_lifted(),
             "marks leaked"
         );
         // …and every group still coordinates exactly as before: the
@@ -1509,8 +1523,8 @@ mod tests {
         {
             let mut ctx = LockCtx::root();
             let (router, _) = engine.router.read(&mut ctx);
-            assert_eq!(router.keys[&("R", Some(10))].shard, 2);
-            assert_eq!(router.keys[&("R", Some(11))].shard, 1);
+            assert_eq!(router.shard_of(&("R", Some(10))), Some(2));
+            assert_eq!(router.shard_of(&("R", Some(11))), Some(1));
         }
         // b is still reachable through its key: a partner requiring
         // R(11) routes to it and coordinates.

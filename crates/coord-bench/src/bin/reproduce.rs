@@ -578,14 +578,14 @@ fn shard_skew(quick: bool) {
 /// Drive a query chain through the online engine and return
 /// (per-submit probe work, submit-by-submit answer transcript).
 fn drive_chain(db: &Database, queries: &[EntangledQuery]) -> (f64, Vec<Vec<QueryAnswer>>) {
-    db.stats().reset();
+    let before = db.stats().probe_work();
     let mut engine = CoordinationEngine::new(db);
     let transcript: Vec<_> = queries
         .iter()
         .map(|q| engine.submit(q.clone()).unwrap().answers)
         .collect();
     assert_eq!(engine.pending().len(), 0, "chain must fully coordinate");
-    let per_submit = db.stats().probe_work() as f64 / queries.len() as f64;
+    let per_submit = (db.stats().probe_work() - before) as f64 / queries.len() as f64;
     (per_submit, transcript)
 }
 

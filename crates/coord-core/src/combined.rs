@@ -97,7 +97,7 @@ pub fn combined_body(
 /// [`combined_body`], tallying one [`GroundWork::rewritten`] operation per
 /// body atom rewritten under the MGU. Differential evaluation reuses
 /// cached fragments instead of paying this per closure.
-pub fn combined_body_counted(
+fn combined_body_counted(
     qs: &QuerySet,
     members: &[QueryId],
     subst: &mut Substitution,
@@ -173,21 +173,6 @@ pub fn ground_assembled(
     Ok(Some(grounding))
 }
 
-/// Convenience: unify and ground `members` (sorted ascending) in one
-/// step, starting from the identity substitution.
-pub fn coordinate_members(
-    db: &Database,
-    qs: &QuerySet,
-    members: &[QueryId],
-) -> Result<Option<Grounding>, CoordError> {
-    let index = HeadIndex::build(qs);
-    let subst = Substitution::identity(qs.total_vars());
-    let Ok(mut subst) = unify_members(qs, members, subst, &index) else {
-        return Ok(None);
-    };
-    ground_members(db, qs, members, &mut subst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +205,13 @@ mod tests {
         QuerySet::new(vec![q1, q2])
     }
 
+    /// `members` unified from the identity substitution; panics if
+    /// unification fails.
+    fn unified(qs: &QuerySet, members: &[QueryId]) -> Substitution {
+        let index = HeadIndex::build(qs);
+        unify_members(qs, members, Substitution::identity(qs.total_vars()), &index).unwrap()
+    }
+
     #[test]
     fn unify_links_postcondition_to_head() {
         let qs = gwyneth_chris();
@@ -241,7 +233,8 @@ mod tests {
         let db = db();
         let qs = gwyneth_chris();
         let members = [QueryId(0), QueryId(1)];
-        let g = coordinate_members(&db, &qs, &members).unwrap().unwrap();
+        let mut s = unified(&qs, &members);
+        let g = ground_members(&db, &qs, &members, &mut s).unwrap().unwrap();
         check_coordinating_set(&db, &qs, &members, &g).unwrap();
         // Both fly on flight 101 (the only Zurich flight).
         assert_eq!(g.get(Var(0)), Some(&Value::int(101)));
@@ -256,7 +249,10 @@ mod tests {
             .unwrap();
         let qs = gwyneth_chris();
         let members = [QueryId(0), QueryId(1)];
-        assert!(coordinate_members(&db, &qs, &members).unwrap().is_none());
+        let mut s = unified(&qs, &members);
+        assert!(ground_members(&db, &qs, &members, &mut s)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -293,7 +289,10 @@ mod tests {
         let qs = QuerySet::new(vec![q1, q2]);
         let db = db();
         let members = [QueryId(0), QueryId(1)];
-        assert!(coordinate_members(&db, &qs, &members).unwrap().is_none());
+        let mut s = unified(&qs, &members);
+        assert!(ground_members(&db, &qs, &members, &mut s)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -307,7 +306,8 @@ mod tests {
             .unwrap();
         let qs = QuerySet::new(vec![q]);
         let db = db();
-        let g = coordinate_members(&db, &qs, &[QueryId(0)])
+        let mut s = unified(&qs, &[QueryId(0)]);
+        let g = ground_members(&db, &qs, &[QueryId(0)], &mut s)
             .unwrap()
             .unwrap();
         assert_eq!(g.len(), 2);
@@ -318,8 +318,10 @@ mod tests {
     fn one_db_query_issued_per_grounding() {
         let db = db();
         let qs = gwyneth_chris();
-        db.stats().reset();
-        let _ = coordinate_members(&db, &qs, &[QueryId(0), QueryId(1)]).unwrap();
-        assert_eq!(db.stats().find_one_count(), 1);
+        let members = [QueryId(0), QueryId(1)];
+        let mut s = unified(&qs, &members);
+        let before = db.stats().find_one_count();
+        ground_members(&db, &qs, &members, &mut s).unwrap().unwrap();
+        assert_eq!(db.stats().find_one_count() - before, 1);
     }
 }

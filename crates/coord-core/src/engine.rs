@@ -185,18 +185,6 @@ impl<'a> CoordinationEngine<'a> {
         })
     }
 
-    /// Submit a batch of queries, collecting every delivered answer.
-    pub fn submit_all(
-        &mut self,
-        queries: impl IntoIterator<Item = EntangledQuery>,
-    ) -> Result<Vec<QueryAnswer>, CoordError> {
-        let mut out = Vec::new();
-        for q in queries {
-            out.extend(self.submit(q)?.answers);
-        }
-        Ok(out)
-    }
-
     /// Check the engine's internal invariants (slab/index/component
     /// consistency); panics with a description on violation.
     pub fn validate_invariants(&mut self) {

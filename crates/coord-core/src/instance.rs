@@ -89,12 +89,6 @@ impl QuerySet {
         (QueryId(i), Var(global.0 - self.offsets[i]))
     }
 
-    /// Human-readable name of a global variable: `"query.var"`.
-    pub fn var_display(&self, global: Var) -> String {
-        let (q, local) = self.owner_of(global);
-        format!("{}.{}", self.query(q).name(), self.query(q).var_name(local))
-    }
-
     /// Rewrite an atom of query `id` into the global variable space.
     pub fn globalize(&self, id: QueryId, atom: &Atom) -> Atom {
         let off = self.offsets[id.index()];
@@ -233,13 +227,6 @@ mod tests {
         let heads = qs.heads(QueryId(1));
         assert_eq!(heads[0].terms[1], Term::Var(Var(1)));
         assert!(heads[0].terms[0].is_const());
-    }
-
-    #[test]
-    fn var_display_names() {
-        let qs = two_queries();
-        assert_eq!(qs.var_display(Var(0)), "q1.x");
-        assert_eq!(qs.var_display(Var(1)), "q2.y");
     }
 
     #[test]

@@ -36,8 +36,10 @@
 //! * [`persist`] — the durable online engine: the `coord-store`
 //!   WAL/snapshot subsystem with an [`EntangledQuery`] codec, so
 //!   acknowledged submits survive crashes,
-//! * [`testkit`] — oracles for the online engines (the full-rebuild
-//!   loop the property suites and `reproduce` compare against).
+//! * [`testkit`] — oracles the property suites and `reproduce` compare
+//!   against: `testkit::from_scratch_scc`, the SCC algorithm without
+//!   differential evaluation, and `testkit::RebuildEngine`, the
+//!   full-rebuild online loop.
 //!
 //! ## Quickstart
 //!

@@ -380,16 +380,6 @@ fn parse_query_inner(input: &str) -> Result<EntangledQuery, ParseError> {
         })
 }
 
-/// Parse a whole program: one query per non-empty, non-`//`-comment line.
-pub fn parse_program(input: &str) -> Result<Vec<EntangledQuery>, CoordError> {
-    input
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .map(parse_query)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,30 +459,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_program_skips_comments_and_blanks() {
-        let program = r"
-            // the famous pair
-            q1: {R(Chris, x)} R(Gwyneth, x) :- Flights(x, Zurich)
-
-            q2: {} R(Chris, y) :- Flights(y, Zurich)
-        ";
-        let queries = parse_program(program).unwrap();
-        assert_eq!(queries.len(), 2);
-        assert_eq!(queries[0].name(), "q1");
-        assert_eq!(queries[1].name(), "q2");
-    }
-
-    #[test]
     fn parsed_queries_coordinate_end_to_end() {
         let mut db = coord_db::Database::new();
         db.create_table("Flights", &["id", "dest"]).unwrap();
         db.insert("Flights", vec![Value::int(101), Value::str("Zurich")])
             .unwrap();
-        let queries = parse_program(
-            "q1: {R(Chris, x)} R(Gwyneth, x) :- Flights(x, Zurich)\n\
-             q2: {} R(Chris, y) :- Flights(y, Zurich)",
-        )
-        .unwrap();
+        let queries = vec![
+            parse_query("q1: {R(Chris, x)} R(Gwyneth, x) :- Flights(x, Zurich)").unwrap(),
+            parse_query("q2: {} R(Chris, y) :- Flights(y, Zurich)").unwrap(),
+        ];
         let out = crate::scc::SccCoordinator::new(&db).run(&queries).unwrap();
         assert_eq!(out.best().unwrap().len(), 2);
     }

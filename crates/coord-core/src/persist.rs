@@ -74,11 +74,13 @@ fn put_atoms(out: &mut Vec<u8>, atoms: &[Atom]) {
 }
 
 fn read_atoms(r: &mut Reader<'_>) -> Result<Vec<Atom>, StoreError> {
-    let count = r.u32()? as usize;
+    // An atom takes at least a relation length and an arity (8 bytes),
+    // a term a tag and a 4-byte operand.
+    let count = r.count(8)?;
     let mut atoms = Vec::with_capacity(count);
     for _ in 0..count {
         let relation = r.str()?;
-        let arity = r.u32()? as usize;
+        let arity = r.count(5)?;
         let mut terms = Vec::with_capacity(arity);
         for _ in 0..arity {
             let term = match r.u8()? {
@@ -109,7 +111,7 @@ impl QueryCodec<EntangledQuery> for EntangledQueryCodec {
     fn decode(&self, bytes: &[u8]) -> Result<EntangledQuery, StoreError> {
         let mut r = Reader::new(bytes);
         let name = r.str()?;
-        let vars = r.u32()? as usize;
+        let vars = r.count(4)?;
         let mut var_names = Vec::with_capacity(vars);
         for _ in 0..vars {
             var_names.push(r.str()?);
@@ -373,5 +375,32 @@ mod tests {
         codec.encode(&q, &mut bytes);
         bytes.push(0);
         assert!(codec.decode(&bytes).is_err());
+    }
+
+    /// A count field claiming more elements than the payload can hold is
+    /// an error, not a reservation sized by the claim: 9 bytes that
+    /// promise `u32::MAX` variable names would otherwise ask for a
+    /// 100 GB `Vec<String>` and abort the process.
+    #[test]
+    fn decode_rejects_counts_the_payload_cannot_hold() {
+        let codec = EntangledQueryCodec;
+        let mut vars = Vec::new();
+        put_str(&mut vars, "");
+        put_u32(&mut vars, u32::MAX);
+        vars.push(0);
+        assert!(codec.decode(&vars).is_err());
+        // The same for an atom list and for one atom's arity.
+        let mut atoms = Vec::new();
+        put_str(&mut atoms, "q");
+        put_u32(&mut atoms, 0);
+        put_u32(&mut atoms, u32::MAX);
+        assert!(codec.decode(&atoms).is_err());
+        let mut arity = Vec::new();
+        put_str(&mut arity, "q");
+        put_u32(&mut arity, 0);
+        put_u32(&mut arity, 1);
+        put_str(&mut arity, "R");
+        put_u32(&mut arity, u32::MAX);
+        assert!(codec.decode(&arity).is_err());
     }
 }

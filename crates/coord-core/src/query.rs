@@ -124,7 +124,7 @@ impl EntangledQuery {
     }
 
     /// Relations used in heads and postconditions (the *answer relations*).
-    pub fn answer_relations(&self) -> impl Iterator<Item = &Symbol> {
+    fn answer_relations(&self) -> impl Iterator<Item = &Symbol> {
         self.postconditions
             .iter()
             .chain(&self.heads)

@@ -38,7 +38,6 @@ use crate::instance::QuerySet;
 use crate::outcome::FoundSet;
 use crate::query::{EntangledQuery, QueryId};
 use crate::selector::{MaxSize, Selector};
-use crate::semantics::Grounding;
 use crate::unify::UnifyCounter;
 use coord_db::Database;
 use coord_graph::{condensation, Condensation, DiGraph, NodeId};
@@ -74,13 +73,14 @@ pub struct SccStats {
 
 /// How component closures are evaluated along the condensation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Evaluation {
+pub(crate) enum Evaluation {
     /// Delta joins against memoized successor closures (the default) —
     /// byte-identical results, work proportional to the delta.
     #[default]
     Differential,
     /// Re-unify and re-rewrite every closure from scratch — the
-    /// baseline the differential equivalence suite compares against.
+    /// baseline the differential equivalence suite compares against
+    /// (built by [`crate::testkit::from_scratch_scc`]).
     FromScratch,
 }
 
@@ -233,10 +233,8 @@ impl<'a> SccCoordinator<'a> {
     }
 
     /// Disable differential evaluation: every closure is re-unified and
-    /// re-rewritten from scratch. The results are byte-identical to the
-    /// default — this exists as the baseline the equivalence suite and
-    /// the scaling tests compare against.
-    pub fn with_from_scratch_evaluation(mut self) -> Self {
+    /// re-rewritten from scratch (see [`crate::testkit::from_scratch_scc`]).
+    pub(crate) fn with_from_scratch_evaluation(mut self) -> Self {
         self.evaluation = Evaluation::FromScratch;
         self
     }
@@ -689,18 +687,6 @@ fn eval_component(
     }
 }
 
-/// Convenience: run the SCC Coordination Algorithm with default selection
-/// and return only the best coordinating set.
-pub fn scc_coordinate(
-    db: &Database,
-    queries: &[EntangledQuery],
-) -> Result<Option<(Vec<QueryId>, Grounding)>, CoordError> {
-    let outcome = SccCoordinator::new(db).run(queries)?;
-    Ok(outcome
-        .best()
-        .map(|f| (f.queries.clone(), f.grounding.clone())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,10 +864,11 @@ mod tests {
     fn db_query_bound_holds() {
         // The number of database queries never exceeds the number of SCCs.
         let db = fh_db();
-        db.stats().reset();
+        let before = db.stats().find_one_count();
         let out = SccCoordinator::new(&db).run(&fh_queries()).unwrap();
         assert!(out.stats.db_queries <= out.stats.components);
-        assert_eq!(db.stats().find_one_count() as usize, out.stats.db_queries);
+        let issued = db.stats().find_one_count() - before;
+        assert_eq!(issued as usize, out.stats.db_queries);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl Grounding {
 
     /// Ground an atom: substitute every variable. Returns `None` if some
     /// variable is unassigned.
-    pub fn ground_atom(&self, atom: &Atom) -> Option<GroundAtom> {
+    fn ground_atom(&self, atom: &Atom) -> Option<GroundAtom> {
         let mut values = Vec::with_capacity(atom.arity());
         for t in &atom.terms {
             match t {

@@ -1,10 +1,10 @@
-//! Test oracles for the online engines.
+//! Test oracles for the SCC algorithm and the online engines.
 //!
 //! Reference implementations the property suites and `reproduce` compare the
-//! product engines against — kept out of [`crate::engine`] so the
-//! product module holds only what a service would run. A plain `pub mod`
-//! (no feature flag), like `coord_store::testkit`: integration tests and
-//! the `reproduce` binary of other crates need it.
+//! product paths against — kept out of [`crate::scc`] and [`crate::engine`]
+//! so the product modules hold only what a service would run. A plain
+//! `pub mod` (no feature flag), like `coord_store::testkit`: integration
+//! tests and the `reproduce` binary of other crates need it.
 
 use crate::engine::{answer_for, SubmitResult};
 use crate::error::CoordError;
@@ -14,6 +14,16 @@ use crate::query::EntangledQuery;
 use crate::scc::SccCoordinator;
 use coord_db::Database;
 use coord_graph::reach::weakly_connected_components;
+
+/// The SCC Coordination Algorithm with differential evaluation turned
+/// off: every closure is re-unified and re-rewritten from scratch. Its
+/// results are byte-identical to [`SccCoordinator::new`]'s; it is the
+/// baseline the differential equivalence suite and the grounding-work
+/// scaling test compare against, and the evaluation [`RebuildEngine`]
+/// runs.
+pub fn from_scratch_scc(db: &Database) -> SccCoordinator<'_> {
+    SccCoordinator::new(db).with_from_scratch_evaluation()
+}
 
 /// The pre-incremental engine: rebuilds the entire coordination graph
 /// over all pending queries on every submit and evaluates the new
@@ -82,10 +92,7 @@ impl<'a> RebuildEngine<'a> {
         let comp_queries: Vec<EntangledQuery> =
             component.iter().map(|&i| self.pending[i].clone()).collect();
 
-        let outcome = match SccCoordinator::new(self.db)
-            .with_from_scratch_evaluation()
-            .run(&comp_queries)
-        {
+        let outcome = match from_scratch_scc(self.db).run(&comp_queries) {
             Ok(o) => o,
             Err(e) => {
                 // Reject the offending submission, keep earlier queries.

@@ -249,11 +249,6 @@ impl Substitution {
         Ok(())
     }
 
-    /// Unify two terms.
-    pub fn unify_terms(&mut self, a: &Term, b: &Term) -> Result<(), UnifyError> {
-        self.unify_terms_logged(a, b, None)
-    }
-
     /// Unify two atoms positionally (the MGU step of the paper's
     /// algorithms). Both atoms must be over the same relation with equal
     /// arity.
@@ -265,24 +260,12 @@ impl Substitution {
         self.unify_atoms_logged(a, b, None)
     }
 
-    /// Unify a postcondition term against a head term, preferring the
-    /// head side's representative on variable–variable merges (the head
-    /// belongs to an already-memoized closure whose cached fragments
-    /// were rewritten under its representative; the postcondition side
-    /// is fresh). Mutations that can invalidate cached fragments are
-    /// logged.
-    pub fn unify_terms_directed(
-        &mut self,
-        post: &Term,
-        head: &Term,
-        log: &mut DeltaLog,
-    ) -> Result<(), UnifyError> {
-        self.unify_terms_logged(post, head, Some(log))
-    }
-
-    /// [`Substitution::unify_atoms`] with the head-preferring,
-    /// fragment-dirt-logging term unification of
-    /// [`Substitution::unify_terms_directed`].
+    /// [`Substitution::unify_atoms`] for a postcondition against a head,
+    /// preferring the head side's representative on variable–variable
+    /// merges (the head belongs to an already-memoized closure whose
+    /// cached fragments were rewritten under its representative; the
+    /// postcondition side is fresh). Mutations that can invalidate cached
+    /// fragments are logged.
     pub fn unify_atoms_directed(
         &mut self,
         post: &Atom,
@@ -344,7 +327,7 @@ impl Substitution {
     /// Bind, logging the class representative into `log` when the class
     /// goes from unbound to bound (cached atoms showing that variable are
     /// now stale).
-    pub fn bind_logged(&mut self, v: Var, c: Value, log: &mut DeltaLog) -> Result<(), UnifyError> {
+    fn bind_logged(&mut self, v: Var, c: Value, log: &mut DeltaLog) -> Result<(), UnifyError> {
         let r = self.find(v);
         let was_unbound = self.binding(r.0).is_none();
         self.bind(r, c)?;
@@ -361,7 +344,7 @@ impl Substitution {
     /// under: the dethroned representative (and, if the merge imports a
     /// binding onto a previously unbound winner, the winner itself) is
     /// logged into `log` so stale fragments can be found and repaired.
-    pub fn union_keeping(
+    fn union_keeping(
         &mut self,
         keep: Var,
         other: Var,

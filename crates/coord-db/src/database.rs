@@ -44,11 +44,6 @@ impl Database {
     pub fn create_table(&mut self, name: impl Into<Symbol>, attrs: &[&str]) -> Result<(), DbError> {
         let name = name.into();
         let schema = RelationSchema::new(name.clone(), attrs.iter().copied())?;
-        self.create_table_with_schema(schema)
-    }
-
-    /// Create a table from a pre-built schema.
-    pub fn create_table_with_schema(&mut self, schema: RelationSchema) -> Result<(), DbError> {
         self.add_table(Table::new(schema))
     }
 
@@ -148,11 +143,6 @@ impl Database {
         let out = eval::find_one(self, query);
         self.stats.observe_probe(timer);
         out
-    }
-
-    /// Whether the query has at least one satisfying assignment.
-    pub fn is_satisfiable(&self, query: &ConjunctiveQuery) -> Result<bool, DbError> {
-        Ok(self.find_one(query)?.is_some())
     }
 
     /// Enumerate satisfying assignments, up to `limit` if given.

@@ -134,11 +134,6 @@ impl Atom {
         self.terms.iter().filter_map(Term::as_var)
     }
 
-    /// Whether the atom contains no variables.
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(Term::is_const)
-    }
-
     /// The table this atom ranges over, checked against the atom's
     /// arity: an unknown relation is reported before an arity mismatch.
     pub(crate) fn table_in<'a>(&self, db: &'a crate::Database) -> Result<&'a Table, DbError> {
@@ -252,13 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn atom_vars_and_ground() {
+    fn atom_vars() {
         let a = Atom::new("F", vec![Term::var(0), Term::constant("Zurich")]);
         assert_eq!(a.vars().collect::<Vec<_>>(), vec![Var(0)]);
-        assert!(!a.is_ground());
 
         let g = Atom::new("F", vec![Term::constant(1i64), Term::constant("Zurich")]);
-        assert!(g.is_ground());
+        assert_eq!(g.vars().count(), 0);
     }
 
     #[test]

@@ -14,30 +14,21 @@
 //! wall-clock-free cost metric `reproduce --only storage` gates on
 //! (counters, not time, carry the perf claims: they repeat exactly).
 //!
-//! When a [`crate::Database`] is attached to a `coord-obs` registry
-//! ([`crate::Database::attach_obs`]), every counter is mirrored into
-//! registry counters (`db_*`) and `find_one`/`find_all` latencies land
-//! in a `db_probe_nanos` histogram, so storage cost shows up in the same
-//! snapshot as submit latency. Mirrored counters are monotone: they keep
-//! growing across [`QueryStats::reset`] (which only zeroes the local
-//! counters the tests read).
+//! Every counter is monotone; a caller that wants the work of one step
+//! reads it before and after and takes the difference. When a
+//! [`crate::Database`] is attached to a `coord-obs` registry
+//! ([`crate::Database::attach_obs`]), the same counters are registered
+//! there (`db_*`) and `find_one`/`find_all` latencies land in a
+//! `db_probe_nanos` histogram, so storage cost shows up in the same
+//! snapshot as submit latency.
 
 use coord_obs::{Counter, Histogram, Registry, TraceCtx, Tracer};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Registry mirrors, installed once by [`QueryStats::attach`].
+/// Probe-latency recorders, installed once by [`QueryStats::attach`].
 #[derive(Debug)]
-struct ObsMirror {
-    find_one: Counter,
-    find_all: Counter,
-    distinct: Counter,
-    membership: Counter,
-    rows_scanned: Counter,
-    ground_probes: Counter,
-    index_hits: Counter,
-    index_misses: Counter,
+struct ProbeObs {
     probe_nanos: Histogram,
     tracer: Tracer,
 }
@@ -49,15 +40,15 @@ struct ObsMirror {
 /// database across worker threads.
 #[derive(Debug, Default)]
 pub struct QueryStats {
-    find_one: AtomicU64,
-    find_all: AtomicU64,
-    distinct: AtomicU64,
-    membership: AtomicU64,
-    rows_scanned: AtomicU64,
-    ground_probes: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-    obs: OnceLock<ObsMirror>,
+    find_one: Counter,
+    find_all: Counter,
+    distinct: Counter,
+    membership: Counter,
+    rows_scanned: Counter,
+    ground_probes: Counter,
+    index_hits: Counter,
+    index_misses: Counter,
+    obs: OnceLock<ProbeObs>,
 }
 
 impl QueryStats {
@@ -66,23 +57,30 @@ impl QueryStats {
         Self::default()
     }
 
-    /// Mirror all counters into `registry` under `db_*` names and start
+    /// Register every counter in `registry` under `db_*` names and start
     /// recording probe latencies into the `db_probe_nanos` histogram and
     /// as request-attributed `db_probe` trace instants. The first attach
     /// wins; later calls are no-ops.
     pub(crate) fn attach(&self, registry: &Registry) {
-        let _ = self.obs.set(ObsMirror {
-            find_one: registry.counter("db_find_one"),
-            find_all: registry.counter("db_find_all"),
-            distinct: registry.counter("db_distinct"),
-            membership: registry.counter("db_membership"),
-            rows_scanned: registry.counter("db_rows_scanned"),
-            ground_probes: registry.counter("db_ground_probes"),
-            index_hits: registry.counter("db_index_hits"),
-            index_misses: registry.counter("db_index_misses"),
+        let probe = ProbeObs {
             probe_nanos: registry.histogram("db_probe_nanos"),
             tracer: registry.tracer(),
-        });
+        };
+        if self.obs.set(probe).is_err() {
+            return;
+        }
+        for (name, counter) in [
+            ("db_find_one", &self.find_one),
+            ("db_find_all", &self.find_all),
+            ("db_distinct", &self.distinct),
+            ("db_membership", &self.membership),
+            ("db_rows_scanned", &self.rows_scanned),
+            ("db_ground_probes", &self.ground_probes),
+            ("db_index_hits", &self.index_hits),
+            ("db_index_misses", &self.index_misses),
+        ] {
+            registry.register_counter(name, counter);
+        }
     }
 
     /// Start timing one `find_one`/`find_all` probe; `None` when no
@@ -108,100 +106,66 @@ impl QueryStats {
     }
 
     pub(crate) fn record_find_one(&self) {
-        self.find_one.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.find_one.incr();
-        }
+        self.find_one.incr();
     }
 
     pub(crate) fn record_find_all(&self) {
-        self.find_all.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.find_all.incr();
-        }
+        self.find_all.incr();
     }
 
     pub(crate) fn record_distinct(&self) {
-        self.distinct.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.distinct.incr();
-        }
+        self.distinct.incr();
     }
 
     pub(crate) fn record_membership(&self) {
-        self.membership.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.membership.incr();
-        }
+        self.membership.incr();
     }
 
     pub(crate) fn record_rows_scanned(&self, n: u64) {
-        self.rows_scanned.fetch_add(n, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.rows_scanned.add(n);
-        }
+        self.rows_scanned.add(n);
     }
 
     pub(crate) fn record_ground_probe(&self) {
-        self.ground_probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.ground_probes.incr();
-        }
+        self.ground_probes.incr();
     }
 
     pub(crate) fn record_index_hit(&self) {
-        self.index_hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.index_hits.incr();
-        }
+        self.index_hits.incr();
     }
 
     pub(crate) fn record_index_miss(&self) {
-        self.index_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.obs.get() {
-            m.index_misses.incr();
-        }
+        self.index_misses.incr();
     }
 
     /// Number of choose-1 (`find_one`) queries issued.
     pub fn find_one_count(&self) -> u64 {
-        self.find_one.load(Ordering::Relaxed)
-    }
-
-    /// Number of all-answer enumerations issued.
-    pub fn find_all_count(&self) -> u64 {
-        self.find_all.load(Ordering::Relaxed)
+        self.find_one.get()
     }
 
     /// Number of distinct-projection queries issued.
     pub fn distinct_count(&self) -> u64 {
-        self.distinct.load(Ordering::Relaxed)
-    }
-
-    /// Number of grounded-tuple membership checks issued.
-    pub fn membership_count(&self) -> u64 {
-        self.membership.load(Ordering::Relaxed)
+        self.distinct.get()
     }
 
     /// Candidate rows walked by the evaluator across all scans.
     pub fn rows_scanned(&self) -> u64 {
-        self.rows_scanned.load(Ordering::Relaxed)
+        self.rows_scanned.get()
     }
 
     /// Fully ground atoms short-circuited through an O(1) membership
     /// test (no rows walked).
     pub fn ground_probe_count(&self) -> u64 {
-        self.ground_probes.load(Ordering::Relaxed)
+        self.ground_probes.get()
     }
 
     /// Evaluator scans served by an index (anything but a full scan).
     pub fn index_hit_count(&self) -> u64 {
-        self.index_hits.load(Ordering::Relaxed)
+        self.index_hits.get()
     }
 
     /// Evaluator scans that fell back to a full scan.
     pub fn index_miss_count(&self) -> u64 {
-        self.index_misses.load(Ordering::Relaxed)
+        self.index_misses.get()
     }
 
     /// Total probe work: rows walked plus ground membership probes —
@@ -213,23 +177,7 @@ impl QueryStats {
 
     /// Total queries of all kinds.
     pub fn total(&self) -> u64 {
-        self.find_one_count()
-            + self.find_all_count()
-            + self.distinct_count()
-            + self.membership_count()
-    }
-
-    /// Reset all local counters to zero. Attached registry mirrors stay
-    /// monotone (Prometheus-style counters must never go backwards).
-    pub fn reset(&self) {
-        self.find_one.store(0, Ordering::Relaxed);
-        self.find_all.store(0, Ordering::Relaxed);
-        self.distinct.store(0, Ordering::Relaxed);
-        self.membership.store(0, Ordering::Relaxed);
-        self.rows_scanned.store(0, Ordering::Relaxed);
-        self.ground_probes.store(0, Ordering::Relaxed);
-        self.index_hits.store(0, Ordering::Relaxed);
-        self.index_misses.store(0, Ordering::Relaxed);
+        self.find_one_count() + self.find_all.get() + self.distinct_count() + self.membership.get()
     }
 }
 
@@ -238,7 +186,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_accumulate_and_reset() {
+    fn counts_accumulate() {
         let s = QueryStats::new();
         s.record_find_one();
         s.record_find_one();
@@ -249,9 +197,6 @@ mod tests {
         assert_eq!(s.distinct_count(), 1);
         assert_eq!(s.total(), 3);
         assert_eq!(s.probe_work(), 8);
-        s.reset();
-        assert_eq!(s.total(), 0);
-        assert_eq!(s.probe_work(), 0);
     }
 
     #[test]
@@ -260,27 +205,33 @@ mod tests {
         s.record_find_all();
         s.record_membership();
         assert_eq!(s.find_one_count(), 0);
-        assert_eq!(s.find_all_count(), 1);
-        assert_eq!(s.membership_count(), 1);
+        assert_eq!(s.find_all.get(), 1);
+        assert_eq!(s.membership.get(), 1);
+        assert_eq!(s.total(), 2);
     }
 
     #[test]
-    fn attached_mirrors_stay_monotone_across_reset() {
+    fn attached_registry_reads_the_same_counters() {
         let r = Registry::new();
         let s = QueryStats::new();
+        s.record_rows_scanned(5);
         s.attach(&r);
         s.record_find_one();
-        s.record_rows_scanned(5);
         s.record_index_hit();
         s.record_index_miss();
-        s.reset();
         s.record_rows_scanned(2);
         let snap = r.snapshot();
         assert_eq!(snap.counter("db_find_one"), Some(1));
+        // One counter per fact: work recorded before the attach shows too.
         assert_eq!(snap.counter("db_rows_scanned"), Some(7));
+        assert_eq!(s.rows_scanned(), 7);
         assert_eq!(snap.hit_rate("db_index_hits", "db_index_misses"), Some(0.5));
-        // Local view was reset.
-        assert_eq!(s.rows_scanned(), 2);
+        // A second attach is a no-op: the first registry keeps the counters.
+        let other = Registry::new();
+        s.attach(&other);
+        assert_eq!(other.snapshot().counter("db_find_one"), None);
+        s.record_find_one();
+        assert_eq!(r.snapshot().counter("db_find_one"), Some(2));
     }
 
     #[test]

@@ -117,6 +117,17 @@ struct Entry<Q: CoordinationQuery> {
     cost: u64,
 }
 
+impl<Q: CoordinationQuery> Entry<Q> {
+    /// Append every key this entry holds that `keys` lacks.
+    fn add_keys_to(&self, keys: &mut Vec<KeyPattern<Q::Rel, Q::Cst>>) {
+        for k in self.provides.iter().chain(&self.requires) {
+            if !keys.contains(k) {
+                keys.push(k.clone());
+            }
+        }
+    }
+}
+
 /// One maintained component's routing keys, membership size, and
 /// observed evaluation cost — the unit the rebalancer moves.
 #[derive(Clone, Debug)]
@@ -358,11 +369,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
                 for m in members {
                     if selected.insert(m) {
                         let e = self.slots[m].as_ref().expect("member token is live");
-                        for k in e.provides.iter().chain(&e.requires) {
-                            if !keys.contains(k) {
-                                keys.push(k.clone());
-                            }
-                        }
+                        e.add_keys_to(&mut keys);
                     }
                 }
             }
@@ -388,11 +395,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
                 for &m in members {
                     let e = self.slots[m].as_ref().expect("member token is live");
                     cost += e.cost;
-                    for k in e.provides.iter().chain(&e.requires) {
-                        if !keys.contains(k) {
-                            keys.push(k.clone());
-                        }
-                    }
+                    e.add_keys_to(&mut keys);
                 }
                 ComponentGroup {
                     keys,
@@ -428,17 +431,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
         for r in roots {
             self.members.remove(&r);
         }
-        let mut out = Vec::with_capacity(selected.len());
         let mut tokens: Vec<usize> = selected.into_iter().collect();
         tokens.sort_unstable();
-        for t in tokens {
-            let e = self.slots[t].take().expect("selected token is live");
-            self.unindex(t, &e);
-            self.free.push(t);
-            self.live -= 1;
-            out.push((e.id, e.query));
-        }
-        out
+        tokens.into_iter().map(|t| self.remove(t)).collect()
     }
 
     /// Check internal consistency (slab, index, union-find, membership).
@@ -519,13 +514,19 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
         token
     }
 
-    fn unindex(&mut self, token: usize, entry: &Entry<Q>) {
-        for k in &entry.provides {
+    /// Take live `token` out of the slab and the index, returning its id
+    /// and query. Its component membership is the caller's to fix.
+    fn remove(&mut self, token: usize) -> (u64, Q) {
+        let e = self.slots[token].take().expect("removed token is live");
+        for k in &e.provides {
             self.index.remove(token, Polarity::Provides, k);
         }
-        for k in &entry.requires {
+        for k in &e.requires {
             self.index.remove(token, Polarity::Requires, k);
         }
+        self.free.push(token);
+        self.live -= 1;
+        (e.id, e.query)
     }
 
     /// Union the components of `a` and `b`, merging membership lists.
@@ -561,14 +562,7 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
             .filter(|t| !retired_set.contains(t))
             .collect();
 
-        let mut out = Vec::with_capacity(retired.len());
-        for &t in retired {
-            let e = self.slots[t].take().expect("retired token is live");
-            self.unindex(t, &e);
-            self.free.push(t);
-            self.live -= 1;
-            out.push((e.id, e.query));
-        }
+        let out = retired.iter().map(|&t| self.remove(t)).collect();
 
         if !survivors.is_empty() {
             EngineMetrics::add(&self.metrics.repartitions, 1);
@@ -597,75 +591,9 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> IncrementalEngine<Q, V> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// A synthetic query for engine-level tests: coordination structure
-    /// without any database semantics.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub(crate) struct TestQuery {
-        pub name: String,
-        pub provides: Vec<(&'static str, Option<i64>)>,
-        pub requires: Vec<(&'static str, Option<i64>)>,
-    }
-
-    impl TestQuery {
-        pub fn new(
-            name: impl Into<String>,
-            provides: Vec<(&'static str, Option<i64>)>,
-            requires: Vec<(&'static str, Option<i64>)>,
-        ) -> Self {
-            TestQuery {
-                name: name.into(),
-                provides,
-                requires,
-            }
-        }
-    }
-
-    impl CoordinationQuery for TestQuery {
-        type Rel = &'static str;
-        type Cst = i64;
-        fn provides(&self) -> Vec<KeyPattern<&'static str, i64>> {
-            self.provides.clone()
-        }
-        fn requires(&self) -> Vec<KeyPattern<&'static str, i64>> {
-            self.requires.clone()
-        }
-    }
-
-    /// Coordinates a component exactly when every required key is matched
-    /// by some provided key within it (a miniature of the paper's
-    /// semantics, enough to exercise the engine's bookkeeping).
-    #[derive(Clone)]
-    pub(crate) struct SaturationEvaluator;
-
-    impl ComponentEvaluator<TestQuery> for SaturationEvaluator {
-        type Delivery = Vec<String>;
-        type Error = String;
-        fn evaluate(
-            &self,
-            queries: &[TestQuery],
-        ) -> Result<Option<(Vec<usize>, Vec<String>)>, String> {
-            let provided: Vec<_> = queries.iter().flat_map(|q| q.provides.clone()).collect();
-            let satisfied = |q: &TestQuery| {
-                q.requires
-                    .iter()
-                    .all(|r| provided.iter().any(|p| crate::index::keys_related(p, r)))
-            };
-            if queries.iter().all(satisfied) {
-                let names = queries.iter().map(|q| q.name.clone()).collect();
-                Ok(Some(((0..queries.len()).collect(), names)))
-            } else {
-                Ok(None)
-            }
-        }
-    }
-
-    fn chain_query(i: i64, next: Option<i64>) -> TestQuery {
-        let requires = next.map(|n| ("R", Some(n))).into_iter().collect();
-        TestQuery::new(format!("q{i}"), vec![("R", Some(i))], requires)
-    }
+    use crate::testing::{chain_query, SaturationEvaluator, TestQuery};
 
     #[test]
     fn chain_coordinates_when_complete() {

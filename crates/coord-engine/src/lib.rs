@@ -44,6 +44,8 @@ pub mod lock_order;
 pub mod metrics;
 pub mod rebalance;
 pub mod sharded;
+#[cfg(test)]
+mod testing;
 
 pub use engine::{
     ComponentEvaluator, ComponentGroup, CoordinationQuery, EvalVerdict, IncrementalEngine,

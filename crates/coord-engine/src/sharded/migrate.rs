@@ -1,3 +1,9 @@
+//! The sharded engine's marker-based migration protocol (mark → freeze
+//! → move → publish, see the parent module's docs): claiming a route for
+//! a submit, merging the components a bridging query spans, rebalancer
+//! moves, the post-lock claim check and the rollback of a rejected
+//! bridge.
+
 use super::{route_keys, Router, ShardedEngine};
 use crate::engine::{ComponentEvaluator, CoordinationQuery, IncrementalEngine, SubmitOutcome};
 use crate::index::KeyPattern;
@@ -444,9 +450,8 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::chain_query;
     use super::super::*;
-    use crate::engine::tests::{SaturationEvaluator, TestQuery};
+    use crate::testing::{chain_query, SaturationEvaluator, TestQuery};
     use std::time::{Duration, Instant};
 
     #[test]

@@ -24,10 +24,26 @@
 //! Skewed workloads (a hot relation with Zipf-distributed keys) can
 //! still pile expensive components onto one shard; the
 //! [`crate::rebalance::Rebalancer`] detects that from the per-shard
-//! load stats and moves victim components — picked by observed cost via
-//! [`ShardedEngine::shard_component_groups`] — to colder shards through
-//! [`ShardedEngine::rebalance_group`], which reuses the same
-//! marker-based migration protocol as bridging queries.
+//! load stats and moves victim components — picked by observed cost
+//! from the hot shard's [`IncrementalEngine::component_groups`] — to
+//! colder shards through [`ShardedEngine::rebalance_group`], which
+//! reuses the same marker-based migration protocol as bridging queries.
+//!
+//! ## Layout
+//!
+//! This file holds the engine, its shards, placement and the submit
+//! entry points. Two submodules hold the two seams:
+//!
+//! * `router` — the routing table (`Router`): key → shard with
+//!   reference counts, the per-relation shard index wildcard lookups
+//!   use, and the migration marks. Its fields are private; the engine
+//!   reads it through its methods.
+//! * `migrate` — the migration protocol below: claiming a route
+//!   (`claim`), the mark → freeze → move → publish steps
+//!   (`execute_migration`), rebalancer moves
+//!   ([`ShardedEngine::rebalance_group`]), the post-lock claim check
+//!   (`with_owned_shard`) and the rollback of a rejected bridge
+//!   (`finish`).
 //!
 //! ## Migration protocol (marker-based)
 //!
@@ -306,10 +322,6 @@ impl<Q: CoordinationQuery, V: ComponentEvaluator<Q>> ShardedEngine<Q, V> {
     /// Component groups (keys, size, observed cost) currently resident
     /// on `shard`, scanned under that shard's lock only — the
     /// rebalancer's victim-selection input.
-    pub fn shard_component_groups(&self, shard: usize) -> Vec<ComponentGroup<Q::Rel, Q::Cst>> {
-        self.shard_component_groups_in(&mut LockCtx::root(), shard)
-    }
-
     pub(crate) fn shard_component_groups_in<A>(
         &self,
         ctx: &mut LockCtx<'_, A>,
@@ -529,14 +541,9 @@ fn route_keys<Q: CoordinationQuery>(q: &Q) -> Vec<KeyPattern<Q::Rel, Q::Cst>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{SaturationEvaluator, TestQuery};
+    use crate::testing::{chain_query, SaturationEvaluator, TestQuery};
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
-
-    pub(super) fn chain_query(i: i64, next: Option<i64>) -> TestQuery {
-        let requires = next.map(|n| ("R", Some(n))).into_iter().collect();
-        TestQuery::new(format!("q{i}"), vec![("R", Some(i))], requires)
-    }
 
     #[test]
     fn disjoint_chains_land_on_distinct_shards() {

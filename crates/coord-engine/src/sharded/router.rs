@@ -1,3 +1,8 @@
+//! The sharded engine's routing table: every key pattern a pending
+//! query holds, the shard that owns it and how many queries hold it, plus
+//! the keys frozen by the in-flight migration (see the parent module's
+//! docs for the protocol).
+
 use crate::index::{keys_related, KeyPattern};
 use std::collections::{BTreeSet, HashMap};
 
@@ -182,8 +187,8 @@ impl<R: Clone + Eq + std::hash::Hash, C: Clone + Eq + std::hash::Hash> Router<R,
 #[cfg(test)]
 mod tests {
     use super::super::ShardedEngine;
-    use crate::engine::tests::{SaturationEvaluator, TestQuery};
     use crate::lock_order::LockCtx;
+    use crate::testing::{SaturationEvaluator, TestQuery};
 
     #[test]
     fn router_refcounts_shared_keys() {

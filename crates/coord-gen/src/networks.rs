@@ -46,22 +46,6 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut impl Rng) -> DiGraph<usize>
     g
 }
 
-/// Erdős–Rényi `G(n, p)` digraph (control topology for ablations).
-pub fn erdos_renyi(n: usize, p: f64, rng: &mut impl Rng) -> DiGraph<usize> {
-    let mut g: DiGraph<usize> = DiGraph::with_capacity(n, 0);
-    for i in 0..n {
-        g.add_node(i);
-    }
-    for u in 0..n {
-        for v in 0..n {
-            if u != v && rng.random_bool(p) {
-                g.add_edge(NodeId(u), NodeId(v), ());
-            }
-        }
-    }
-    g
-}
-
 /// A directed chain `0 → 1 → ... → n-1` (the Figure 4 list structure:
 /// each query coordinates with the next, the last is free).
 pub fn chain(n: usize) -> DiGraph<usize> {
@@ -175,15 +159,6 @@ mod tests {
         let s = star(6);
         assert_eq!(s.edge_count(), 5);
         assert_eq!(s.in_degree(NodeId(0)), 5);
-    }
-
-    #[test]
-    fn er_edge_probability_reasonable() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = erdos_renyi(60, 0.1, &mut rng);
-        let expected = 60.0 * 59.0 * 0.1;
-        let actual = g.edge_count() as f64;
-        assert!((actual - expected).abs() < expected * 0.5);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Synthetic social-network tables.
+//! Synthetic tables standing in for the paper's social data.
 //!
 //! The paper's SCC-algorithm experiments query "the Slashdot social
 //! network data \[with\] 82,168 entries". That trace is a fixed artifact we
-//! do not redistribute; the experiments use it purely as a realistic pool
-//! of queryable tuples (every query body is simple and guaranteed to
-//! match at least one row). A size-matched synthetic table therefore
-//! preserves everything the measurement depends on: row count, per-column
-//! index behaviour, and guaranteed body satisfiability.
+//! do not redistribute; the experiments use it purely as a pool of
+//! queryable tuples (every query body is simple and guaranteed to match
+//! at least one row). A [`tuple_pool`] of [`SLASHDOT_ROWS`] rows — the
+//! same size, not a synthetic social network — therefore preserves
+//! everything the measurement depends on: row count, per-column index
+//! behaviour, and guaranteed body satisfiability. The Figure 7–8
+//! friendship graph is complete ([`complete_friendship_table`]).
 
 use coord_db::{Database, DbError, Value};
-use coord_graph::DiGraph;
-use rand::prelude::*;
 
 /// Row count of the paper's Slashdot table.
 pub const SLASHDOT_ROWS: usize = 82_168;
@@ -29,27 +29,6 @@ pub fn tuple_pool(db: &mut Database, name: &str, rows: usize) -> Result<(), DbEr
 /// The tag constant selecting row `i` of a [`tuple_pool`] table.
 pub fn tag_for(i: usize) -> String {
     format!("t{i}")
-}
-
-/// Create a friendship table `name(user, friend)` from the edges of a
-/// directed graph, mapping node `i` to user name `"u<i>"`.
-pub fn friendship_table_from_graph(
-    db: &mut Database,
-    name: &str,
-    graph: &DiGraph<usize>,
-) -> Result<(), DbError> {
-    db.create_table(name, &["user", "friend"])?;
-    for e in graph.edge_ids() {
-        let (u, v) = graph.endpoints(e);
-        db.insert(
-            name,
-            vec![
-                Value::str(user_name(u.index())),
-                Value::str(user_name(v.index())),
-            ],
-        )?;
-    }
-    Ok(())
 }
 
 /// Create a complete friendship table over `n` users (the Figure 7–8
@@ -74,26 +53,6 @@ pub fn user_name(i: usize) -> String {
     format!("u{i}")
 }
 
-/// A Slashdot-sized friendship table: a Barabási–Albert graph whose edge
-/// count approximates the original's 82,168 entries.
-pub fn slashdot_like(db: &mut Database, name: &str, rng: &mut impl Rng) -> Result<usize, DbError> {
-    // m = 10 out-edges per node ⇒ n ≈ rows / 10 nodes.
-    let m = 10;
-    let n = SLASHDOT_ROWS / m + m;
-    let g = super::networks::barabasi_albert(n, m, rng);
-    friendship_table_from_graph(db, name, &g)?;
-    Ok(db.table_named(name)?.len())
-}
-
-/// Friends of `user` according to a friendship table (test helper).
-pub fn friends_in_table(db: &Database, name: &str, user: &str) -> Vec<String> {
-    let table = db.table_named(name).expect("friendship table exists");
-    let rows = table.distinct_project(&[1], &[(0, Value::str(user))]);
-    rows.into_iter()
-        .filter_map(|mut r| r.swap_remove(0).as_str().map(str::to_string))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,30 +68,14 @@ mod tests {
     }
 
     #[test]
-    fn friendship_from_graph() {
-        let mut db = Database::new();
-        let g = super::super::networks::chain(4);
-        friendship_table_from_graph(&mut db, "F", &g).unwrap();
-        assert_eq!(db.table_named("F").unwrap().len(), 3);
-        assert_eq!(friends_in_table(&db, "F", "u0"), vec!["u1"]);
-    }
-
-    #[test]
     fn complete_friendships() {
         let mut db = Database::new();
         complete_friendship_table(&mut db, "F", 5).unwrap();
         assert_eq!(db.table_named("F").unwrap().len(), 20);
-        let mut f = friends_in_table(&db, "F", "u2");
+        let t = db.table_named("F").unwrap();
+        let mut f = t.distinct_project(&[1], &[(0, Value::str("u2"))]);
         f.sort();
-        assert_eq!(f, vec!["u0", "u1", "u3", "u4"]);
-    }
-
-    #[test]
-    fn slashdot_like_size_is_close() {
-        let mut db = Database::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let rows = slashdot_like(&mut db, "Slash", &mut rng).unwrap();
-        let err = (rows as f64 - SLASHDOT_ROWS as f64).abs() / SLASHDOT_ROWS as f64;
-        assert!(err < 0.05, "got {rows} rows, want ≈ {SLASHDOT_ROWS}");
+        let friends = ["u0", "u1", "u3", "u4"].map(|u| vec![Value::str(u)]);
+        assert_eq!(f, friends);
     }
 }

@@ -1,5 +1,5 @@
 //! Domain tables for the examples and the Consistent-algorithm
-//! experiments: flights, hotels, cinemas, concerts.
+//! experiments: flights, hotels, cinemas.
 
 use coord_db::{Database, DbError, Value};
 
@@ -114,19 +114,6 @@ pub fn cinemas_example(db: &mut Database) -> Result<(), DbError> {
     Ok(())
 }
 
-/// Create a concert-tour table `Concerts(concertId, city, day)` for the
-/// introduction's Coldplay-fans scenario (Example 2).
-pub fn concert_tour(db: &mut Database, stops: &[(&str, i64)]) -> Result<(), DbError> {
-    db.create_table("Concerts", &["concertId", "city", "day"])?;
-    for (i, &(city, day)) in stops.iter().enumerate() {
-        db.insert(
-            "Concerts",
-            vec![Value::int(i as i64), Value::str(city), Value::int(day)],
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,12 +179,5 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn concert_tour_rows() {
-        let mut db = Database::new();
-        concert_tour(&mut db, &[("Paris", 10), ("Zurich", 12)]).unwrap();
-        assert_eq!(db.table_named("Concerts").unwrap().len(), 2);
     }
 }

@@ -47,7 +47,7 @@ pub fn partner_query(i: usize, partners: &[usize]) -> EntangledQuery {
 /// distinct). The grounding *fails* rather than the unification, so
 /// every evaluation of such a cycle costs one (fruitless) database
 /// query.
-pub fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery {
+fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery {
     let mut b = QueryBuilder::new(format!("c{i}"));
     for &p in partners {
         b = b.postcondition("R", |a| a.constant(user_name(p)).var("x"));
@@ -58,7 +58,7 @@ pub fn contending_partner_query(i: usize, partners: &[usize]) -> EntangledQuery 
         .expect("workload query is well-formed")
 }
 
-/// An unsatisfiable-core workload: a [`contending_partner_query`] cycle
+/// An unsatisfiable-core workload: a `contending_partner_query` cycle
 /// of `k` members (one SCC whose grounding always fails) plus
 /// `spokes` independent [`partner_query`] chains of length 2 hanging off
 /// users `k, k+1, …` — each spoke requires a cycle member, so the online
@@ -112,7 +112,7 @@ pub fn activity_db(rows: usize) -> Database {
 /// of stopping at its first candidate. Per-submit probe work would
 /// therefore grow with √N; the row store's intersection of the (strided)
 /// topic list and the (contiguous) day list keeps it flat.
-pub fn activity_partner_query(i: usize, partners: &[usize], rows: usize) -> EntangledQuery {
+fn activity_partner_query(i: usize, partners: &[usize], rows: usize) -> EntangledQuery {
     assert!(i < rows, "user id {i} needs an activity row to target");
     let r = rows - 1 - i;
     let k = activity_topic_count(rows);
@@ -201,7 +201,7 @@ pub fn fig5_instance(
 }
 
 /// Build partner queries from an arbitrary coordination digraph.
-pub fn queries_from_graph(graph: &DiGraph<usize>) -> Vec<EntangledQuery> {
+fn queries_from_graph(graph: &DiGraph<usize>) -> Vec<EntangledQuery> {
     (0..graph.node_count())
         .map(|i| {
             let mut partners: Vec<usize> = graph
@@ -231,7 +231,7 @@ pub struct SkewWorkload {
 }
 
 /// Zipf(½) group sizes: `K / √(g+1)`, floored at 1.
-pub fn zipf_sizes(groups: usize, k: usize) -> Vec<usize> {
+fn zipf_sizes(groups: usize, k: usize) -> Vec<usize> {
     (0..groups)
         .map(|g| ((k as f64) / ((g + 1) as f64).sqrt()).round().max(1.0) as usize)
         .collect()
@@ -287,7 +287,7 @@ pub fn zipf_chain_workload(groups: usize, k: usize, seed: u64) -> SkewWorkload {
 /// The flights schema-binding shared by the Figure 7–8 experiments:
 /// coordinate on (destination, day), personal attributes (source,
 /// airline).
-pub fn flights_config() -> ConsistentConfig {
+fn flights_config() -> ConsistentConfig {
     ConsistentConfig::new(
         "Fl",
         "flightId",
@@ -330,7 +330,7 @@ pub fn fig8_instance(
 /// `n` queries with a single any-friend partner and no attribute
 /// constraints: "all the queries are such that every tuple in the DB
 /// satisfies them, which is the worst case for our algorithm".
-pub fn worst_case_consistent_queries(n: usize) -> Vec<ConsistentQuery> {
+fn worst_case_consistent_queries(n: usize) -> Vec<ConsistentQuery> {
     (0..n)
         .map(|i| ConsistentQuery::for_user(user_name(i), 2, 2).with_any_friend())
         .collect()

@@ -114,11 +114,6 @@ impl<N, E> DiGraph<N, E> {
         &self.nodes[id.0]
     }
 
-    /// Mutable node weight.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.0]
-    }
-
     /// Edge weight.
     pub fn edge(&self, id: EdgeId) -> &E {
         &self.edges[id.0].weight
@@ -138,16 +133,6 @@ impl<N, E> DiGraph<N, E> {
     /// Iterate over all edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
         (0..self.edges.len()).map(EdgeId)
-    }
-
-    /// Outgoing edges of `node`.
-    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.out_edges[node.0].iter().copied()
-    }
-
-    /// Incoming edges of `node`.
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.in_edges[node.0].iter().copied()
     }
 
     /// Successor nodes of `node` (with multiplicity for parallel edges).
@@ -175,11 +160,6 @@ impl<N, E> DiGraph<N, E> {
         self.out_edges[from.0]
             .iter()
             .any(|e| self.edges[e.0].to == to)
-    }
-
-    /// All node weights.
-    pub fn node_weights(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
     }
 }
 
@@ -256,12 +236,5 @@ mod tests {
         let mut g: DiGraph<()> = DiGraph::new();
         let a = g.add_node(());
         g.add_edge(a, NodeId(5), ());
-    }
-
-    #[test]
-    fn node_weights_iteration() {
-        let g = diamond();
-        let ws: Vec<_> = g.node_weights().copied().collect();
-        assert_eq!(ws, vec!["a", "b", "c", "d"]);
     }
 }

@@ -44,13 +44,6 @@ impl UnionFind {
         id
     }
 
-    /// Ensure element `id` exists (appending singletons as needed).
-    pub fn ensure(&mut self, id: usize) {
-        while self.parent.len() <= id {
-            self.push();
-        }
-    }
-
     /// Representative of the set containing `x`, with path compression.
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
@@ -154,14 +147,6 @@ mod tests {
         assert!(!uf.connected(a, b));
         uf.union(a, b);
         assert!(uf.connected(a, b));
-    }
-
-    #[test]
-    fn ensure_extends() {
-        let mut uf = UnionFind::new(1);
-        uf.ensure(4);
-        assert_eq!(uf.len(), 5);
-        assert!(!uf.connected(0, 4));
     }
 
     #[test]

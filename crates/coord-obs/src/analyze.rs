@@ -309,7 +309,7 @@ impl TraceAnalyzer {
     /// `(phase, p50, p99)` nanos across all complete traces, in
     /// [`PHASES`] order plus a final `critical_path` row. Empty when no
     /// trace completed.
-    pub fn phase_percentiles(&self) -> Vec<(&'static str, u64, u64)> {
+    fn phase_percentiles(&self) -> Vec<(&'static str, u64, u64)> {
         let complete: Vec<&LatencyBreakdown> = self
             .traces
             .iter()

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Number of power-of-two buckets (the full `u64` range).
 pub const BUCKETS: usize = 64;
@@ -86,12 +86,6 @@ impl Histogram {
             inner.sum.fetch_add(value, Ordering::Relaxed);
             inner.max.fetch_max(value, Ordering::Relaxed);
         }
-    }
-
-    /// Record a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos() as u64);
     }
 
     /// Start timing a section; the timer records on [`HistTimer::stop`]
@@ -189,7 +183,7 @@ impl HistogramSnapshot {
     /// Quantile estimate: the upper bound of the first bucket whose
     /// cumulative count reaches `q · count`, clamped to the observed
     /// max (so `quantile(1.0) == max`). `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

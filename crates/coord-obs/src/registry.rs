@@ -5,7 +5,7 @@
 //! submit's full journey.
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::trace::{TraceCtx, Tracer, DEFAULT_CAPACITY};
+use crate::trace::{Tracer, DEFAULT_CAPACITY};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -205,16 +205,6 @@ impl Registry {
         match &self.inner {
             None => Tracer::disabled(),
             Some(inner) => inner.tracer.clone(),
-        }
-    }
-
-    /// Allocate one request-scoped [`TraceCtx`] from the registry's
-    /// tracer — the per-submit id every attributed event carries.
-    /// Disabled registries hand out [`TraceCtx::NONE`].
-    pub fn trace_ctx(&self) -> TraceCtx {
-        match &self.inner {
-            None => TraceCtx::NONE,
-            Some(inner) => inner.tracer.alloc_ctx(),
         }
     }
 

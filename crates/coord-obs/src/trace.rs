@@ -73,7 +73,7 @@ impl TraceCtx {
 
     /// Whether this context names a real trace.
     #[inline]
-    pub fn is_traced(self) -> bool {
+    fn is_traced(self) -> bool {
         self.0 != 0
     }
 

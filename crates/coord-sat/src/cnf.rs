@@ -26,14 +26,6 @@ impl Lit {
         }
     }
 
-    /// The complementary literal.
-    pub fn negated(self) -> Self {
-        Lit {
-            var: self.var,
-            positive: !self.positive,
-        }
-    }
-
     /// Whether the literal is satisfied under `assignment`.
     pub fn satisfied_by(self, assignment: &[bool]) -> bool {
         assignment[self.var] == self.positive
@@ -150,7 +142,6 @@ mod tests {
         assert!(Lit::pos(0).satisfied_by(&a));
         assert!(!Lit::pos(1).satisfied_by(&a));
         assert!(Lit::neg(1).satisfied_by(&a));
-        assert_eq!(Lit::pos(0).negated(), Lit::neg(0));
     }
 
     #[test]

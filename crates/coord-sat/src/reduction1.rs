@@ -28,28 +28,11 @@ pub struct Reduction1 {
     pub db: Database,
 }
 
-/// Index bookkeeping for interpreting coordinating sets back as truth
-/// assignments.
-impl Reduction1 {
-    /// Index of the Clause-Query (always 0).
-    pub fn clause_query(&self) -> usize {
-        0
-    }
-
-    /// Index of `x_i-Val`.
-    pub fn val_query(&self, i: usize) -> usize {
-        1 + 3 * i
-    }
-
-    /// Index of `x_i-True`.
-    pub fn true_query(&self, i: usize) -> usize {
-        2 + 3 * i
-    }
-
-    /// Index of `x_i-False`.
-    pub fn false_query(&self, i: usize) -> usize {
-        3 + 3 * i
-    }
+/// Index of `x_i-False`, for interpreting coordinating sets back as
+/// truth assignments: query 0 is the Clause-Query, then `x_i-Val`,
+/// `x_i-True` and `x_i-False` at `1 + 3i`, `2 + 3i` and `3 + 3i`.
+fn false_query(i: usize) -> usize {
+    3 + 3 * i
 }
 
 /// Build the Theorem 1 instance for `formula`.
@@ -116,17 +99,12 @@ pub fn reduce(formula: &Cnf) -> Reduction1 {
 }
 
 /// Extract the truth assignment encoded by a coordinating set: `x_i` is
-/// true iff `x_i-True` is a member (variables with neither literal query
-/// in the set default to true, as in the Appendix A proof).
-pub fn decode_assignment(r: &Reduction1, formula: &Cnf, members: &[usize]) -> Vec<bool> {
+/// false iff `x_i-False` is a member (so it is true when `x_i-True` is,
+/// and variables with neither literal query in the set default to true,
+/// as in the Appendix A proof).
+pub fn decode_assignment(formula: &Cnf, members: &[usize]) -> Vec<bool> {
     (0..formula.n_vars)
-        .map(|i| {
-            if members.contains(&r.false_query(i)) {
-                false
-            } else {
-                true // includes the explicit x_i-True case
-            }
-        })
+        .map(|i| !members.contains(&false_query(i)))
         .collect()
 }
 
@@ -157,7 +135,7 @@ mod tests {
         let best = res.best.expect("coordinating set must exist");
         // Decode and check it satisfies the formula.
         let members: Vec<usize> = best.queries.iter().map(|q| q.index()).collect();
-        let assignment = decode_assignment(&r, &f, &members);
+        let assignment = decode_assignment(&f, &members);
         assert!(f.satisfied_by(&assignment));
     }
 

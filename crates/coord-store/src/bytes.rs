@@ -91,6 +91,20 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
+
+    /// Read a `u32` element count, rejecting one the unread bytes cannot
+    /// hold at `min_encoded` bytes per element. Decoders reserve that
+    /// many elements, so a count bounded by the payload keeps a corrupt
+    /// length from asking for more memory than the payload's size.
+    pub fn count(&mut self, min_encoded: usize) -> Result<usize, StoreError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_encoded {
+            return Err(StoreError::codec(format!(
+                "count {n} exceeds what the remaining payload can hold"
+            )));
+        }
+        Ok(n)
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +126,17 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_remaining_bytes() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 2);
+        put_u64(&mut out, 1);
+        put_u64(&mut out, 2);
+        assert_eq!(Reader::new(&out).count(8).unwrap(), 2);
+        assert!(Reader::new(&out).count(9).is_err());
+        assert!(Reader::new(&u32::MAX.to_le_bytes()).count(1).is_err());
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl CommitRecord {
         }
         let seq = r.u64()?;
         let query = r.bytes()?.to_vec();
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut retired = Vec::with_capacity(n);
         for _ in 0..n {
             retired.push(r.u64()?);
@@ -723,15 +723,15 @@ fn read_snapshot(path: &Path, expect_epoch: u64) -> Result<SnapshotContents, Sto
     }
     let mut meta = Reader::new(&scan.payloads[0]);
     let next_seq = meta.u64()?;
-    let count = meta.u64()? as usize;
-    if scan.payloads.len() != count + 1 {
+    let count = meta.u64()?;
+    let held = scan.payloads.len() - 1;
+    if held as u64 != count {
         return Err(StoreError::corrupt(format!(
-            "{} holds {} entries, header promised {count}",
-            path.display(),
-            scan.payloads.len() - 1
+            "{} holds {held} entries, header promised {count}",
+            path.display()
         )));
     }
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = Vec::with_capacity(held);
     for payload in &scan.payloads[1..] {
         let mut r = Reader::new(payload);
         let seq = r.u64()?;
@@ -780,6 +780,36 @@ mod tests {
         let r = commit(9, "query-bytes", &[1, 2, 9]);
         assert_eq!(CommitRecord::decode(&r.encode()).unwrap(), r);
         assert!(CommitRecord::decode(&[77]).is_err());
+    }
+
+    /// A retired count the payload cannot hold is an error, not a
+    /// `u32::MAX`-element reservation.
+    #[test]
+    fn record_decode_rejects_counts_the_payload_cannot_hold() {
+        let mut payload = commit(9, "q", &[]).encode();
+        payload.truncate(payload.len() - 4);
+        put_u32(&mut payload, u32::MAX);
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        assert!(CommitRecord::decode(&payload).is_err());
+    }
+
+    /// A snapshot header promising `u64::MAX` entries is corruption, not
+    /// an overflow in the entry-count check.
+    #[test]
+    fn snapshot_with_an_overflowing_entry_count_is_corrupt() {
+        let dir = TempDir::new("store-snap-count");
+        let mut buf = SNAP_MAGIC.to_vec();
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        let mut meta = Vec::new();
+        put_u64(&mut meta, 1);
+        put_u64(&mut meta, u64::MAX);
+        write_frame(&mut buf, &meta);
+        let path = dir.path().join(snap_name(1));
+        std::fs::write(&path, &buf).unwrap();
+        assert!(matches!(
+            read_snapshot(&path, 1),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() {
     );
     if let Some(best) = &res1.best {
         let members: Vec<usize> = best.queries.iter().map(|q| q.index()).collect();
-        let assignment = reduction1::decode_assignment(&r1, &f, &members);
+        let assignment = reduction1::decode_assignment(&f, &members);
         println!("  decoded assignment: {assignment:?}");
         assert!(f.satisfied_by(&assignment));
     }

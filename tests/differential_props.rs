@@ -12,7 +12,7 @@ use social_coordination::core::engine::{
 };
 use social_coordination::core::graphs::is_safe;
 use social_coordination::core::scc::SccCoordinator;
-use social_coordination::core::testkit::RebuildEngine;
+use social_coordination::core::testkit::{from_scratch_scc, RebuildEngine};
 use social_coordination::core::{EntangledQuery, QueryBuilder, QuerySet};
 use social_coordination::gen::workloads::{
     fig4_queries, fig5_queries, forest_queries, interleave_arrivals, partner_query, pool_db,
@@ -86,10 +86,7 @@ proptest! {
         let queries = shaped_workload(shape, n, seed);
         prop_assume!(is_safe(&QuerySet::new(queries.clone())));
 
-        let scratch = SccCoordinator::new(&db)
-            .with_from_scratch_evaluation()
-            .run(&queries)
-            .unwrap();
+        let scratch = from_scratch_scc(&db).run(&queries).unwrap();
 
         // Default differential evaluation.
         let diff = SccCoordinator::new(&db).run(&queries).unwrap();

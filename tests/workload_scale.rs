@@ -6,6 +6,7 @@ use rand::prelude::*;
 use social_coordination::core::check_coordinating_set;
 use social_coordination::core::consistent::ConsistentCoordinator;
 use social_coordination::core::scc::{preprocess, SccCoordinator};
+use social_coordination::core::testkit::from_scratch_scc;
 use social_coordination::core::EntangledQuery;
 use social_coordination::db::Database;
 use social_coordination::gen::workloads::{
@@ -17,7 +18,7 @@ use social_coordination::graph::reach::weakly_connected_components;
 #[test]
 fn fig4_workload_all_candidates_verify() {
     let (db, queries) = fig4_instance(60, 2_000);
-    db.stats().reset();
+    let before = db.stats().find_one_count();
     let out = SccCoordinator::new(&db).run(&queries).unwrap();
     // One candidate per suffix; every one is a real coordinating set.
     assert_eq!(out.found.len(), 60);
@@ -25,7 +26,7 @@ fn fig4_workload_all_candidates_verify() {
         check_coordinating_set(&db, &out.qs, &f.queries, &f.grounding).unwrap();
     }
     // Bound from Section 4: at most |Q| database queries.
-    assert!(db.stats().find_one_count() <= 60);
+    assert!(db.stats().find_one_count() - before <= 60);
     assert_eq!(out.stats.components, 60);
     assert_eq!(out.stats.graph_edges, 59);
 }
@@ -56,14 +57,14 @@ fn fig6_preprocessing_scales_and_is_sound() {
 #[test]
 fn fig7_worst_case_keeps_everyone() {
     let (db, config, queries) = fig7_instance(30, 200);
-    db.stats().reset();
+    let before = db.stats().total();
     let coordinator = ConsistentCoordinator::new(&db, config).unwrap();
     let out = coordinator.run(&queries).unwrap();
     assert_eq!(out.stats.values_considered, 200);
     assert!(out.per_value.iter().all(|(_, size)| *size == 30));
     // DB queries linear in n (options + friends + groundings), never per
     // value.
-    assert!(db.stats().total() as usize <= 2 * 30 + 30 + 1);
+    assert!((db.stats().total() - before) as usize <= 2 * 30 + 30 + 1);
 }
 
 #[test]
@@ -198,8 +199,7 @@ fn list_workload_grounding_work_grows_with_n_delta_not_n_squared() {
          differential evaluation regressed toward from-scratch"
     );
     // The from-scratch baseline on the same instance: Σ|closure| work.
-    let scratch = SccCoordinator::new(&db)
-        .with_from_scratch_evaluation()
+    let scratch = from_scratch_scc(&db)
         .run(&fig4_queries(100))
         .unwrap()
         .stats

@@ -177,7 +177,7 @@ impl QueryStats {
 
     /// Total queries of all kinds.
     pub fn total(&self) -> u64 {
-        self.find_one_count() + self.find_all.get() + self.distinct_count() + self.membership.get()
+        self.find_one.get() + self.find_all.get() + self.distinct.get() + self.membership.get()
     }
 }
 
